@@ -14,11 +14,19 @@ standard big-M linearization of the product gamma * S:
   cannot exceed the AP's backhaul (ONU) capacity.
 
 Because gamma is fully determined once S is fixed, the search is combinatorial
-over assignments. ``solve_branch_and_bound`` explores users in index order
-with an admissible per-user SINR upper bound; ``solve_exhaustive`` is the
+over assignments. ``solve_branch_and_bound`` explores users in index order.
+Its bound works on the partial assignment: a busy foreign slot charges its
+full signal to a user's denominator and a free one min(signal, shot), since it
+may still go either way, so every assigned user has an SINR ceiling that only
+falls as the search deepens. Wavelengths whose signal and shot slices are
+bitwise equal are interchangeable, and a member of such a class may be opened
+only after every lower-indexed member is in use. ``solve_exhaustive`` is the
 independent oracle. Both apply the same deterministic tie-break (first
 incumbent in lexicographic slot order wins among objective ties), so they
-return identical assignments on the same instance.
+return identical assignments on the same instance: permuting a class changes
+no gamma and maps any assignment to a lexicographically smaller one, so the
+winner is never skipped, and the bound cuts only leaves the tie-break would
+reject.
 """
 
 from __future__ import annotations
@@ -484,16 +492,43 @@ def _better(obj, key, inc_obj, inc_key, tol):
     return False
 
 
+def _symmetry_classes(problem: AllocationProblem) -> List[List[int]]:
+    """Group wavelengths whose signal and shot slices are bitwise equal.
+
+    Rates are per (user, AP) and do not depend on the wavelength, so any
+    permutation inside a class maps every assignment to one with the same
+    gammas, bit for bit. Classes are ordered by their lowest member.
+    """
+    groups: Dict[Tuple[bytes, bytes], List[int]] = {}
+    for w in range(len(problem.wavelengths)):
+        key = (np.ascontiguousarray(problem.signal_a2[..., w]).tobytes(),
+               np.ascontiguousarray(problem.shot_a2[..., w]).tobytes())
+        groups.setdefault(key, []).append(w)
+    return list(groups.values())
+
+
 def solve_branch_and_bound(problem: AllocationProblem,
                            time_limit_s: Optional[float] = None
                            ) -> AllocationSolution:
     """Exact depth-first branch and bound over user assignments.
 
     Users are branched in index order; children enumerate free slots in
-    (AP, wavelength) order. A node is cut when its optimistic objective
-    (sum of per-user admissible SINR bounds) cannot beat the incumbent, when
-    some user has no floor-meeting slot left, or when an AP's backhaul is
-    already over capacity.
+    (AP, wavelength) order. Each node charges every foreign slot (b, w) to
+    the denominator of a user on wavelength w: its full signal once it is
+    busy, min(signal, shot) while it is free, since it may still go either
+    way. That gives every user an admissible SINR bound on the partial
+    assignment. A node is cut when an assigned user's bound is below the
+    floor, when an unassigned user has no free slot whose bound meets it,
+    when the sum of those bounds cannot beat the incumbent, or when an AP's
+    backhaul would be exceeded.
+
+    Wavelengths whose signal and shot slices are bitwise equal form a
+    symmetry class, and a class member may be opened only once every
+    lower-indexed member is in use (Margot 2010). Permuting a class leaves
+    every gamma bitwise unchanged and maps each assignment to a
+    lexicographically smaller one, so the tie-break winner is never skipped;
+    a bound cut drops only leaves scoring below incumbent - tol, which the
+    tie-break would reject anyway. The result is the oracle's assignment.
 
     Raises:
         InfeasibleError: the full search proves no assignment satisfies the
@@ -502,6 +537,8 @@ def solve_branch_and_bound(problem: AllocationProblem,
     """
     t0 = time.monotonic()
     n_users = len(problem.users)
+    n_aps = len(problem.ap_ids)
+    n_wl = len(problem.wavelengths)
     slots = _slot_list(problem)
     if n_users == 0:
         return _solution_from_indices(problem, {}, {
@@ -513,36 +550,10 @@ def solve_branch_and_bound(problem: AllocationProblem,
             report={"constraint": "slot_once", "users": n_users,
                     "slots": len(slots)})
 
-    ub = _gamma_upper_bounds(problem)          # (U, A, W)
-    floor_ok = ub >= problem.sinr_floor * (1 - 1e-12)
-    tol = _tie_tolerance(problem)
-
-    best: Dict[str, object] = {"obj": None, "key": None, "asg": None}
-    counters = {"nodes": 0, "leaves": 0, "floor_rejects": 0,
-                "onu_rejects": 0, "bound_prunes": 0}
-    deadline = None if time_limit_s is None else t0 + time_limit_s
-    timed_out = {"flag": False}
-
-    # per-user best-case gamma over currently free slots, floor-aware
-    def user_best(u, taken):
-        out = -1.0
-        for (a, w) in slots:
-            if (a, w) in taken:
-                continue
-            if floor_ok[u, a, w]:
-                v = ub[u, a, w]
-                if v > out:
-                    out = v
-        return out
-
-    assignment: Dict[int, Tuple[int, int]] = {}
-    taken: Dict[Tuple[int, int], int] = {}
-    ap_load = [0.0] * len(problem.ap_ids)
-
-    root_bound = 0.0
+    floor = problem.sinr_floor * (1 - 1e-12)
+    ub = _gamma_upper_bounds(problem)          # the root node's bound
     for u in range(n_users):
-        b = user_best(u, taken)
-        if b < 0:
+        if not (ub[u] >= floor).any():
             raise InfeasibleError(
                 f"user {problem.users[u]} cannot reach the SINR floor on any "
                 f"slot",
@@ -550,12 +561,41 @@ def solve_branch_and_bound(problem: AllocationProblem,
                         "user": problem.users[u],
                         "floor": problem.sinr_floor,
                         "best_possible_sinr": float(ub[u].max())})
-        root_bound += b
+    root_bound = sum(float(ub[u].max()) for u in range(n_users))
+    tol = _tie_tolerance(problem)
+
+    classes = _symmetry_classes(problem)
+    previous = [-1] * n_wl                     # next-lower member of w's class
+    for members in classes:
+        for lower, w in zip(members, members[1:]):
+            previous[w] = lower
+
+    signal = problem.signal_a2
+    preamp = problem.preamp_a2
+    rate = problem.rate_bps.tolist()
+    onu_cap = problem.onu_capacity_bps * (1 + 1e-12)
+    # denominator charge of slot (b, w) to user u, and its sum over b
+    contrib = np.minimum(signal, problem.shot_a2)
+    total = contrib.sum(axis=1)                # (U, W)
+
+    best: Dict[str, object] = {"obj": None, "key": None, "asg": None}
+    counters = {"nodes": 0, "leaves": 0, "floor_rejects": 0,
+                "onu_rejects": 0, "bound_prunes": 0}
+    deadline = None if time_limit_s is None else t0 + time_limit_s
+    timed_out = {"flag": False}
+
+    assignment: Dict[int, Tuple[int, int]] = {}
+    users = np.arange(n_users)
+    slot_ap = np.zeros(n_users, dtype=int)
+    slot_wl = np.zeros(n_users, dtype=int)
+    free = np.ones((n_aps, n_wl), dtype=bool)
+    wl_busy = [0] * n_wl
+    ap_load = [0.0] * n_aps
 
     def leaf():
         counters["leaves"] += 1
         gammas = evaluate_assignment_gammas(problem, assignment)
-        if any(g < problem.sinr_floor * (1 - 1e-12) for g in gammas.values()):
+        if any(g < floor for g in gammas.values()):
             counters["floor_rejects"] += 1
             return
         obj = sum(gammas.values())
@@ -575,39 +615,50 @@ def solve_branch_and_bound(problem: AllocationProblem,
         if depth == n_users:
             leaf()
             return
-        # optimistic bound: assigned users at their slot bound, the rest at
-        # their best free slot
-        bound = 0.0
-        for u in range(depth):
-            bound += ub[u][assignment[u]]
-        feasible = True
-        for u in range(depth, n_users):
-            b = user_best(u, taken)
-            if b < 0:
-                feasible = False
-                break
-            bound += b
-        if not feasible:
+        bound = signal / (preamp + (total[:, None, :] - contrib))
+        assigned = bound[users[:depth], slot_ap[:depth], slot_wl[:depth]]
+        if depth and assigned.min() < floor:
             counters["floor_rejects"] += 1
             return
-        if best["obj"] is not None and bound < best["obj"] - tol:
+        rest = bound[depth:]
+        best_free = np.where(free & (rest >= floor), rest, -1.0) \
+            .reshape(n_users - depth, -1).max(axis=1)
+        if best_free.min() < 0:
+            counters["floor_rejects"] += 1
+            return
+        if best["obj"] is not None \
+                and assigned.sum() + best_free.sum() < best["obj"] - tol:
             counters["bound_prunes"] += 1
             return
         u = depth
-        for (a, w) in slots:
-            if (a, w) in taken or not floor_ok[u, a, w]:
+        open_slots = (free & (bound[u] >= floor)).ravel()
+        for s in np.flatnonzero(open_slots).tolist():
+            a, w = slots[s]
+            # open a wavelength only after the lower members of its class
+            if not wl_busy[w] and previous[w] >= 0 \
+                    and not wl_busy[previous[w]]:
                 continue
-            new_load = ap_load[a] + float(problem.rate_bps[u, a])
-            if new_load > problem.onu_capacity_bps * (1 + 1e-12):
+            load = ap_load[a]
+            new_load = load + rate[u][a]
+            if new_load > onu_cap:
                 counters["onu_rejects"] += 1
                 continue
+            saved_contrib = contrib[:, a, w].copy()
+            saved_total = total[:, w].copy()
+            contrib[:, a, w] = signal[:, a, w]
+            total[:, w] = contrib[:, :, w].sum(axis=1)
             assignment[u] = (a, w)
-            taken[(a, w)] = u
+            slot_ap[u], slot_wl[u] = a, w
+            free[a, w] = False
+            wl_busy[w] += 1
             ap_load[a] = new_load
             descend(depth + 1)
-            ap_load[a] = new_load - float(problem.rate_bps[u, a])
-            del taken[(a, w)]
+            ap_load[a] = load
+            wl_busy[w] -= 1
+            free[a, w] = True
             del assignment[u]
+            contrib[:, a, w] = saved_contrib
+            total[:, w] = saved_total
 
     descend(0)
     elapsed = time.monotonic() - t0
@@ -628,6 +679,10 @@ def solve_branch_and_bound(problem: AllocationProblem,
         "nodes": counters["nodes"],
         "leaves": counters["leaves"],
         "bound_prunes": counters["bound_prunes"],
+        "floor_rejects": counters["floor_rejects"],
+        "onu_rejects": counters["onu_rejects"],
+        "symmetry_classes": [[problem.wavelengths[w] for w in members]
+                             for members in classes],
         "gap": gap,
         "complete": not timed_out["flag"],
         "elapsed_s": elapsed,

@@ -110,6 +110,15 @@ def _random_problem(rng):
                                         NoiseParams())
 
 
+def _same_slices(problem):
+    """The same instance with every wavelength a copy of wavelength 0."""
+    first = [0] * len(problem.wavelengths)
+    return AllocationProblem(
+        list(problem.users), list(problem.ap_ids), list(problem.wavelengths),
+        problem.signal_a2[..., first], problem.shot_a2[..., first],
+        problem.rate_bps, problem.preamp_a2)
+
+
 def _mobiles_only(topo: TopologyConfig) -> TopologyConfig:
     nodes = tuple(n for n in topo.nodes if n.is_mobile)
     routes = tuple(r for r in topo.routes
@@ -250,10 +259,35 @@ def test_acceptance_4_allocator_suite(capsys):
                            if fast.assignment[u][0] == a)
                 assert load <= 1e10 * (1 + 1e-12)
 
-            # exact oracle: plain enumeration with longhand scoring
+            # exact oracle: plain enumeration with longhand scoring; the
+            # tie-break makes the assignment itself unique
             slow = solve_exhaustive(problem)
             assert fast.objective == pytest.approx(slow.objective, rel=1e-6)
+            assert fast.assignment == slow.assignment
         assert solved == 200
+
+        # interchangeable wavelengths: every colour carries wavelength 0's
+        # slices, so the solver's symmetry rule is checked against the oracle
+        tied = 0
+        attempts = 0
+        while tied < 100:
+            attempts += 1
+            assert attempts <= 200, "instance generator starved"
+            problem = _same_slices(_random_problem(rng))
+            try:
+                slow = solve_exhaustive(problem)
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError) as err:
+                    solve_branch_and_bound(problem)
+                assert err.value.report["constraint"] \
+                    == exc.report["constraint"]
+                continue
+            fast = solve_branch_and_bound(problem)
+            assert fast.stats["symmetry_classes"] \
+                == [list(problem.wavelengths)]
+            assert fast.objective == pytest.approx(slow.objective, rel=1e-6)
+            assert fast.assignment == slow.assignment
+            tied += 1
 
 
 # ---------------------------------------------------------------------

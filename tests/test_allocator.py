@@ -60,6 +60,11 @@ def _random_problem(rng, n_users, n_aps, n_wl=4):
     return AllocationProblem.from_table(table, NoiseParams())
 
 
+def _indices(p, sol):
+    return {p.users.index(u): (p.ap_ids.index(a), p.wavelengths.index(w))
+            for u, (a, w) in sol.assignment.items()}
+
+
 # =====================================================================
 # model structure
 # =====================================================================
@@ -283,6 +288,33 @@ def test_branch_and_bound_matches_exhaustive_small_sample():
     assert solved >= 25  # the generator must mostly produce feasible draws
 
 
+def test_near_floor_instances_match_exhaustive():
+    # four users fill both colours of two APs, so everyone hears a foreign
+    # AP; strong cross links push many optima to within 2% of the floor,
+    # where an over-eager floor cut on a partial assignment would show
+    rng = np.random.default_rng(1)
+    near = 0
+    for _ in range(1000):
+        recs = []
+        for u in range(4):
+            for a in range(2):
+                p = rng.uniform(6e-6, 1e-5) if a == u % 2 \
+                    else rng.uniform(0, 1.5e-6)
+                for w in ("red", "blue"):
+                    recs.append(_rec(u, a, w, p * (1 + 1e-3 * rng.random())))
+        p = AllocationProblem.from_table(ChannelTable.from_records(recs),
+                                         NoiseParams())
+        try:
+            ex = solve_exhaustive(p)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_branch_and_bound(p)
+            continue
+        assert solve_branch_and_bound(p).assignment == ex.assignment
+        near += min(ex.sinr.values()) < 1.02 * p.sinr_floor
+    assert near >= 10
+
+
 def test_user_permutation_permutes_solution():
     rng = np.random.default_rng(5)
     p = _random_problem(rng, 3, 3)
@@ -307,6 +339,85 @@ def test_time_limit_returns_incumbent_with_gap():
     if not sol.stats["complete"]:
         assert sol.stats["gap"] >= 0.0
         assert sol.objective > 0.0
+        assert check_feasibility(p, _indices(p, sol))["feasible"]
     # and with no limit the same instance completes
     full = solve_branch_and_bound(p)
     assert full.stats["complete"] and full.stats["gap"] == 0.0
+
+
+def test_expired_time_limit_stops_at_first_check():
+    # a zero budget expires at the first clock check (node 256), so the
+    # incumbent is the same on every machine
+    rng = np.random.default_rng(1)
+    p = _random_problem(rng, 10, 8)
+    sol = solve_branch_and_bound(p, time_limit_s=0.0)
+    assert not sol.stats["complete"]
+    assert sol.stats["gap"] > 0.0
+    assert check_feasibility(p, _indices(p, sol))["feasible"]
+    full = solve_branch_and_bound(p)
+    assert full.objective >= sol.objective
+    assert (full.objective - sol.objective) / full.objective \
+        <= sol.stats["gap"]
+
+
+# =====================================================================
+# wavelength symmetry
+# =====================================================================
+
+def _with_slices(p, pattern):
+    """Copy of ``p`` whose wavelength w carries slice ``pattern[w]``."""
+    return AllocationProblem(
+        list(p.users), list(p.ap_ids), list(p.wavelengths),
+        p.signal_a2[..., pattern], p.shot_a2[..., pattern], p.rate_bps,
+        p.preamp_a2)
+
+
+def test_symmetry_classes_reported():
+    rng = np.random.default_rng(3)
+    p = _random_problem(rng, 3, 2)
+    # per-wavelength jitter: no two colours are interchangeable
+    assert solve_branch_and_bound(p).stats["symmetry_classes"] == [
+        ["red"], ["yellow"], ["green"], ["blue"]]
+    same = _with_slices(p, [2, 2, 2, 2])
+    assert solve_branch_and_bound(same).stats["symmetry_classes"] == [
+        ["red", "yellow", "green", "blue"]]
+
+
+def test_two_symmetry_classes_match_exhaustive():
+    rng = np.random.default_rng(17)
+    solved = 0
+    for _ in range(30):
+        n_users = int(rng.integers(2, 5))
+        n_aps = int(rng.integers(1, 4))
+        p = _with_slices(_random_problem(rng, n_users, n_aps), [0, 0, 3, 3])
+        try:
+            ex = solve_exhaustive(p)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError) as err:
+                solve_branch_and_bound(p)
+            assert err.value.report["constraint"] == exc.report["constraint"]
+            continue
+        bb = solve_branch_and_bound(p)
+        assert bb.stats["symmetry_classes"] == [["red", "yellow"],
+                                                ["green", "blue"]]
+        assert bb.assignment == ex.assignment
+        assert bb.objective == ex.objective
+        solved += 1
+    assert solved >= 20
+
+
+def test_one_ulp_difference_lifts_the_restriction():
+    rng = np.random.default_rng(23)
+    p = _with_slices(_random_problem(rng, 4, 2), [0, 0, 0, 0])
+    signal = p.signal_a2.copy()
+    signal[0, 0, 3] = np.nextafter(signal[0, 0, 3], np.inf)
+    q = AllocationProblem(list(p.users), list(p.ap_ids), list(p.wavelengths),
+                          signal, p.shot_a2, p.rate_bps, p.preamp_a2)
+    tied = solve_branch_and_bound(p)
+    near = solve_branch_and_bound(q)
+    assert near.stats["symmetry_classes"] == [["red", "yellow", "green"],
+                                              ["blue"]]
+    # blue may now be opened before green, so the search grows
+    assert near.stats["nodes"] > tied.stats["nodes"]
+    assert near.assignment == solve_exhaustive(q).assignment
+    assert tied.assignment == solve_exhaustive(p).assignment

@@ -1,6 +1,8 @@
 """Scenario generation, bandwidth CDF, chaining, and bundle artifacts."""
 
+import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from owcfog.scenarios import (
     ANALOGUE_SEEDS,
     ResultBundle,
     allocate_scenario,
+    allocation_tables,
     bandwidth_cdf,
     build_manifest,
     chain_scenario,
@@ -240,3 +243,47 @@ def test_channel_bundle_grid(tmp_path):
     assert cdf_rows[-1][1] == 1.0
     bundle.write(tmp_path)
     assert (tmp_path / "bandwidth_cdf.csv").exists()
+
+
+# ---------------------------------------------------------------------
+# allocator on pipeline draws
+# ---------------------------------------------------------------------
+
+#: sha256 of allocation.csv for the named draws, and a node ceiling each.
+#: Node counts repeat exactly, so the ceilings catch a weakened bound.
+ANALOGUE_ALLOCATIONS = {
+    "s1-analogue": (
+        "b08d58547f563f93ecc56e446bddc4b6425385037e1936ee4256f03031dee9a0",
+        1_000),
+    "s2-analogue": (
+        "42a614055436998316b9c5d53257d4b89324608216aa0644a5554eaa3871dd73",
+        2_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALOGUE_ALLOCATIONS))
+def test_analogue_allocation_pinned(name, tmp_path):
+    digest, node_ceiling = ANALOGUE_ALLOCATIONS[name]
+    cfg = merge_config({"scenario": {"name": name}})
+    _, _, solution = allocate_scenario(cfg)
+    bundle = ResultBundle(tables=allocation_tables(solution), manifest={})
+    bundle.write(tmp_path)
+    data = (tmp_path / "allocation.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert solution.stats["complete"] and solution.stats["gap"] == 0.0
+    assert solution.stats["nodes"] <= node_ceiling
+
+
+@pytest.mark.parametrize("seed", [1, 4, 10])
+def test_large_default_draw_ends_in_bounded_time(seed):
+    # 9-11 users; draw 1 alone needed minutes under a bound that ignored
+    # the slots already taken
+    cfg = merge_config({"scenario": {"seed": seed}})
+    t0 = time.perf_counter()
+    try:
+        _, _, solution = allocate_scenario(cfg)
+    except InfeasibleError as exc:
+        assert exc.report["constraint"] in ("sinr_floor", "onu_capacity")
+    else:
+        assert solution.stats["complete"] and solution.stats["gap"] == 0.0
+    assert time.perf_counter() - t0 < 60.0
