@@ -585,9 +585,6 @@ def solve_branch_and_bound(problem: AllocationProblem,
     timed_out = {"flag": False}
 
     assignment: Dict[int, Tuple[int, int]] = {}
-    users = np.arange(n_users)
-    slot_ap = np.zeros(n_users, dtype=int)
-    slot_wl = np.zeros(n_users, dtype=int)
     free = np.ones((n_aps, n_wl), dtype=bool)
     wl_busy = [0] * n_wl
     ap_load = [0.0] * n_aps
@@ -616,8 +613,8 @@ def solve_branch_and_bound(problem: AllocationProblem,
             leaf()
             return
         bound = signal / (preamp + (total[:, None, :] - contrib))
-        assigned = bound[users[:depth], slot_ap[:depth], slot_wl[:depth]]
-        if depth and assigned.min() < floor:
+        assigned = [bound[u, a, w] for u, (a, w) in assignment.items()]
+        if assigned and min(assigned) < floor:
             counters["floor_rejects"] += 1
             return
         rest = bound[depth:]
@@ -627,14 +624,15 @@ def solve_branch_and_bound(problem: AllocationProblem,
             counters["floor_rejects"] += 1
             return
         if best["obj"] is not None \
-                and assigned.sum() + best_free.sum() < best["obj"] - tol:
+                and sum(assigned) + best_free.sum() < best["obj"] - tol:
             counters["bound_prunes"] += 1
             return
         u = depth
         open_slots = (free & (bound[u] >= floor)).ravel()
         for s in np.flatnonzero(open_slots).tolist():
             a, w = slots[s]
-            # open a wavelength only after the lower members of its class
+            # open a wavelength only after the lower members of its class;
+            # members open in order, so the next-lower one stands for all
             if not wl_busy[w] and previous[w] >= 0 \
                     and not wl_busy[previous[w]]:
                 continue
@@ -648,7 +646,6 @@ def solve_branch_and_bound(problem: AllocationProblem,
             contrib[:, a, w] = signal[:, a, w]
             total[:, w] = contrib[:, :, w].sum(axis=1)
             assignment[u] = (a, w)
-            slot_ap[u], slot_wl[u] = a, w
             free[a, w] = False
             wl_busy[w] += 1
             ap_load[a] = new_load
