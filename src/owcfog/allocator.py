@@ -607,7 +607,6 @@ def solve_branch_and_bound(problem: AllocationProblem,
         if deadline is not None and counters["nodes"] % 256 == 0 \
                 and time.monotonic() > deadline:
             timed_out["flag"] = True
-        if timed_out["flag"]:
             return
         if depth == n_users:
             leaf()
@@ -656,6 +655,8 @@ def solve_branch_and_bound(problem: AllocationProblem,
             del assignment[u]
             contrib[:, a, w] = saved_contrib
             total[:, w] = saved_total
+            if timed_out["flag"]:
+                break
 
     descend(0)
     elapsed = time.monotonic() - t0

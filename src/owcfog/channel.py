@@ -7,6 +7,15 @@ elements. From the binned response it derives the channel metrics the rest of
 the pipeline consumes: DC gain, RMS delay spread, 3-dB bandwidth, and the
 OOK data rate the link can support.
 
+Only work that can reach the receiver is done. The surface mesh depends on
+the room alone, so it is built once per (geometry, reflectivity) and shared
+by every link. The second bounce is the element-pair sum of Barry et al.
+(JSAC 1993); a pair contributes only when its second element lies inside the
+receiver's field of view and faces it, so each source element is paired with
+those visible sinks alone (a few dozen of the 544 elements at the 0.5 m
+mesh). The delay spread and 3-dB bandwidth of a unit-power trace are
+measured once and shared by every wavelength that traced it.
+
 Conventions:
     - SI units throughout (metres, seconds, watts, hertz).
     - Access points point straight down, receivers straight up.
@@ -18,6 +27,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -38,8 +48,11 @@ FEC_MIN_SINR_DB = 14.0
 FEC_FREE_SINR_DB = 15.6
 FEC_RATE_FACTOR = 0.9
 
-# Rows per chunk for the second-order element-to-element pass; keeps the
-# transient (chunk x n_elements) matrices around a few tens of MB.
+# Source rows per chunk of the second-order pass is this over the number of
+# *all* surface elements, so the transient (chunk x sinks) matrices stay well
+# under (chunk x n_elements) entries. The chunk is not resized to the visible
+# sinks: chunk boundaries fix the order in which partial histograms add into
+# the response, and keeping them keeps fine meshes bit-identical.
 _CHUNK_TARGET = 2_000_000
 
 
@@ -245,6 +258,9 @@ def _face_grid(c0, c1, u_len, v_len, make_point, normal, rho):
 def surface_elements(room: RoomConfig, wavelength: str):
     """Discretize the six room faces into Lambertian reflector elements.
 
+    Rooms with equal geometry, reflectivities and element cap share one
+    mesh, built on first use; the arrays are read-only.
+
     Returns:
         (centers, normals, areas, rhos) numpy arrays of shape (N, 3)/(N,)/...
 
@@ -252,8 +268,14 @@ def surface_elements(room: RoomConfig, wavelength: str):
         ResourceLimitError: when the mesh would exceed ``room.max_elements``.
     """
     refl = room.reflectivity_for(wavelength)
-    L, W, H = room.length_m, room.width_m, room.height_m
-    e = room.element_edge_m
+    return _surface_mesh(room.length_m, room.width_m, room.height_m,
+                         room.element_edge_m, refl["walls"], refl["ceiling"],
+                         refl["floor"], room.max_elements)
+
+
+# typed: an int 0 reflectivity builds an int rho array, unlike 0.0
+@functools.lru_cache(maxsize=4, typed=True)
+def _surface_mesh(L, W, H, e, rho_walls, rho_ceiling, rho_floor, max_elements):
     faces = []
 
     def face(u_len, v_len, maker, normal, rho):
@@ -261,28 +283,30 @@ def surface_elements(room: RoomConfig, wavelength: str):
 
     # Floor (z=0, normal up) and ceiling (z=H, normal down).
     face(L, W, lambda u, v: np.column_stack([u, v, np.zeros_like(u)]),
-         (0, 0, 1), refl["floor"])
+         (0, 0, 1), rho_floor)
     face(L, W, lambda u, v: np.column_stack([u, v, np.full_like(u, H)]),
-         (0, 0, -1), refl["ceiling"])
+         (0, 0, -1), rho_ceiling)
     # Four walls.
     face(L, H, lambda u, v: np.column_stack([u, np.zeros_like(u), v]),
-         (0, 1, 0), refl["walls"])
+         (0, 1, 0), rho_walls)
     face(L, H, lambda u, v: np.column_stack([u, np.full_like(u, W), v]),
-         (0, -1, 0), refl["walls"])
+         (0, -1, 0), rho_walls)
     face(W, H, lambda u, v: np.column_stack([np.zeros_like(u), u, v]),
-         (1, 0, 0), refl["walls"])
+         (1, 0, 0), rho_walls)
     face(W, H, lambda u, v: np.column_stack([np.full_like(u, L), u, v]),
-         (-1, 0, 0), refl["walls"])
+         (-1, 0, 0), rho_walls)
 
     centers = np.vstack([f[0] for f in faces])
     normals = np.vstack([f[1] for f in faces])
     areas = np.concatenate([f[2] for f in faces])
     rhos = np.concatenate([f[3] for f in faces])
-    if centers.shape[0] > room.max_elements:
+    if centers.shape[0] > max_elements:
         raise ResourceLimitError(
-            f"{centers.shape[0]} surface elements exceed cap {room.max_elements}; "
+            f"{centers.shape[0]} surface elements exceed cap {max_elements}; "
             f"raise max_elements or coarsen element_edge_m"
         )
+    for arr in (centers, normals, areas, rhos):
+        arr.flags.writeable = False
     return centers, normals, areas, rhos
 
 
@@ -313,11 +337,6 @@ class ImpulseResponse:
     def bin_times_s(self) -> np.ndarray:
         """Bin-center arrival times."""
         return (np.arange(self.powers_w.size) + 0.5) * self.bin_width_s
-
-
-def _emit_cos(vec, d, normal):
-    # cosine between a unit direction and a surface normal
-    return np.einsum("ij,j->i", vec, np.asarray(normal, float)) / d
 
 
 def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
@@ -372,7 +391,7 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
         v1 = centers - apv
         d1 = np.linalg.norm(v1, axis=1)
         d1 = np.where(d1 <= 0, np.inf, d1)
-        cos_phi1 = _emit_cos(v1, d1, (0.0, 0.0, -1.0))
+        cos_phi1 = -v1[:, 2] / d1  # AP normal is -z
         cos_inc1 = -np.einsum("ij,ij->i", v1, normals) / d1
         ok1 = (cos_phi1 > 0) & (cos_inc1 > 0)
         p_elem = np.zeros_like(d1)
@@ -428,35 +447,45 @@ def _second_order_pass(hist, room, centers, normals, areas, rhos,
                        p_elem, t_elem, g_rx, t_rx) -> float:
     """Accumulate AP->i->j->receiver contributions into ``hist``.
 
-    Chunked over source elements i so the pairwise matrices stay bounded.
+    Sources i are the elements lit by the AP; sinks j are the elements with
+    ``rhos * g_rx > 0``, i.e. inside the receiver's field of view and facing
+    it. The filter is exact: any other j has ``contrib == 0`` whatever i is,
+    so it never adds to the response. Dropping those columns keeps the live
+    pairs in the same row-major order, so each ``bincount`` sees the same
+    weights in the same order. Chunked over sources so the pairwise matrices
+    stay bounded; the chunk is sized on all elements, not the sinks, so the
+    partial histograms add up in the same order as an unfiltered pass.
     Returns the total second-order power added.
     """
     n = centers.shape[0]
     src_power = rhos * p_elem            # power re-emitted by each i
     sink_gain = rhos * g_rx              # j's reflect+deliver gain
     src_idx = np.nonzero(src_power > 0)[0]
-    if src_idx.size == 0:
+    sinks = np.nonzero(sink_gain > 0)[0]
+    if src_idx.size == 0 or sinks.size == 0:
         return 0.0
+    sink_centers, sink_normals = centers[sinks], normals[sinks]
+    sink_areas, sink_gain, sink_t = areas[sinks], sink_gain[sinks], t_rx[sinks]
     nbins = hist.size
     inv_bin = 1.0 / room.time_bin_s
     total = 0.0
-    chunk = max(1, _CHUNK_TARGET // max(n, 1))
+    chunk = max(1, _CHUNK_TARGET // n)
     for k0 in range(0, src_idx.size, chunk):
         rows = src_idx[k0:k0 + chunk]
-        vij = centers[None, :, :] - centers[rows, None, :]     # (c, n, 3)
+        vij = sink_centers[None, :, :] - centers[rows, None, :]  # (c, s, 3)
         dij = np.sqrt(np.einsum("cnj,cnj->cn", vij, vij))
         np.maximum(dij, 1e-12, out=dij)
         cos_emit = np.einsum("cnj,cj->cn", vij, normals[rows]) / dij
-        cos_inc = -np.einsum("cnj,nj->cn", vij, normals) / dij
+        cos_inc = -np.einsum("cnj,nj->cn", vij, sink_normals) / dij
         # both ends must face each other; masking the product alone would
         # wrongly admit back-to-back pairs
         trans = np.where((cos_emit > 0) & (cos_inc > 0), cos_emit * cos_inc, 0.0)
-        trans *= areas[None, :] / (math.pi * dij ** 2)
+        trans *= sink_areas[None, :] / (math.pi * dij ** 2)
         contrib = src_power[rows, None] * trans * sink_gain[None, :]
         live = contrib > 0
         if not np.any(live):
             continue
-        tt = (t_elem[rows, None] + dij / SPEED_OF_LIGHT_M_S + t_rx[None, :])
+        tt = (t_elem[rows, None] + dij / SPEED_OF_LIGHT_M_S + sink_t[None, :])
         idx = (tt[live] * inv_bin).astype(np.int64)
         w = contrib[live]
         hist += np.bincount(idx, weights=w, minlength=nbins)
@@ -569,9 +598,12 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
                             max_order: int = 2) -> List[ChannelRecord]:
     """Trace every (user, AP, wavelength) link and tabulate its metrics.
 
-    Positions are (x, y) on the receiver plane. When several wavelengths share
-    a reflectivity map the trace is reused across them (the response scales
-    linearly with transmit power), which is the common case.
+    Positions are (x, y) on the receiver plane. Each link is traced once per
+    distinct reflectivity map at unit transmit power (the response scales
+    linearly with it), and that trace's gain, delay spread and 3-dB bandwidth
+    are measured once and reused for every wavelength sharing the map. With
+    the default flat map all four wavelengths share one trace; a
+    per-wavelength map traces and measures each distinct map separately.
 
     The tabulated ``rate_bps`` is the raw channel-supported rate
     rate_factor * min(bw_3db, receiver bandwidth); FEC de-rating happens later
@@ -584,7 +616,8 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
         if not (0 <= x <= room.length_m and 0 <= y <= room.width_m):
             raise ConfigError(f"user {u} at ({x}, {y}) lies outside the room")
         for ap in room.aps:
-            traced: Dict[Tuple, ImpulseResponse] = {}
+            # reflectivity map -> (h, delay spread, 3-dB bandwidth)
+            traced: Dict[Tuple, Tuple[float, float, float]] = {}
             for wl in wavelengths:
                 key = tuple(sorted(room.reflectivity_for(wl).items()))
                 if key not in traced:
@@ -593,16 +626,17 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
                         half_power_semiangle_deg=ap.half_power_semiangle_deg,
                         tx_power_w={wl: 1.0},
                     )
-                    traced[key] = trace_impulse_response(
+                    unit_ir = trace_impulse_response(
                         room, unit_ap, receiver, (x, y, z), wl, max_order)
-                unit_ir = traced[key]
+                    ds = delay_spread(unit_ir)
+                    try:
+                        bw = bandwidth_3db(unit_ir)
+                    except InfeasibleError:
+                        bw = 0.0
+                    # unit transmit power: total power is the gain
+                    traced[key] = (unit_ir.total_power_w, ds, bw)
+                h, ds, bw = traced[key]
                 po = float(ap.tx_power_w.get(wl, 0.0))
-                h = unit_ir.total_power_w  # unit transmit power -> gain
-                ds = delay_spread(unit_ir)
-                try:
-                    bw = bandwidth_3db(unit_ir)
-                except InfeasibleError:
-                    bw = 0.0
                 rate = receiver.rate_factor * min(bw, receiver.bandwidth_hz)
                 records.append(ChannelRecord(
                     user=u, user_x=x, user_y=y, ap_id=ap.ap_id, wavelength=wl,

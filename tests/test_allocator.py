@@ -352,6 +352,7 @@ def test_expired_time_limit_stops_at_first_check():
     p = _random_problem(rng, 10, 8)
     sol = solve_branch_and_bound(p, time_limit_s=0.0)
     assert not sol.stats["complete"]
+    assert sol.stats["nodes"] == 256
     assert sol.stats["gap"] > 0.0
     assert check_feasibility(p, _indices(p, sol))["feasible"]
     full = solve_branch_and_bound(p)

@@ -5,6 +5,7 @@ enumerator written directly from the Lambertian link geometry; the two share
 no code beyond the public API.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import owcfog.channel as channel_mod
 from owcfog.channel import (
     AccessPoint,
     ChannelRecord,
@@ -19,6 +21,7 @@ from owcfog.channel import (
     ReceiverSpec,
     RoomConfig,
     SPEED_OF_LIGHT_M_S,
+    WAVELENGTHS,
     bandwidth_3db,
     compute_channel_records,
     delay_spread,
@@ -95,13 +98,13 @@ def test_lambertian_order_decreases_with_beamwidth(a, b):
 # tracer vs naive path enumeration
 # =====================================================================
 
-def _cube_case():
+def _cube_case(fov_deg=85.0, rxp=(0.7, 1.2, 0.5)):
     room = RoomConfig(
         length_m=2.0, width_m=2.0, height_m=2.0,
         element_edge_m=0.5, time_bin_s=1e-11, receiver_plane_m=0.5,
         aps=[AccessPoint(0, (1.0, 1.0, 2.0), 60.0, {"red": 1.0})])
-    rec = ReceiverSpec(area_m2=1e-4, fov_deg=85.0)
-    return room, rec, (0.7, 1.2, 0.5)
+    rec = ReceiverSpec(area_m2=1e-4, fov_deg=fov_deg)
+    return room, rec, rxp
 
 
 def _naive_cube_mesh(edge, dim, refl):
@@ -187,21 +190,31 @@ def _naive_trace(room, ap, rec, rxp, max_order):
     return arrivals
 
 
+#: (field of view, receiver position) inputs of the naive-enumeration check:
+#: a wide cone that sees nearly every element, and a narrow one beside a wall
+#: that leaves most elements outside it, so dropping a visible second-bounce
+#: sink shows.
+NAIVE_CASES = [(85.0, (0.7, 1.2, 0.5)), (30.0, (0.15, 1.0, 0.5))]
+
+
 def test_trace_matches_naive_enumeration():
-    room, rec, rxp = _cube_case()
-    ir = trace_impulse_response(room, room.aps[0], rec, rxp, "red", max_order=2)
-    arrivals = _naive_trace(room, room.aps[0], rec, rxp, 2)
+    for fov_deg, rxp in NAIVE_CASES:
+        room, rec, rxp = _cube_case(fov_deg, rxp)
+        ir = trace_impulse_response(room, room.aps[0], rec, rxp, "red",
+                                    max_order=2)
+        arrivals = _naive_trace(room, room.aps[0], rec, rxp, 2)
 
-    for order in (0, 1, 2):
-        want = sum(p for _, p, o in arrivals if o == order)
-        assert ir.order_powers_w[order] == pytest.approx(want, rel=1e-12)
+        for order in (0, 1, 2):
+            want = sum(p for _, p, o in arrivals if o == order)
+            assert want > 0.0
+            assert ir.order_powers_w[order] == pytest.approx(want, rel=1e-12)
 
-    hist = np.zeros(ir.powers_w.size + 8)
-    for t, p, _ in arrivals:
-        hist[int(t / room.time_bin_s)] += p
-    assert hist[ir.powers_w.size:].sum() == 0.0
-    np.testing.assert_allclose(ir.powers_w, hist[:ir.powers_w.size],
-                               rtol=1e-12, atol=ir.total_power_w * 1e-15)
+        hist = np.zeros(ir.powers_w.size + 8)
+        for t, p, _ in arrivals:
+            hist[int(t / room.time_bin_s)] += p
+        assert hist[ir.powers_w.size:].sum() == 0.0
+        np.testing.assert_allclose(ir.powers_w, hist[:ir.powers_w.size],
+                                   rtol=1e-12, atol=ir.total_power_w * 1e-15)
 
 
 def test_trace_energy_grows_with_order():
@@ -240,6 +253,25 @@ def test_second_order_power_converges_when_halving_elements():
                                     "red", 2)
         vals.append(ir.order_powers_w[2])
     assert abs(vals[1] - vals[0]) / vals[0] < 0.05
+
+
+#: The 0.1 m trace above (first AP, receiver at (1, 1, 1), red): sha256 of
+#: its binned powers and its exact per-order powers. Any change to the
+#: tracer's arithmetic or to the order it sums in moves them.
+FINE_TRACE_SHA256 = \
+    "c35afeba9f4dbbc3236d5cb7d29dcf902f6c937ef91f86503667d86e8128a863"
+FINE_TRACE_ORDER_POWERS = {0: 1.4323944878270581e-05,
+                           1: 7.771085717083031e-07,
+                           2: 9.740243439669658e-07}
+
+
+@pytest.mark.slow
+def test_fine_mesh_trace_pinned():
+    room = RoomConfig(element_edge_m=0.1)
+    ir = trace_impulse_response(room, room.aps[0], ReceiverSpec(),
+                                (1.0, 1.0, 1.0), "red", 2)
+    assert hashlib.sha256(ir.powers_w.tobytes()).hexdigest() == FINE_TRACE_SHA256
+    assert ir.order_powers_w == FINE_TRACE_ORDER_POWERS
 
 
 # =====================================================================
@@ -364,6 +396,53 @@ def test_records_rate_and_power_consistency():
     blue = [r for r in records if r.wavelength == "blue"]
     for a, b in zip(red, blue):
         assert a.h == b.h and a.bw_3db_hz == b.bw_3db_hz
+
+
+def _count_metric_calls(monkeypatch):
+    calls = {"delay_spread": 0, "bandwidth_3db": 0}
+    for name in calls:
+        def counted(ir, _real=getattr(channel_mod, name), _name=name):
+            calls[_name] += 1
+            return _real(ir)
+        monkeypatch.setattr(channel_mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("red_differs", [False, True])
+def test_records_measure_each_distinct_trace_once(monkeypatch, red_differs):
+    flat = {"walls": 0.8, "ceiling": 0.8, "floor": 0.3}
+    refl = flat
+    if red_differs:
+        refl = {wl: dict(flat) for wl in WAVELENGTHS}
+        refl["red"] = {"walls": 0.5, "ceiling": 0.6, "floor": 0.1}
+    room = RoomConfig(element_edge_m=0.5, reflectivity=refl)
+    rec = ReceiverSpec()
+    positions = [(1.0, 1.0), (6.0, 3.0)]
+    alone = {wl: compute_channel_records(room, rec, positions, (wl,))
+             for wl in WAVELENGTHS}
+
+    calls = _count_metric_calls(monkeypatch)
+    records = compute_channel_records(room, rec, positions)
+    links = len(positions) * len(room.aps)
+    traces = 2 * links if red_differs else links
+    assert calls == {"delay_spread": traces, "bandwidth_3db": traces}
+
+    by_wl = {wl: [r for r in records if r.wavelength == wl] for wl in WAVELENGTHS}
+    for wl in WAVELENGTHS:
+        assert by_wl[wl] == alone[wl]
+    def metrics(r):
+        return r.h, r.delay_spread_s, r.bw_3db_hz
+
+    bw_differs = False
+    for red, yellow, green, blue in zip(*(by_wl[wl] for wl in WAVELENGTHS)):
+        assert metrics(yellow) == metrics(green) == metrics(blue)
+        if red_differs:
+            assert red.h != yellow.h
+            bw_differs |= red.bw_3db_hz != yellow.bw_3db_hz
+        else:
+            assert metrics(red) == metrics(yellow)
+    # links under a strong LOS ray read the Nyquist limit on every map
+    assert bw_differs == red_differs
 
 
 def test_records_reject_outside_room():

@@ -245,6 +245,24 @@ def test_channel_bundle_grid(tmp_path):
     assert (tmp_path / "bandwidth_cdf.csv").exists()
 
 
+#: sha256 of the channel bundle's CSVs on the default 128-point grid. Any
+#: change to what the tracer or the channel metrics compute moves them.
+CHANNEL_GRID_DIGESTS = {
+    "channel.csv":
+        "8d2171426d1f0ae03b1f7a50e423fd8b012e15b2926f31459b7740f6be61bc4f",
+    "bandwidth_cdf.csv":
+        "f7ca6f26a96afbe1bee9a05becb616c6374b7a5dbecf5daae9d08a80ce0e76b1",
+}
+
+
+@pytest.mark.slow
+def test_channel_grid_bundle_pinned(tmp_path):
+    channel_bundle(load_config()).write(tmp_path)
+    for name, digest in CHANNEL_GRID_DIGESTS.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 # ---------------------------------------------------------------------
 # allocator on pipeline draws
 # ---------------------------------------------------------------------
