@@ -7,14 +7,13 @@ elements. From the binned response it derives the channel metrics the rest of
 the pipeline consumes: DC gain, RMS delay spread, 3-dB bandwidth, and the
 OOK data rate the link can support.
 
-Only work that can reach the receiver is done. The surface mesh depends on
-the room alone, so it is built once per (geometry, reflectivity) and shared
-by every link. The second bounce is the element-pair sum of Barry et al.
-(JSAC 1993); a pair contributes only when its second element lies inside the
-receiver's field of view and faces it, so each source element is paired with
-those visible sinks alone (a few dozen of the 544 elements at the 0.5 m
-mesh). The delay spread and 3-dB bandwidth of a unit-power trace are
-measured once and shared by every wavelength that traced it.
+The tracer does only work that can reach the receiver. The surface mesh
+depends on the room alone, so every link shares one. The second bounce is
+the element-pair sum of Barry et al. (JSAC 1993), and a pair adds to it only
+when its second element is inside the receiver's field of view and faces it:
+each source is paired with those visible sinks alone (29-37 of the 544
+elements at the 0.5 m mesh). A trace's metrics are measured once and shared
+by every wavelength that traced it.
 
 Conventions:
     - SI units throughout (metres, seconds, watts, hertz).
@@ -49,10 +48,10 @@ FEC_FREE_SINR_DB = 15.6
 FEC_RATE_FACTOR = 0.9
 
 # Source rows per chunk of the second-order pass is this over the number of
-# *all* surface elements, so the transient (chunk x sinks) matrices stay well
-# under (chunk x n_elements) entries. The chunk is not resized to the visible
-# sinks: chunk boundaries fix the order in which partial histograms add into
-# the response, and keeping them keeps fine meshes bit-identical.
+# *all* surface elements, which bounds the transient (chunk x sinks)
+# matrices. It is not sized on the visible sinks: chunk boundaries fix the
+# order in which partial histograms add into the response, and a different
+# order changes the last bits of fine-mesh traces.
 _CHUNK_TARGET = 2_000_000
 
 
@@ -448,13 +447,11 @@ def _second_order_pass(hist, room, centers, normals, areas, rhos,
     """Accumulate AP->i->j->receiver contributions into ``hist``.
 
     Sources i are the elements lit by the AP; sinks j are the elements with
-    ``rhos * g_rx > 0``, i.e. inside the receiver's field of view and facing
-    it. The filter is exact: any other j has ``contrib == 0`` whatever i is,
-    so it never adds to the response. Dropping those columns keeps the live
-    pairs in the same row-major order, so each ``bincount`` sees the same
-    weights in the same order. Chunked over sources so the pairwise matrices
-    stay bounded; the chunk is sized on all elements, not the sinks, so the
-    partial histograms add up in the same order as an unfiltered pass.
+    ``rhos * g_rx > 0``, inside the receiver's field of view and facing it.
+    The filter is exact: any other j has ``contrib == 0`` for every i, so it
+    never adds to the response, and dropping those columns keeps the live
+    pairs in row-major order, so each ``bincount`` sees the same weights in
+    the same order. Chunked over sources (see ``_CHUNK_TARGET``).
     Returns the total second-order power added.
     """
     n = centers.shape[0]
@@ -473,10 +470,10 @@ def _second_order_pass(hist, room, centers, normals, areas, rhos,
     for k0 in range(0, src_idx.size, chunk):
         rows = src_idx[k0:k0 + chunk]
         vij = sink_centers[None, :, :] - centers[rows, None, :]  # (c, s, 3)
-        dij = np.sqrt(np.einsum("cnj,cnj->cn", vij, vij))
+        dij = np.sqrt(np.einsum("csj,csj->cs", vij, vij))
         np.maximum(dij, 1e-12, out=dij)
-        cos_emit = np.einsum("cnj,cj->cn", vij, normals[rows]) / dij
-        cos_inc = -np.einsum("cnj,nj->cn", vij, sink_normals) / dij
+        cos_emit = np.einsum("csj,cj->cs", vij, normals[rows]) / dij
+        cos_inc = -np.einsum("csj,sj->cs", vij, sink_normals) / dij
         # both ends must face each other; masking the product alone would
         # wrongly admit back-to-back pairs
         trans = np.where((cos_emit > 0) & (cos_inc > 0), cos_emit * cos_inc, 0.0)

@@ -237,8 +237,9 @@ def test_trace_gain_is_power_normalized():
 def test_trace_element_cap():
     room, rec, rxp = _cube_case()
     room.max_elements = 10
-    with pytest.raises(ResourceLimitError):
-        trace_impulse_response(room, room.aps[0], rec, rxp, "red", 1)
+    for _ in range(2):  # the mesh cache must not swallow the refusal
+        with pytest.raises(ResourceLimitError):
+            trace_impulse_response(room, room.aps[0], rec, rxp, "red", 1)
 
 
 @pytest.mark.slow
@@ -430,6 +431,7 @@ def test_records_measure_each_distinct_trace_once(monkeypatch, red_differs):
     by_wl = {wl: [r for r in records if r.wavelength == wl] for wl in WAVELENGTHS}
     for wl in WAVELENGTHS:
         assert by_wl[wl] == alone[wl]
+
     def metrics(r):
         return r.h, r.delay_spread_s, r.bw_3db_hz
 
