@@ -46,9 +46,10 @@ from owcfog.channel import (
 )
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.signal_model import (
-    ELECTRON_CHARGE_C,
     ChannelTable,
     NoiseParams,
+    linearized_gammas,
+    photocurrent_powers,
     preamp_noise,
 )
 
@@ -119,18 +120,12 @@ class AllocationProblem:
         pair, which is conservative for the backhaul constraint (they are
         identical whenever all wavelengths share a reflectivity map).
         """
-        current = noise.responsivity_a_per_w * table.rx_power_w
-        signal = current ** 2
-        shot = 2.0 * ELECTRON_CHARGE_C * current * noise.bandwidth_hz
+        signal, shot = photocurrent_powers(table.rx_power_w, noise)
         rate = table.rate_bps.min(axis=2)
         return cls(list(table.users), list(table.ap_ids),
                    list(table.wavelengths), signal, shot, rate,
                    preamp_a2=preamp_noise(noise),
                    sinr_floor=sinr_floor, onu_capacity_bps=onu_capacity_bps)
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.ap_ids) * len(self.wavelengths)
 
     def slot_label(self, slot: Tuple[int, int]) -> Tuple[int, str]:
         a, w = slot
@@ -298,7 +293,10 @@ class LinearizedModel:
         gamma follows from the SINR balance; phi is the literal product.
         """
         p = self.problem
-        gammas = evaluate_assignment_gammas(p, assignment)
+        users = list(assignment)
+        gammas = dict(zip(users, linearized_gammas(
+            p.signal_a2[users], p.shot_a2[users], p.preamp_a2,
+            list(assignment.values())).tolist()))
         point: Dict[Tuple, float] = {}
         for u in range(len(p.users)):
             for a in range(len(p.ap_ids)):
@@ -306,18 +304,10 @@ class LinearizedModel:
                     s = 1.0 if assignment.get(u) == (a, w) else 0.0
                     point[("S", u, a, w)] = s
                     point[("gamma", u, a, w)] = gammas[u] if s else 0.0
-        for u in range(len(p.users)):
-            for m in range(len(p.users)):
-                if m == u:
-                    continue
-                for a in range(len(p.ap_ids)):
-                    for b in range(len(p.ap_ids)):
-                        if b == a:
-                            continue
-                        for w in range(len(p.wavelengths)):
-                            point[("phi", m, w, u, a, b)] = \
-                                point[("gamma", u, a, w)] \
-                                * point[("S", m, b, w)]
+        for var in self.variables():
+            if var[0] == "phi":
+                _, m, w, u, a, b = var
+                point[var] = point[("gamma", u, a, w)] * point[("S", m, b, w)]
         return point
 
     def phi_interval(self, point: Dict[Tuple, float],
@@ -340,38 +330,16 @@ class LinearizedModel:
         return [r.name for r in self.rows if not r.satisfied(point, tol)]
 
 
-def build_model(problem: AllocationProblem,
-                beta: Optional[float] = None) -> LinearizedModel:
-    """Materialize the MILP rows for an instance."""
-    return LinearizedModel(problem, beta)
-
-
 # =====================================================================
 # Assignment evaluation
 # =====================================================================
 
-def evaluate_assignment_gammas(problem: AllocationProblem,
-                               assignment: Dict[int, Tuple[int, int]]
-                               ) -> Dict[int, float]:
-    """Linearized SINR of every assigned user (internal fast path)."""
-    taken: Dict[Tuple[int, int], int] = {}
-    for u, slot in assignment.items():
-        if slot in taken:
-            raise ConfigError(f"slot {slot} double-booked")
-        taken[slot] = u
-    gammas: Dict[int, float] = {}
-    n_aps = len(problem.ap_ids)
-    for u, (a, w) in assignment.items():
-        denom = problem.preamp_a2
-        for b in range(n_aps):
-            if b == a:
-                continue
-            if taken.get((b, w)) is not None:
-                denom += problem.signal_a2[u, b, w]
-            else:
-                denom += problem.shot_a2[u, b, w]
-        gammas[u] = problem.signal_a2[u, a, w] / denom
-    return gammas
+def _objective(gammas: Sequence[float]) -> float:
+    """Left-to-right sum, the oracle's order (``sum`` compensates on 3.12+)."""
+    total = 0.0
+    for g in gammas:
+        total += g
+    return total
 
 
 @dataclass
@@ -389,14 +357,16 @@ class AllocationSolution:
 def _solution_from_indices(problem: AllocationProblem,
                            assignment: Dict[int, Tuple[int, int]],
                            stats: Dict[str, object]) -> AllocationSolution:
-    gammas = evaluate_assignment_gammas(problem, assignment)
+    slots = [assignment[u] for u in range(len(problem.users))]
+    gammas = linearized_gammas(problem.signal_a2, problem.shot_a2,
+                               problem.preamp_a2, slots).tolist()
     named = {problem.users[u]: problem.slot_label(slot)
-             for u, slot in assignment.items()}
-    sinr_lin = {problem.users[u]: g for u, g in gammas.items()}
+             for u, slot in enumerate(slots)}
+    sinr_lin = {problem.users[u]: g for u, g in enumerate(gammas)}
     sinr_dbs = {u: 10.0 * math.log10(g) if g > 0 else -math.inf
                 for u, g in sinr_lin.items()}
     rates = {}
-    for u, (a, w) in assignment.items():
+    for u, (a, w) in enumerate(slots):
         base = float(problem.rate_bps[u, a])
         db = sinr_dbs[problem.users[u]]
         if FEC_MIN_SINR_DB <= db < FEC_FREE_SINR_DB:
@@ -404,7 +374,7 @@ def _solution_from_indices(problem: AllocationProblem,
         rates[problem.users[u]] = base
     return AllocationSolution(
         assignment=named, sinr=sinr_lin, sinr_db=sinr_dbs,
-        rate_bps=rates, objective=float(sum(gammas.values())), stats=stats,
+        rate_bps=rates, objective=_objective(gammas), stats=stats,
     )
 
 
@@ -433,8 +403,10 @@ def check_feasibility(problem: AllocationProblem,
     if extra:
         violations.append({"constraint": "user_once", "unknown_users": extra})
     if not violations:
-        gammas = evaluate_assignment_gammas(problem, assignment)
-        for u, g in gammas.items():
+        slots = [assignment[u] for u in range(len(problem.users))]
+        gammas = linearized_gammas(problem.signal_a2, problem.shot_a2,
+                                   problem.preamp_a2, slots).tolist()
+        for u, g in enumerate(gammas):
             if g < problem.sinr_floor * (1 - 1e-12):
                 violations.append({
                     "constraint": "sinr_floor", "user": problem.users[u],
@@ -459,6 +431,13 @@ def _slot_list(problem: AllocationProblem) -> List[Tuple[int, int]]:
             for w in range(len(problem.wavelengths))]
 
 
+def _slot_bounds(signal: np.ndarray, preamp: float, contrib: np.ndarray,
+                 total: np.ndarray) -> np.ndarray:
+    """SINR ceiling of every slot when slot (b, w) charges contrib[u, b, w]
+    to user u's denominator; ``total`` is contrib summed over b."""
+    return signal / (preamp + (total[:, None, :] - contrib))
+
+
 def _gamma_upper_bounds(problem: AllocationProblem) -> np.ndarray:
     """Admissible per-slot SINR bound, independent of everyone else's choice.
 
@@ -466,9 +445,8 @@ def _gamma_upper_bounds(problem: AllocationProblem) -> np.ndarray:
     denominator whichever way its wavelength ends up being used.
     """
     floor_contrib = np.minimum(problem.signal_a2, problem.shot_a2)
-    totals = floor_contrib.sum(axis=1, keepdims=True)        # (U, 1, W)
-    denom = problem.preamp_a2 + (totals - floor_contrib)
-    return problem.signal_a2 / denom
+    return _slot_bounds(problem.signal_a2, problem.preamp_a2, floor_contrib,
+                        floor_contrib.sum(axis=1))
 
 
 def _tie_tolerance(problem: AllocationProblem) -> float:
@@ -571,11 +549,12 @@ def solve_branch_and_bound(problem: AllocationProblem,
             previous[w] = lower
 
     signal = problem.signal_a2
+    shot = problem.shot_a2
     preamp = problem.preamp_a2
     rate = problem.rate_bps.tolist()
     onu_cap = problem.onu_capacity_bps * (1 + 1e-12)
     # denominator charge of slot (b, w) to user u, and its sum over b
-    contrib = np.minimum(signal, problem.shot_a2)
+    contrib = np.minimum(signal, shot)
     total = contrib.sum(axis=1)                # (U, W)
 
     best: Dict[str, object] = {"obj": None, "key": None, "asg": None}
@@ -591,12 +570,12 @@ def solve_branch_and_bound(problem: AllocationProblem,
 
     def leaf():
         counters["leaves"] += 1
-        gammas = evaluate_assignment_gammas(problem, assignment)
-        if any(g < floor for g in gammas.values()):
+        key = tuple(assignment[u] for u in range(n_users))
+        gammas = linearized_gammas(signal, shot, preamp, key).tolist()
+        if min(gammas) < floor:
             counters["floor_rejects"] += 1
             return
-        obj = sum(gammas.values())
-        key = tuple(assignment[u] for u in range(n_users))
+        obj = _objective(gammas)
         if _better(obj, key, best["obj"], best["key"], tol):
             best["obj"] = obj
             best["key"] = key
@@ -611,7 +590,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
         if depth == n_users:
             leaf()
             return
-        bound = signal / (preamp + (total[:, None, :] - contrib))
+        bound = _slot_bounds(signal, preamp, contrib, total)
         assigned = [bound[u, a, w] for u, (a, w) in assignment.items()]
         if assigned and min(assigned) < floor:
             counters["floor_rejects"] += 1
@@ -710,8 +689,8 @@ def solve_exhaustive(problem: AllocationProblem,
                      ) -> AllocationSolution:
     """Enumerate every complete assignment; the ground-truth oracle.
 
-    The SINR at each leaf is recomputed with its own longhand accumulation
-    (independent of the branch-and-bound fast path).
+    The SINR at each leaf is recomputed with its own longhand accumulation,
+    independent of :func:`owcfog.signal_model.linearized_gammas`.
 
     Raises:
         ResourceLimitError: when the enumeration would exceed the cap.

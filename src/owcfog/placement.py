@@ -404,10 +404,6 @@ class PlacementModel:
         return total
 
 
-def build_model(problem: PlacementProblem) -> PlacementModel:
-    return PlacementModel(problem)
-
-
 # =====================================================================
 # bounds
 # =====================================================================
@@ -683,15 +679,6 @@ def solve_exhaustive(problem: PlacementProblem,
         "elapsed_s": time.monotonic() - t0,
     }
     return _finish(problem, prep, best_asg, stats)
-
-
-def solve(problem: PlacementProblem, method: str = "branch_and_bound",
-          **kwargs) -> PlacementSolution:
-    if method == "branch_and_bound":
-        return solve_branch_and_bound(problem, **kwargs)
-    if method == "exhaustive":
-        return solve_exhaustive(problem, **kwargs)
-    raise ConfigError(f"unknown solve method {method!r}")
 
 
 # =====================================================================

@@ -17,13 +17,21 @@ interference accounting modes exist and must never be merged:
 - ``exact``: square of the summed interferer currents.
 
 The exact mode never reports a higher SINR than the linearized mode.
+
+One kernel serves the allocator, its audits and :func:`sinr`:
+:func:`photocurrent_powers` gives the signal and shot arrays, and
+:func:`linearized_gammas` each assigned user's linearized SINR. It adds a
+denominator as preamp noise first, then the foreign APs in ascending order;
+callers sum gammas left to right in user order. That is the exhaustive
+oracle's order, so branch and bound scores leaves bit for bit like it and
+their tie-breaks agree. ``np.sum`` reorders the additions and breaks this.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +94,46 @@ def sinr_db(sinr_linear: float) -> float:
     return 10.0 * math.log10(sinr_linear)
 
 
+def photocurrent_powers(rx_power_w: np.ndarray, noise: NoiseParams
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+    """Signal (R P)^2 and shot noise 2 e (R P) B, in A^2, for each power."""
+    if np.any(rx_power_w < 0):
+        raise ConfigError("received power must be non-negative")
+    current = noise.responsivity_a_per_w * rx_power_w
+    return current ** 2, 2.0 * ELECTRON_CHARGE_C * current * noise.bandwidth_hz
+
+
+def _interferers(slots, shape: Tuple[int, int, int]):
+    """AP and wavelength indices of the users on ``slots``, and an (n, A)
+    mask set where AP b serves user i's wavelength to someone else."""
+    n, n_aps, n_wl = shape
+    aps, wls = np.asarray(slots, dtype=np.intp).reshape(n, 2).T
+    taken = np.zeros((n_aps, n_wl), dtype=bool)
+    taken[aps, wls] = True
+    if np.count_nonzero(taken) != n:
+        raise ConfigError("a slot is assigned to more than one user")
+    busy = taken[:, wls].T
+    busy[np.arange(n), aps] = False
+    return aps, wls, busy
+
+
+def linearized_gammas(signal_a2: np.ndarray, shot_a2: np.ndarray,
+                      preamp_a2: float, slots) -> np.ndarray:
+    """Linearized SINR of each user on ``slots``, one (AP, wavelength) index
+    pair per row of the (n, A, W) signal and shot arrays. A foreign AP
+    charges its signal when it serves the user's wavelength to someone else,
+    its shot noise otherwise. Raises ConfigError if two users share a slot.
+    """
+    aps, wls, busy = _interferers(slots, signal_a2.shape)
+    rows = np.arange(len(aps))
+    charge = np.where(busy, signal_a2[rows, :, wls], shot_a2[rows, :, wls])
+    charge[rows, aps] = 0.0          # adding 0.0 for the own AP is exact
+    denom = np.full(len(aps), preamp_a2)
+    for column in charge.T:          # preamp first, then APs in order
+        denom += column
+    return signal_a2[rows, aps, wls] / denom
+
+
 # =====================================================================
 # Channel table + assignments
 # =====================================================================
@@ -136,10 +184,6 @@ class ChannelTable:
         return cls(users, ap_ids, wavelengths, rx, rate,
                    [pos[u] for u in users])
 
-    @property
-    def shape(self):
-        return self.rx_power_w.shape
-
 
 Assignment = Mapping[int, Tuple[int, str]]
 """user -> (ap_id, wavelength)."""
@@ -189,34 +233,25 @@ def sinr(assignment: Assignment, table: ChannelTable, noise: NoiseParams,
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
     _validate_assignment(assignment, table)
-    aix = {a: i for i, a in enumerate(table.ap_ids)}
-    wix = {w: i for i, w in enumerate(table.wavelengths)}
-    uix = {u: i for i, u in enumerate(table.users)}
-    taken = {(aix[a], wix[w]): u for u, (a, w) in assignment.items()}
+    rows = [table.users.index(u) for u in assignment]
+    slots = [(table.ap_ids.index(a), table.wavelengths.index(w))
+             for a, w in assignment.values()]
+    signal, shot = photocurrent_powers(table.rx_power_w[rows], noise)
     preamp = preamp_noise(noise)
-    out: Dict[int, SINRBreakdown] = {}
-    for u, (a, w) in assignment.items():
-        ui, ai, li = uix[u], aix[a], wix[w]
-        sig = electrical_signal_power(table.rx_power_w[ui, ai, li],
-                                      noise.responsivity_a_per_w)
-        interf_current = 0.0
-        interf_sq = 0.0
-        shot_total = 0.0
-        for bi in range(len(table.ap_ids)):
-            if bi == ai:
-                continue
-            p_opt = table.rx_power_w[ui, bi, li]
-            holder = taken.get((bi, li))
-            if holder is not None and holder != u:
-                i_b = noise.responsivity_a_per_w * p_opt
-                interf_current += i_b
-                interf_sq += i_b * i_b
-            else:
-                shot_total += shot_noise(p_opt, noise)
-        interference = interf_sq if mode == "linearized" \
-            else interf_current * interf_current
-        denom = interference + shot_total + preamp
-        ratio = sig / denom
-        out[u] = SINRBreakdown(sig, interference, shot_total, preamp,
-                               ratio, sinr_db(ratio))
-    return out
+    aps, wls, busy = _interferers(slots, signal.shape)
+    n = np.arange(len(rows))
+    own, foreign = signal[n, aps, wls], np.where(busy, signal[n, :, wls], 0.0)
+    quiet = np.where(busy, 0.0, shot[n, :, wls])
+    quiet[n, aps] = 0.0
+    shot_total = quiet.sum(axis=1)
+    if mode == "linearized":
+        interference = foreign.sum(axis=1)
+        ratios = linearized_gammas(signal, shot, preamp, slots)
+    else:
+        # sqrt of a rounded square returns the current exactly (radix 2)
+        interference = np.sqrt(foreign).sum(axis=1) ** 2
+        ratios = own / (interference + shot_total + preamp)
+    return {u: SINRBreakdown(sig, itf, sh, preamp, r, sinr_db(r))
+            for u, sig, itf, sh, r in zip(
+                assignment, own.tolist(), interference.tolist(),
+                shot_total.tolist(), ratios.tolist())}

@@ -13,7 +13,7 @@ All types here are frozen: a topology is built once and then shared freely
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .channel import WAVELENGTHS
@@ -272,11 +272,6 @@ def build_reference_topology(
             MOBILE_ROUTE_EFFICIENCY_W_PER_MBPS[wl]))
 
     return TopologyConfig(tuple(nodes), tuple(routes))
-
-
-def route_capacity(route: Route) -> float:
-    """Traffic bound of a route in Mbit/s (min link on the path)."""
-    return route.capacity_mbps
 
 
 def derive_route_efficiency(chain: Sequence[NetworkDevice]) -> float:

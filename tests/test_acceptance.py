@@ -15,7 +15,7 @@ import pytest
 
 from owcfog.allocator import (
     AllocationProblem,
-    build_model,
+    LinearizedModel,
     check_feasibility,
     solve_branch_and_bound,
     solve_exhaustive,
@@ -301,7 +301,7 @@ def test_acceptance_5_linearization(capsys):
         checked_points = 0
         while checked_points < 1000:
             problem = _random_problem(rng)
-            model = build_model(problem)
+            model = LinearizedModel(problem)
             n_users = len(problem.users)
             slots = [(a, w) for a in range(len(problem.ap_ids))
                      for w in range(len(problem.wavelengths))]

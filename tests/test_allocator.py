@@ -13,16 +13,22 @@ import pytest
 from owcfog.allocator import (
     AllocationProblem,
     LinearizedModel,
-    build_model,
+    _solution_from_indices,
     check_feasibility,
     default_beta,
-    evaluate_assignment_gammas,
     solve_branch_and_bound,
     solve_exhaustive,
 )
 from owcfog.channel import ChannelRecord
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
-from owcfog.signal_model import ChannelTable, NoiseParams, sinr
+from owcfog.signal_model import (
+    ChannelTable,
+    NoiseParams,
+    electrical_signal_power,
+    linearized_gammas,
+    preamp_noise,
+    shot_noise,
+)
 
 
 def _rec(u, a, w, p, rate=5e9):
@@ -60,6 +66,22 @@ def _random_problem(rng, n_users, n_aps, n_wl=4):
     return AllocationProblem.from_table(table, NoiseParams())
 
 
+def _written_out_sinr(rx, slots, u, noise=NoiseParams()):
+    """User u's linearized SINR from received powers rx[u][a][w], term by
+    term; ``slots`` lists every user's (AP, wavelength) index pair."""
+    a, w = slots[u]
+    busy = {b for v, (b, x) in enumerate(slots) if v != u and x == w}
+    den = preamp_noise(noise)
+    for b in range(len(rx[u])):
+        if b == a:
+            continue
+        p = rx[u][b][w]
+        den += electrical_signal_power(p, noise.responsivity_a_per_w) \
+            if b in busy else shot_noise(p, noise)
+    return electrical_signal_power(rx[u][a][w],
+                                   noise.responsivity_a_per_w) / den
+
+
 def _indices(p, sol):
     return {p.users.index(u): (p.ap_ids.index(a), p.wavelengths.index(w))
             for u, (a, w) in sol.assignment.items()}
@@ -80,7 +102,7 @@ def test_default_beta_dominates_every_gamma():
 
 def test_model_row_counts():
     p = _problem([[1e-5, 1e-7], [1e-7, 1e-5]], wavelengths=("red", "blue"))
-    m = build_model(p)
+    m = LinearizedModel(p)
     U, A, W = 2, 2, 2
     assert len(m.rows_in_family("eq8")) == A * W
     assert len(m.rows_in_family("eq9_10")) == U
@@ -102,15 +124,17 @@ def test_model_rejects_bad_beta():
 
 def test_integer_point_satisfies_all_rows():
     p = _problem([[1e-5, 1e-7], [1e-7, 1e-5]])
-    m = build_model(p)
+    m = LinearizedModel(p)
     point = m.point_from_assignment({0: (0, 0), 1: (1, 0)})  # both on red
     assert m.check_point(point) == []
+    with pytest.raises(ConfigError):
+        m.point_from_assignment({0: (0, 0), 1: (0, 0)})
 
 
 def test_phi_forced_to_product_at_integer_points():
     rng = np.random.default_rng(7)
     p = _random_problem(rng, 3, 3)
-    m = build_model(p)
+    m = LinearizedModel(p)
     slots = [(a, w) for a in range(3) for w in range(4)]
     for _ in range(50):
         picks = rng.choice(len(slots), size=3, replace=False)
@@ -126,23 +150,21 @@ def test_phi_forced_to_product_at_integer_points():
 
 
 def test_balance_row_reproduces_signal_model_sinr():
-    # gamma pinned by the balance equality == independent SINR accounting
+    # gamma pinned by the balance equality == SINR written out term by term
     rng = np.random.default_rng(3)
-    recs = []
-    for u in range(3):
-        for a in range(3):
-            for w in ("red", "yellow", "green", "blue"):
-                p = rng.uniform(5e-6, 1e-5) if a == u else rng.uniform(1e-8, 3e-7)
-                recs.append(_rec(u, a, w, p))
+    rx = [[[rng.uniform(5e-6, 1e-5) if a == u else rng.uniform(1e-8, 3e-7)
+            for _ in range(4)] for a in range(3)] for u in range(3)]
+    recs = [_rec(u, a, w, rx[u][a][w_i]) for u in range(3) for a in range(3)
+            for w_i, w in enumerate(("red", "yellow", "green", "blue"))]
     table = ChannelTable.from_records(recs)
     problem = AllocationProblem.from_table(table, NoiseParams())
-    asg_idx = {0: (0, 0), 1: (1, 0), 2: (2, 1)}
-    gammas = evaluate_assignment_gammas(problem, asg_idx)
-    named = {u: (problem.ap_ids[a], problem.wavelengths[w])
-             for u, (a, w) in asg_idx.items()}
-    reference = sinr(named, table, NoiseParams(), "linearized")
-    for u in range(3):
-        assert gammas[u] == pytest.approx(reference[u].sinr, rel=1e-12)
+    slots = [(0, 0), (1, 0), (2, 1)]
+    m = LinearizedModel(problem)
+    point = m.point_from_assignment(dict(enumerate(slots)))
+    assert m.check_point(point) == []
+    for u, (a, w) in enumerate(slots):
+        assert point[("gamma", u, a, w)] == pytest.approx(
+            _written_out_sinr(rx, slots, u), rel=1e-12)
 
 
 # =====================================================================
@@ -176,17 +198,40 @@ def test_objective_is_sum_of_recomputed_sinrs():
     p = _random_problem(rng, 4, 3)
     sol = solve_branch_and_bound(p)
     assert sol.objective == pytest.approx(sum(sol.sinr.values()), rel=1e-12)
-    # and the per-user values agree with the standalone signal model
-    recs = []
-    for u in range(4):
-        for a in range(3):
-            for w_i, w in enumerate(p.wavelengths):
-                rx = math.sqrt(p.signal_a2[u, a, w_i]) / 0.4
-                recs.append(_rec(u, a, w, rx))
-    table = ChannelTable.from_records(recs)
-    ref = sinr(sol.assignment, table, NoiseParams(), "linearized")
+    # and the per-user values agree with the SINR written out term by term
+    rx = [[[math.sqrt(p.signal_a2[u, a, w]) / 0.4 for w in range(4)]
+           for a in range(3)] for u in range(4)]
+    slots = [_indices(p, sol)[u] for u in range(4)]
     for u, g in sol.sinr.items():
-        assert g == pytest.approx(ref[u].sinr, rel=1e-9)
+        assert g == pytest.approx(_written_out_sinr(rx, slots, u), rel=1e-9)
+
+
+def test_kernel_matches_oracle_accumulation_bitwise():
+    # the oracle adds preamp first, then foreign APs in ascending order, and
+    # sums users left to right; a reordered sum (np.sum) flips low bits and
+    # with them the tie-break
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        n_users = int(rng.integers(9, 13))
+        p = _random_problem(rng, n_users, 8)
+        picks = rng.choice(32, size=n_users, replace=False)
+        slots = [(int(s) // 4, int(s) % 4) for s in picks]
+        want, obj = [], 0.0
+        for u, (a, w) in enumerate(slots):
+            busy = {b for b, x in slots if x == w}
+            denom = p.preamp_a2
+            for b in range(8):
+                if b == a:
+                    continue
+                denom += p.signal_a2[u, b, w] if b in busy \
+                    else p.shot_a2[u, b, w]
+            want.append(p.signal_a2[u, a, w] / denom)
+            obj += want[-1]
+        got = linearized_gammas(p.signal_a2, p.shot_a2, p.preamp_a2, slots)
+        assert got.tolist() == want
+        sol = _solution_from_indices(p, dict(enumerate(slots)), {})
+        assert list(sol.sinr.values()) == want
+        assert sol.objective == obj
 
 
 def test_fec_derating_applied_between_14_and_15p6():

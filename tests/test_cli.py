@@ -1,10 +1,13 @@
 """CLI exit codes, artifacts, figure projections, and determinism."""
 
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +116,51 @@ def test_identical_invocations_identical_artifacts(tmp_path, capsys):
             (tmp_path / "b" / name).read_bytes()
 
 
+#: sha256 of the CSVs the README's CLI examples write. Left out:
+#: ``allocation_summary.csv`` (it carries the solver's ``node_count``) and the
+#: manifest (it carries library versions).
+README_EXAMPLE_DIGESTS = {
+    "place": (
+        ["place", "--override", "drr=0.002", "--override", "workload=1000",
+         "--override", "tasks=1"],
+        {"placement.csv":
+             "932c23289cc95325671dd4551ff151824c3407c15be5ea7c2c968bcf252cb862",
+         "utilization.csv":
+             "cfb8dd818fd0259543fa03b7d6cee1a5e6006cc9525774e7c57f4b549bd4eba0"}),
+    "sweep": (
+        ["sweep", "--fig", "7c"],
+        {"placement.csv":
+             "32d145c368ea008417cc98b5c8af6229935347f2959e832fd713fdaee28be817",
+         "fig7c.csv":
+             "2697ceb4b1268de628e7141d24d21388cb1a2ede6f82ce40cbb28fe70e1d6030"}),
+    "chain": (
+        ["chain", "--override", "scenario.seed=7"],
+        {"channel.csv":
+             "6bba27cef10c9f5f59390937711319ee401e6cca11e89ddb2e41127cf7280a98",
+         "bandwidth_cdf.csv":
+             "4e87af32a6333421c5a4c226ec6a321c7e971710c0882e2201d4df0a93b0c4fe",
+         "allocation.csv":
+             "96fa1263b7a5106b1152b62f5d3d314855626064cf20b7d8b298fd920cdc9c0d",
+         "placement.csv":
+             "7bfba2e6c7392783d7367dd39559e2da5e6fee40afe92b28d57944a1e131a5c1",
+         "utilization.csv":
+             "ea3dd38bb4327f9d4963eefa7fd471f8bbda66e900f60e3380dd88a582aa7cf6"}),
+}
+
+
+@pytest.mark.parametrize("example", [
+    "place",
+    pytest.param("sweep", marks=pytest.mark.slow),
+    "chain",
+])
+def test_readme_example_bundle_pinned(example, tmp_path, capsys):
+    argv, digests = README_EXAMPLE_DIGESTS[example]
+    assert _run(argv + ["--out", str(tmp_path)], capsys)[0] == 0
+    for name, digest in digests.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_seed_flag_changes_scenario(tmp_path, capsys):
     base = ["allocate", "--override", "scenario.intensity_per_m2=0.05"]
     _run(base + ["--out", str(tmp_path / "a"), "--seed", "19"], capsys)
@@ -181,8 +229,12 @@ def test_every_figure_projects(tmp_path, capsys, fig, needle):
 # ---------------------------------------------------------------------
 
 def test_module_entry_point(tmp_path):
+    # the child does not inherit pytest's ``pythonpath`` setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "owcfog.cli", "validate"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True

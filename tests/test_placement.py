@@ -11,12 +11,11 @@ import pytest
 
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.placement import (
+    PlacementModel,
     PlacementProblem,
     TaskDemand,
-    build_model,
     demands_from_drr,
     power_report,
-    solve,
     solve_branch_and_bound,
     solve_exhaustive,
     sweep,
@@ -272,13 +271,6 @@ def test_enumeration_cap(topo):
         solve_exhaustive(PlacementProblem(topo, tasks), enumeration_cap=100)
 
 
-def test_solve_dispatch(topo):
-    p = PlacementProblem(topo, demands_from_drr(1000.0, 0.002, 1))
-    assert solve(p, "exhaustive").assignment == solve(p).assignment
-    with pytest.raises(ConfigError):
-        solve(p, "simplex")
-
-
 def test_repeated_solves_identical(topo):
     tasks = demands_from_drr(700.0, 0.2, 20)
     a = solve_branch_and_bound(PlacementProblem(topo, tasks))
@@ -296,7 +288,7 @@ def test_time_limited_solve_reports_gap(topo):
     else:
         assert sol.stats["gap"] >= 0.0
     # the placement is feasible either way
-    model = build_model(PlacementProblem(topo, tasks))
+    model = PlacementModel(PlacementProblem(topo, tasks))
     assert model.check_point(model.point_from_assignment(sol.assignment)) \
         == []
 
@@ -338,7 +330,7 @@ def test_sweep_flags_infeasible_cells():
 
 def test_model_row_counts(topo):
     tasks = demands_from_drr(500.0, 0.1, 3)
-    model = build_model(PlacementProblem(topo, tasks))
+    model = PlacementModel(PlacementProblem(topo, tasks))
     n_nodes = len(topo.nodes)
     assert len(model.rows_in_family("eq21")) == 3 * n_nodes
     assert len(model.rows_in_family("eq22")) == 3 * n_nodes
@@ -352,7 +344,7 @@ def test_solution_point_satisfies_all_rows(topo):
     tasks = demands_from_drr(700.0, 0.2, 12)
     problem = PlacementProblem(topo, tasks)
     sol = solve_branch_and_bound(problem)
-    model = build_model(problem)
+    model = PlacementModel(problem)
     point = model.point_from_assignment(sol.assignment)
     assert model.check_point(point) == []
     assert model.objective(point) == pytest.approx(sol.objective_w, rel=1e-9)
@@ -361,7 +353,7 @@ def test_solution_point_satisfies_all_rows(topo):
 def test_flow_conservation_and_link_rows_catch_violations(topo):
     tasks = demands_from_drr(700.0, 0.2, 2)
     problem = PlacementProblem(topo, tasks)
-    model = build_model(problem)
+    model = PlacementModel(problem)
     point = model.point_from_assignment({0: "ccloud", 1: "roomfog"})
     assert model.check_point(point) == []
     # break conservation on one hop of task 0's route
@@ -375,7 +367,7 @@ def test_flow_conservation_and_link_rows_catch_violations(topo):
 def test_alpha_binds_assignment_to_workload(topo):
     tasks = demands_from_drr(1500.0, 0.1, 2)
     problem = PlacementProblem(topo, tasks, alpha=2000.0)
-    model = build_model(problem)
+    model = PlacementModel(problem)
     point = model.point_from_assignment({0: "ccloud", 1: "metrofog"})
     assert model.check_point(point) == []
     # X without delta violates the upper link

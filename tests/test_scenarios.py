@@ -26,7 +26,6 @@ from owcfog.scenarios import (
     topology_from_allocation,
 )
 from owcfog.config import room_from_config
-from owcfog.topology import route_capacity
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +166,7 @@ def test_chain_caps_mobile_routes_by_solved_rates():
     for i, m in enumerate(mobiles):
         assert m.node_id == f"mobile_{i}"
         assert m.wavelength == solution.assignment[i][1]
-        cap = route_capacity(topo.route_to(m.node_id))
+        cap = topo.route_to(m.node_id).capacity_mbps
         assert cap <= solution.rate_bps[i] / 1e6 + 1e-9
 
 
@@ -181,7 +180,7 @@ def test_chain_topology_config_override_wins():
     scenario, _, _ = allocate_scenario(cfg)
     topo = topology_from_allocation(cfg, scenario)
     assert [m.wavelength for m in topo.mobiles()] == ["red", "blue"]
-    assert route_capacity(topo.route_to("mobile_1")) == 3000.0
+    assert topo.route_to("mobile_1").capacity_mbps == 3000.0
 
 
 def test_chain_labels_placement_stage_on_infeasibility():

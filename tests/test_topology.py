@@ -11,7 +11,6 @@ from owcfog.topology import (
     TopologyConfig,
     build_reference_topology,
     derive_route_efficiency,
-    route_capacity,
     topology_from_document,
     topology_to_document,
     validate_topology,
@@ -61,23 +60,23 @@ def test_room_route_is_988_percent_better_than_cloud(topo):
 
 
 def test_route_capacities(topo):
-    assert route_capacity(topo.route_to("roomfog")) == 10_000.0
-    assert route_capacity(topo.route_to("buildfog")) == 10_000.0
-    assert route_capacity(topo.route_to("campfog")) == 10_000.0
-    assert route_capacity(topo.route_to("metrofog")) == 200_000.0
-    assert route_capacity(topo.route_to("ccloud")) == 200_000.0
+    assert topo.route_to("roomfog").capacity_mbps == 10_000.0
+    assert topo.route_to("buildfog").capacity_mbps == 10_000.0
+    assert topo.route_to("campfog").capacity_mbps == 10_000.0
+    assert topo.route_to("metrofog").capacity_mbps == 200_000.0
+    assert topo.route_to("ccloud").capacity_mbps == 200_000.0
     for m in topo.mobiles():
-        assert route_capacity(topo.route_to(m.node_id)) == 10_000.0
+        assert topo.route_to(m.node_id).capacity_mbps == 10_000.0
 
 
 def test_mobile_route_capped_by_owc_rate():
     t = build_reference_topology(
         mobile_rates_mbps=[3100.0, 4500.0] + [10_000.0] * 6)
-    assert route_capacity(t.route_to("mobile_0")) == 3100.0
-    assert route_capacity(t.route_to("mobile_1")) == 4500.0
+    assert t.route_to("mobile_0").capacity_mbps == 3100.0
+    assert t.route_to("mobile_1").capacity_mbps == 4500.0
     # rates above the feeding ONU are clamped by it
     t2 = build_reference_topology(mobile_rates_mbps=[12_000.0] * 8)
-    assert route_capacity(t2.route_to("mobile_0")) == 10_000.0
+    assert t2.route_to("mobile_0").capacity_mbps == 10_000.0
 
 
 def test_missing_wavelength_tag_rejected():
