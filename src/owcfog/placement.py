@@ -155,10 +155,16 @@ class _Prepared:
 def _prepare(problem: PlacementProblem) -> _Prepared:
     topo = problem.topology
     node_ids = _preference_order(topo)
-    caps = [topo.node(n).capacity_mips for n in node_ids]
-    links = [topo.route_to(n).capacity_mbps for n in node_ids]
+    nodes = [topo.node(n) for n in node_ids]
+    routes = [topo.route_to(n) for n in node_ids]
+    caps = [node.capacity_mips for node in nodes]
+    links = [route.capacity_mbps for route in routes]
+    effs = [node.efficiency_w_per_mips for node in nodes]
+    psis = [route.efficiency_w_per_mbps for route in routes]
     tasks = list(problem.tasks)
-    cost = [[problem.cost(t, n) for n in node_ids] for t in tasks]
+    # the expression of PlacementProblem.cost, so every entry is bitwise equal
+    cost = [[t.workload_mips * e + t.flow_mbps * psi
+             for e, psi in zip(effs, psis)] for t in tasks]
     eligible = []
     for t in tasks:
         row = []
@@ -230,7 +236,7 @@ class PlacementSolution:
 
 
 def _finish(problem: PlacementProblem, prep: _Prepared,
-            assignment_idx: Dict[int, int], stats: Dict[str, object],
+            assignment_idx: Sequence[int], stats: Dict[str, object],
             ) -> PlacementSolution:
     topo = problem.topology
     proc = {n.node_id: 0.0 for n in topo.nodes}
@@ -408,30 +414,50 @@ class PlacementModel:
 # bounds
 # =====================================================================
 
-def _greedy_fill_bound(prep: _Prepared, first: int, count: int,
+def _fill_order(prep: _Prepared, first: int) -> List[Tuple[float, int]]:
+    """(cost, node) pairs the fill bound visits for tasks first..end.
+
+    Only called at the first depth of the uniform suffix: every task from
+    there on has the same (workload, flow), hence the same cost row and the
+    same capacity filter, so one order serves the whole solve.
+    """
+    w, f = prep.task_w[first], prep.task_f[first]
+    return sorted((prep.cost[first][j], j)
+                  for j in range(len(prep.node_ids))
+                  if w <= prep.node_cap_mips[j]
+                  and f <= prep.route_cap_mbps[j])
+
+
+def _greedy_fill_bound(order: Sequence[Tuple[float, int]], w: float,
+                       f: float, count: int,
                        rem_mips: List[float], rem_mbps: List[float],
                        ) -> Optional[float]:
     """Relaxation bound for a block of *identical* remaining tasks.
 
-    Drops the self-exclusion/matching structure and fills nodes in cost
-    order, so it never exceeds the true completion cost; with loosely
-    coupled instances it is usually exact.  Returns None if even the
-    relaxation cannot host all tasks.
+    Drops the self-exclusion/matching structure and fills nodes in the
+    ``_fill_order`` cost order, so it never exceeds the true completion
+    cost; with loosely coupled instances it is usually exact.  Returns None
+    if even the relaxation cannot host all tasks.  The order is fixed per
+    solve; only the remaining capacities change between search nodes.  The
+    search in ``solve_branch_and_bound`` runs this same loop inline, with
+    the same slot counts and the same summation order, so its bound is
+    bitwise the one computed here.
     """
-    w, f = prep.task_w[first], prep.task_f[first]
-    costs = sorted((prep.cost[first][j], j)
-                   for j in range(len(prep.node_ids))
-                   if w <= prep.node_cap_mips[j]
-                   and f <= prep.route_cap_mbps[j])
     need = count
     total = 0.0
-    for c, j in costs:
+    for c, j in order:
         if need == 0:
             break
-        slots = math.floor(rem_mips[j] / w + 1e-9)
+        # take = min(need, max(0, slots)) without the builtin calls
+        take = math.floor(rem_mips[j] / w + 1e-9)
         if f > 0:
-            slots = min(slots, math.floor(rem_mbps[j] / f + 1e-9))
-        take = min(need, max(0, slots))
+            by_flow = math.floor(rem_mbps[j] / f + 1e-9)
+            if by_flow < take:
+                take = by_flow
+        if take < 0:
+            take = 0
+        elif take > need:
+            take = need
         total += take * c
         need -= take
     if need > 0:
@@ -474,6 +500,14 @@ def solve_branch_and_bound(problem: PlacementProblem,
     from the same source are forced into non-decreasing preference order,
     which removes their permutations from the tree without losing the
     canonical optimum.
+
+    A node's bound is the cheapest-node suffix sum, raised to the greedy
+    fill bound (``_greedy_fill_bound``) once the remaining tasks share one
+    (workload, flow).  The fill order is sorted once per solve, and the fill
+    loop runs inline with the same arithmetic, so every bound, prune and
+    incumbent is bitwise what a per-node call would give.  A node that finds
+    the time limit expired returns at once and its parent stops branching,
+    so ``nodes`` counts only the nodes searched.
     """
     t0 = time.monotonic()
     prep = _prepare(problem)
@@ -482,26 +516,24 @@ def solve_branch_and_bound(problem: PlacementProblem,
     tol = _tie_tolerance(prep)
     cheap = _cheapest_suffix(prep)
     uniform = _uniform_suffix(prep)
+    order = _fill_order(prep, uniform.index(True))
+    cost, eligible = prep.cost, prep.eligible
+    group_prev, task_w, task_f = prep.group_prev, prep.task_w, prep.task_f
     rem_mips = list(prep.node_cap_mips)
     rem_mbps = list(prep.route_cap_mbps)
-    assignment: Dict[int, int] = {}
-    best: Dict[str, object] = {"obj": None, "asg": None}
-    counters = {"nodes": 0, "leaves": 0, "bound_prunes": 0,
-                "relax_dead_ends": 0}
+    assignment = [0] * n
+    best_obj: Optional[float] = None
+    best_asg: Optional[List[int]] = None
+    nodes = leaves = bound_prunes = relax_dead_ends = 0
     deadline = None if time_limit_s is None else t0 + time_limit_s
-    timed_out = {"flag": False}
+    timed_out = False
+    floor = math.floor
 
-    def bound_for(depth: int) -> Optional[float]:
-        static = cheap[depth]
-        if depth < n and uniform[depth]:
-            gb = _greedy_fill_bound(prep, depth, n - depth,
-                                    rem_mips, rem_mbps)
-            if gb is None:
-                return None
-            return max(gb, static)
-        return static
-
-    root_bound = bound_for(0)
+    root_bound: Optional[float] = cheap[0]
+    if uniform[0]:
+        gb = _greedy_fill_bound(order, task_w[0], task_f[0], n,
+                                rem_mips, rem_mbps)
+        root_bound = None if gb is None else max(gb, cheap[0])
     if root_bound is None:
         raise InfeasibleError(
             "tasks cannot all be hosted: node or route capacities exhaust "
@@ -510,47 +542,70 @@ def solve_branch_and_bound(problem: PlacementProblem,
                     "tasks": n, "nodes": n_nodes})
 
     def descend(depth: int, cost_so_far: float) -> None:
-        counters["nodes"] += 1
-        if deadline is not None and counters["nodes"] % 256 == 0 \
+        nonlocal nodes, leaves, bound_prunes, relax_dead_ends, timed_out
+        nonlocal best_obj, best_asg
+        nodes += 1
+        if deadline is not None and nodes % 256 == 0 \
                 and time.monotonic() > deadline:
-            timed_out["flag"] = True
-        if timed_out["flag"]:
+            timed_out = True
             return
         if depth == n:
-            counters["leaves"] += 1
-            if best["obj"] is None or cost_so_far < best["obj"] - tol:
-                best["obj"] = cost_so_far
-                best["asg"] = dict(assignment)
+            leaves += 1
+            if best_obj is None or cost_so_far < best_obj - tol:
+                best_obj = cost_so_far
+                best_asg = list(assignment)
             return
-        tail = bound_for(depth)
-        if tail is None:
-            counters["relax_dead_ends"] += 1
+        w, f = task_w[depth], task_f[depth]
+        tail = cheap[depth]
+        if uniform[depth]:
+            # _greedy_fill_bound over the remaining n - depth tasks
+            need = n - depth
+            total = 0.0
+            for c, j in order:
+                if need == 0:
+                    break
+                # take = min(need, max(0, slots)) without the builtin calls
+                take = floor(rem_mips[j] / w + 1e-9)
+                if f > 0:
+                    by_flow = floor(rem_mbps[j] / f + 1e-9)
+                    if by_flow < take:
+                        take = by_flow
+                if take < 0:
+                    take = 0
+                elif take > need:
+                    take = need
+                total += take * c
+                need -= take
+            if need > 0:
+                relax_dead_ends += 1
+                return
+            if total >= tail:  # max(total, tail)
+                tail = total
+        if best_obj is not None and cost_so_far + tail >= best_obj - tol:
+            bound_prunes += 1
             return
-        if best["obj"] is not None \
-                and cost_so_far + tail >= best["obj"] - tol:
-            counters["bound_prunes"] += 1
-            return
-        prev = prep.group_prev[depth]
+        prev = group_prev[depth]
         start_j = assignment[prev] if prev is not None else 0
-        w, f = prep.task_w[depth], prep.task_f[depth]
+        ok_row, cost_row = eligible[depth], cost[depth]
         for j in range(start_j, n_nodes):
-            if not prep.eligible[depth][j]:
+            if not ok_row[j]:
                 continue
             if w > rem_mips[j] + 1e-9 or f > rem_mbps[j] + 1e-9:
                 continue
             assignment[depth] = j
             rem_mips[j] -= w
             rem_mbps[j] -= f
-            descend(depth + 1, cost_so_far + prep.cost[depth][j])
+            descend(depth + 1, cost_so_far + cost_row[j])
             rem_mips[j] += w
             rem_mbps[j] += f
-            del assignment[depth]
+            if timed_out:
+                break
 
     descend(0, 0.0)
     elapsed = time.monotonic() - t0
 
-    if best["asg"] is None:
-        if timed_out["flag"]:
+    if best_asg is None:
+        if timed_out:
             raise ResourceLimitError(
                 f"time limit {time_limit_s}s expired before any feasible "
                 f"placement was found")
@@ -560,18 +615,19 @@ def solve_branch_and_bound(problem: PlacementProblem,
                     "nodes": n_nodes,
                     "relaxation_bound_w": root_bound})
     gap = 0.0
-    if timed_out["flag"]:
-        gap = max(0.0, (best["obj"] - root_bound) / max(1.0, best["obj"]))
+    if timed_out:
+        gap = max(0.0, (best_obj - root_bound) / max(1.0, best_obj))
     stats = {
         "method": "branch_and_bound",
-        "nodes": counters["nodes"],
-        "leaves": counters["leaves"],
-        "bound_prunes": counters["bound_prunes"],
+        "nodes": nodes,
+        "leaves": leaves,
+        "bound_prunes": bound_prunes,
+        "relax_dead_ends": relax_dead_ends,
         "gap": gap,
-        "complete": not timed_out["flag"],
+        "complete": not timed_out,
         "elapsed_s": elapsed,
     }
-    return _finish(problem, prep, best["asg"], stats)
+    return _finish(problem, prep, best_asg, stats)
 
 
 # =====================================================================
@@ -622,20 +678,20 @@ def solve_exhaustive(problem: PlacementProblem,
         and all(total_f <= c for c in prep.route_cap_mbps)
 
     best_obj: Optional[float] = None
-    best_asg: Optional[Dict[int, int]] = None
+    best_asg: Optional[List[int]] = None
     leaves = 0
 
     if decomposes:
         # tasks are independent; first option within tol of the per-task
         # minimum wins (options are in preference order)
-        best_asg = {}
+        best_asg = []
         best_obj = 0.0
         for i, t in enumerate(tasks):
             costs = [(longhand(t, prep.node_ids[j]), j) for j in options[i]]
             floor_c = min(cc for cc, _ in costs)
             for cc, jj in costs:
                 if cc <= floor_c + tol:
-                    best_asg[i] = jj
+                    best_asg.append(jj)
                     best_obj += cc
                     break
             leaves += len(costs)
@@ -665,7 +721,7 @@ def solve_exhaustive(problem: PlacementProblem,
                 continue
             if best_obj is None or obj < best_obj - tol:
                 best_obj = obj
-                best_asg = {i: j for i, j in enumerate(combo)}
+                best_asg = list(combo)
 
     if best_asg is None:
         raise InfeasibleError(

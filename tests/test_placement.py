@@ -256,6 +256,55 @@ def test_branch_and_bound_matches_exhaustive():
     assert agree >= 40 and infeasible >= 1
 
 
+def test_uniform_demand_matches_exhaustive():
+    # identical tasks make every depth a uniform suffix, so the greedy fill
+    # bound prunes from the root down; capacities bind in most cells, which
+    # sends the oracle through full enumeration
+    rng = random.Random(5)
+    enumerated = infeasible = 0
+    for _ in range(48):
+        t = _rand_topo(rng, rng.randint(1, 3), rng.randint(1, 3))
+        srcs = [m.node_id for m in t.mobiles()]
+        w = rng.choice([300, 700, 1400])
+        f = rng.choice([0, 60, 400, 900])
+        tasks = [TaskDemand(k, srcs[k % len(srcs)], w, f)
+                 for k in range(rng.randint(5, 7))]
+        p = PlacementProblem(t, tasks)
+        try:
+            ex = solve_exhaustive(p)
+        except InfeasibleError as e:
+            with pytest.raises(InfeasibleError) as e_bb:
+                solve_branch_and_bound(p)
+            assert e_bb.value.report["constraint"] == e.report["constraint"]
+            infeasible += 1
+            continue
+        bb = solve_branch_and_bound(p)
+        assert bb.assignment == ex.assignment
+        assert bb.objective_w == pytest.approx(ex.objective_w, rel=1e-9)
+        enumerated += not ex.stats["decomposed"]
+    assert enumerated >= 20 and infeasible >= 1
+
+
+def test_relaxation_dead_ends_reported():
+    # a 900 MIPS task on the room server leaves it no 800 MIPS slot, so
+    # the fill bound finds three tasks for two slots and cuts the node
+    nodes = (
+        ProcessingNode("mobile_0", MOBILE_KIND, 500.0, 0.004,
+                       wavelength="red"),
+        ProcessingNode("roomfog", "RoomFog", 1600.0, 0.003),
+        ProcessingNode("buildfog", "BuildFog", 1700.0, 0.002),
+    )
+    routes = tuple(Route(n.node_id, ("ONU",), 10_000.0, 0.0015)
+                   for n in nodes)
+    tasks = [TaskDemand(0, "mobile_0", 900.0, 1.0)] + [
+        TaskDemand(k, "mobile_0", 800.0, 1.0) for k in (1, 2, 3)]
+    p = PlacementProblem(TopologyConfig(nodes, routes), tasks)
+    bb = solve_branch_and_bound(p)
+    assert bb.stats["relax_dead_ends"] == 1
+    assert bb.assignment == solve_exhaustive(p).assignment
+    assert bb.assignment[0] == "buildfog"
+
+
 def test_exhaustive_decomposes_when_capacity_is_loose(topo):
     # 8 x 100 MIPS fits inside every node, so tasks are independent
     tasks = demands_from_drr(100.0, 0.002, 8)
@@ -291,6 +340,43 @@ def test_time_limited_solve_reports_gap(topo):
     model = PlacementModel(PlacementProblem(topo, tasks))
     assert model.check_point(model.point_from_assignment(sol.assignment)) \
         == []
+
+
+def test_expired_time_limit_stops_at_first_check(topo):
+    # a zero budget expires at the first clock check (node 256), so the
+    # count and the incumbent are the same on every machine
+    tasks = demands_from_drr(200.0, 0.002, 50)
+    problem = PlacementProblem(topo, tasks)
+    sol = solve_branch_and_bound(problem, time_limit_s=0.0)
+    assert sol.stats["complete"] is False
+    assert sol.stats["nodes"] == 256
+    model = PlacementModel(problem)
+    assert model.check_point(model.point_from_assignment(sol.assignment)) \
+        == []
+    # the root bound equals this cell's optimum, summed in another order
+    full = solve_branch_and_bound(problem)
+    assert full.objective_w <= sol.objective_w
+    assert (sol.objective_w - full.objective_w) / sol.objective_w \
+        <= sol.stats["gap"] + 1e-12
+
+
+# search-tree size of three default sweep cells (50 tasks), measured before
+# the fill order was hoisted out of the per-node bound; the search is meant
+# to stay the same tree, so these are ceilings, not targets
+@pytest.mark.parametrize("drr,workload,nodes,leaves,prunes", [
+    (0.002, 200.0, 32_728, 928, 23_056),
+    (0.2, 800.0, 289, 4, 235),
+    (0.6, 1500.0, 222, 2, 170),
+])
+def test_sweep_cell_search_tree_ceilings(topo, drr, workload, nodes, leaves,
+                                         prunes):
+    sources = [m.node_id for m in topo.mobiles()]
+    tasks = demands_from_drr(workload, drr, 50, sources)
+    stats = solve_branch_and_bound(PlacementProblem(topo, tasks)).stats
+    assert stats["complete"]
+    assert stats["nodes"] <= nodes
+    assert stats["leaves"] <= leaves
+    assert stats["bound_prunes"] <= prunes
 
 
 # =====================================================================
