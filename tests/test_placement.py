@@ -360,9 +360,8 @@ def test_expired_time_limit_stops_at_first_check(topo):
         <= sol.stats["gap"] + 1e-12
 
 
-# search-tree size of three default sweep cells (50 tasks), measured before
-# the fill order was hoisted out of the per-node bound; the search is meant
-# to stay the same tree, so these are ceilings, not targets
+# search-tree size of three default sweep cells (50 tasks): a tighter bound
+# may shrink the tree below these ceilings, a slower search fails them
 @pytest.mark.parametrize("drr,workload,nodes,leaves,prunes", [
     (0.002, 200.0, 32_728, 928, 23_056),
     (0.2, 800.0, 289, 4, 235),
