@@ -8,9 +8,10 @@ Subpackages are deliberately flat:
 
 - :mod:`owcfog.channel`       ray-traced impulse responses, delay spread, bandwidth
 - :mod:`owcfog.signal_model`  electrical signal/noise/SINR bookkeeping
-- :mod:`owcfog.allocator`     WDMA sum-SINR assignment MILP + branch and bound
+- :mod:`owcfog.allocator`     WDMA sum-SINR assignment by branch and bound
 - :mod:`owcfog.topology`      processing-node / network-route data model
-- :mod:`owcfog.placement`     task placement MILP + branch and bound + sweeps
+- :mod:`owcfog.placement`     task placement by branch and bound + sweeps
+- :mod:`owcfog.audit`         MILP row models, exhaustive oracles, SINR references
 - :mod:`owcfog.scenarios`     user drops, result bundles, stage chaining
 - :mod:`owcfog.config`        config document schema, defaults, overrides
 - :mod:`owcfog.cli`           command line entry points

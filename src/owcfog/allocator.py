@@ -1,28 +1,22 @@
 """WDMA access allocation: assign each user one (AP, wavelength) slot.
 
 The objective is the sum of user SINRs under the linearized interference
-accounting (see :mod:`owcfog.signal_model`). The optimization model is the
-standard big-M linearization of the product gamma * S:
+accounting (see :mod:`owcfog.signal_model`). Each slot serves at most one
+user and each user exactly one slot; every assigned user must clear the SINR
+floor, and the channel-supported rates of the users one AP serves cannot
+exceed its backhaul (ONU) capacity. The big-M row form of this problem lives
+in :mod:`owcfog.audit`.
 
-- binary S[u,a,w]: user u listens to AP a on wavelength w;
-- each (a, w) slot serves at most one user; each user gets exactly one slot;
-- continuous gamma[u,a,w] is pinned to the user's SINR by a balance equality,
-  with products phi = gamma * S linearized through four big-M rows;
-- every assigned slot must clear the SINR floor (conditional: gamma >=
-  floor * S, so unassigned slots with gamma = 0 stay feasible);
-- per-AP backhaul: the channel-supported rates of the users served by one AP
-  cannot exceed the AP's backhaul (ONU) capacity.
-
-Because gamma is fully determined once S is fixed, the search is combinatorial
-over assignments. ``solve_branch_and_bound`` explores users in index order.
-Its bound works on the partial assignment: a busy foreign slot charges its
-full signal to a user's denominator and a free one min(signal, shot), since it
-may still go either way, so every assigned user has an SINR ceiling that only
-falls as the search deepens. Wavelengths whose signal and shot slices are
+Each user's SINR is fully determined once the assignment is fixed, so the
+search is combinatorial over assignments. ``solve_branch_and_bound`` explores
+users in index order. Its bound works on the partial assignment: a busy
+foreign slot charges its full signal to a user's denominator and a free one
+min(signal, shot), since it may still go either way, so every assigned user
+has an SINR ceiling that only falls as the search deepens. Wavelengths whose signal and shot slices are
 bitwise equal are interchangeable, and a member of such a class may be opened
-only after every lower-indexed member is in use. ``solve_exhaustive`` is the
-independent oracle. Both apply the same deterministic tie-break (first
-incumbent in lexicographic slot order wins among objective ties), so they
+only after every lower-indexed member is in use. The exhaustive oracle in
+:mod:`owcfog.audit` applies the same deterministic tie-break (first
+incumbent in lexicographic slot order wins among objective ties), so both
 return identical assignments on the same instance: permuting a class changes
 no gamma and maps any assignment to a lexicographically smaller one, so the
 winner is never skipped, and the bound cuts only leaves the tie-break would
@@ -31,7 +25,6 @@ reject.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -58,9 +51,6 @@ DEFAULT_SINR_FLOOR = 10.0 ** 1.4
 
 #: Per-AP backhaul capacity, bit/s.
 DEFAULT_ONU_CAPACITY_BPS = 10.0e9
-
-#: Refuse exhaustive enumerations larger than this many assignments.
-DEFAULT_ENUMERATION_CAP = 10 ** 8
 
 _TIE_REL = 1e-9
 
@@ -132,204 +122,6 @@ class AllocationProblem:
         return self.ap_ids[a], self.wavelengths[w]
 
 
-def default_beta(problem: AllocationProblem) -> float:
-    """Big-M for the phi linearization: 10x the best noise-only SINR.
-
-    Any feasible gamma is at most max(P) / preamp floor, so this beta strictly
-    dominates every gamma the model can produce.
-    """
-    top = float(problem.signal_a2.max()) / problem.preamp_a2
-    if top <= 0:
-        return 10.0
-    return 10.0 * top
-
-
-# =====================================================================
-# Materialized MILP (for audits and property tests)
-# =====================================================================
-
-@dataclass
-class ConstraintRow:
-    """One linear row: sum(coef * var) sense rhs."""
-
-    name: str
-    family: str
-    terms: List[Tuple[Tuple, float]]
-    sense: str  # "<=", ">=", "=="
-    rhs: float
-
-    def evaluate(self, point: Dict[Tuple, float]) -> float:
-        return sum(c * point.get(v, 0.0) for v, c in self.terms)
-
-    def satisfied(self, point: Dict[Tuple, float], tol: float = 1e-6) -> bool:
-        lhs = self.evaluate(point)
-        if self.sense == "<=":
-            return lhs <= self.rhs + tol
-        if self.sense == ">=":
-            return lhs >= self.rhs - tol
-        return abs(lhs - self.rhs) <= tol
-
-
-class LinearizedModel:
-    """Explicit variable/constraint form of the assignment MILP.
-
-    Variable keys:
-        ("S", u, a, w), ("gamma", u, a, w), and
-        ("phi", m, w, u, a, b) for m != u, b != a (phi stands for the product
-        gamma[u,a,w] * S[m,b,w]).
-
-    The solvers do not consume this object; it exists so the algebra of the
-    model can be audited row by row.
-    """
-
-    def __init__(self, problem: AllocationProblem, beta: Optional[float] = None):
-        self.problem = problem
-        self.beta = default_beta(problem) if beta is None else float(beta)
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
-        self.rows: List[ConstraintRow] = []
-        self._build()
-
-    # -- variables ----------------------------------------------------
-
-    def variables(self) -> List[Tuple]:
-        p = self.problem
-        U, A, W = range(len(p.users)), range(len(p.ap_ids)), range(len(p.wavelengths))
-        out: List[Tuple] = []
-        out += [("S", u, a, w) for u in U for a in A for w in W]
-        out += [("gamma", u, a, w) for u in U for a in A for w in W]
-        out += [("phi", m, w, u, a, b)
-                for u in U for m in U if m != u
-                for a in A for b in A if b != a
-                for w in W]
-        return out
-
-    # -- construction ---------------------------------------------------
-
-    def _build(self):
-        p = self.problem
-        U = range(len(p.users))
-        A = range(len(p.ap_ids))
-        W = range(len(p.wavelengths))
-        beta = self.beta
-
-        for a in A:
-            for w in W:
-                self.rows.append(ConstraintRow(
-                    f"slot_once[a{a},w{w}]", "eq8",
-                    [(("S", u, a, w), 1.0) for u in U], "<=", 1.0))
-        for u in U:
-            self.rows.append(ConstraintRow(
-                f"user_once[u{u}]", "eq9_10",
-                [(("S", u, a, w), 1.0) for a in A for w in W], "==", 1.0))
-
-        for u in U:
-            for m in U:
-                if m == u:
-                    continue
-                for a in A:
-                    for b in A:
-                        if b == a:
-                            continue
-                        for w in W:
-                            phi = ("phi", m, w, u, a, b)
-                            s_mbw = ("S", m, b, w)
-                            gam = ("gamma", u, a, w)
-                            tag = f"[m{m},w{w},u{u},a{a},b{b}]"
-                            self.rows.append(ConstraintRow(
-                                "phi_nonneg" + tag, "eq11",
-                                [(phi, 1.0)], ">=", 0.0))
-                            self.rows.append(ConstraintRow(
-                                "phi_le_betaS" + tag, "eq12",
-                                [(phi, 1.0), (s_mbw, -beta)], "<=", 0.0))
-                            self.rows.append(ConstraintRow(
-                                "phi_le_gamma" + tag, "eq13",
-                                [(phi, 1.0), (gam, -1.0)], "<=", 0.0))
-                            self.rows.append(ConstraintRow(
-                                "phi_ge_link" + tag, "eq14",
-                                [(phi, 1.0), (s_mbw, -beta), (gam, -1.0)],
-                                ">=", -beta))
-
-        for u in U:
-            for a in A:
-                for w in W:
-                    terms: List[Tuple[Tuple, float]] = []
-                    shot_sum = 0.0
-                    for b in A:
-                        if b == a:
-                            continue
-                        shot_sum += p.shot_a2[u, b, w]
-                        for m in U:
-                            if m == u:
-                                continue
-                            coef = p.signal_a2[u, b, w] - p.shot_a2[u, b, w]
-                            terms.append((("phi", m, w, u, a, b), coef))
-                    terms.append((("gamma", u, a, w), shot_sum + p.preamp_a2))
-                    terms.append((("S", u, a, w), -p.signal_a2[u, a, w]))
-                    self.rows.append(ConstraintRow(
-                        f"sinr_balance[u{u},a{a},w{w}]", "eq15", terms,
-                        "==", 0.0))
-                    self.rows.append(ConstraintRow(
-                        f"sinr_floor[u{u},a{a},w{w}]", "eq16",
-                        [(("gamma", u, a, w), 1.0),
-                         (("S", u, a, w), -p.sinr_floor)], ">=", 0.0))
-
-        for a in A:
-            self.rows.append(ConstraintRow(
-                f"onu_cap[a{a}]", "eq17",
-                [(("S", u, a, w), float(p.rate_bps[u, a]))
-                 for u in U for w in W], "<=", float(p.onu_capacity_bps)))
-
-    def rows_in_family(self, family: str) -> List[ConstraintRow]:
-        return [r for r in self.rows if r.family == family]
-
-    # -- integer points -------------------------------------------------
-
-    def point_from_assignment(self, assignment: Dict[int, Tuple[int, int]]
-                              ) -> Dict[Tuple, float]:
-        """Full variable vector implied by an integer assignment.
-
-        ``assignment`` maps user index -> (ap index, wavelength index).
-        gamma follows from the SINR balance; phi is the literal product.
-        """
-        p = self.problem
-        users = list(assignment)
-        gammas = dict(zip(users, linearized_gammas(
-            p.signal_a2[users], p.shot_a2[users], p.preamp_a2,
-            list(assignment.values())).tolist()))
-        point: Dict[Tuple, float] = {}
-        for u in range(len(p.users)):
-            for a in range(len(p.ap_ids)):
-                for w in range(len(p.wavelengths)):
-                    s = 1.0 if assignment.get(u) == (a, w) else 0.0
-                    point[("S", u, a, w)] = s
-                    point[("gamma", u, a, w)] = gammas[u] if s else 0.0
-        for var in self.variables():
-            if var[0] == "phi":
-                _, m, w, u, a, b = var
-                point[var] = point[("gamma", u, a, w)] * point[("S", m, b, w)]
-        return point
-
-    def phi_interval(self, point: Dict[Tuple, float],
-                     m: int, w: int, u: int, a: int, b: int
-                     ) -> Tuple[float, float]:
-        """Feasible interval rows eq11-eq14 leave for one phi variable.
-
-        S is binary, so the big-M algebra simplifies exactly: S = 1 pins phi
-        to gamma, S = 0 pins it to zero (beta >= every feasible gamma).
-        """
-        s = point[("S", m, b, w)]
-        gam = point[("gamma", u, a, w)]
-        if s == 1.0:
-            return (gam, min(self.beta, gam))
-        return (max(0.0, gam - self.beta), 0.0)
-
-    def check_point(self, point: Dict[Tuple, float], tol: float = 1e-6
-                    ) -> List[str]:
-        """Names of all constraint rows the point violates."""
-        return [r.name for r in self.rows if not r.satisfied(point, tol)]
-
-
 # =====================================================================
 # Assignment evaluation
 # =====================================================================
@@ -376,50 +168,6 @@ def _solution_from_indices(problem: AllocationProblem,
         assignment=named, sinr=sinr_lin, sinr_db=sinr_dbs,
         rate_bps=rates, objective=_objective(gammas), stats=stats,
     )
-
-
-# =====================================================================
-# Feasibility audit
-# =====================================================================
-
-def check_feasibility(problem: AllocationProblem,
-                      assignment: Dict[int, Tuple[int, int]]) -> Dict:
-    """Audit an integer assignment against every model constraint family.
-
-    Returns a machine-readable report:
-        {"feasible": bool, "violations": [{"constraint": ..., ...}, ...]}
-    """
-    violations: List[Dict] = []
-    slots = list(assignment.values())
-    if len(set(slots)) != len(slots):
-        dup = [s for s in set(slots) if slots.count(s) > 1]
-        violations.append({"constraint": "slot_once",
-                           "slots": [problem.slot_label(s) for s in dup]})
-    missing = [problem.users[u] for u in range(len(problem.users))
-               if u not in assignment]
-    if missing:
-        violations.append({"constraint": "user_once", "users": missing})
-    extra = [u for u in assignment if not 0 <= u < len(problem.users)]
-    if extra:
-        violations.append({"constraint": "user_once", "unknown_users": extra})
-    if not violations:
-        slots = [assignment[u] for u in range(len(problem.users))]
-        gammas = linearized_gammas(problem.signal_a2, problem.shot_a2,
-                                   problem.preamp_a2, slots).tolist()
-        for u, g in enumerate(gammas):
-            if g < problem.sinr_floor * (1 - 1e-12):
-                violations.append({
-                    "constraint": "sinr_floor", "user": problem.users[u],
-                    "sinr": g, "floor": problem.sinr_floor})
-        for a in range(len(problem.ap_ids)):
-            load = sum(float(problem.rate_bps[u, a])
-                       for u, (ai, _) in assignment.items() if ai == a)
-            if load > problem.onu_capacity_bps * (1 + 1e-12):
-                violations.append({
-                    "constraint": "onu_capacity", "ap_id": problem.ap_ids[a],
-                    "rate_sum_bps": load,
-                    "capacity_bps": problem.onu_capacity_bps})
-    return {"feasible": not violations, "violations": violations}
 
 
 # =====================================================================
@@ -683,87 +431,3 @@ def _raise_infeasible(problem: AllocationProblem, counters: Dict[str, int]):
             "best_possible_sinr_per_user": per_user,
         })
 
-
-def solve_exhaustive(problem: AllocationProblem,
-                     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-                     ) -> AllocationSolution:
-    """Enumerate every complete assignment; the ground-truth oracle.
-
-    The SINR at each leaf is recomputed with its own longhand accumulation,
-    independent of :func:`owcfog.signal_model.linearized_gammas`.
-
-    Raises:
-        ResourceLimitError: when the enumeration would exceed the cap.
-        InfeasibleError: when no assignment is feasible.
-    """
-    n_users = len(problem.users)
-    slots = _slot_list(problem)
-    size = 1
-    for i in range(n_users):
-        size *= max(len(slots) - i, 0)
-    if size > enumeration_cap:
-        raise ResourceLimitError(
-            f"{size} assignments exceed enumeration cap {enumeration_cap}")
-    if n_users > len(slots):
-        raise InfeasibleError(
-            "more users than AP-wavelength slots",
-            report={"constraint": "slot_once", "users": n_users,
-                    "slots": len(slots)})
-
-    sig = problem.signal_a2
-    shot = problem.shot_a2
-    floor = problem.sinr_floor * (1 - 1e-12)
-    onu = problem.onu_capacity_bps * (1 + 1e-12)
-    n_aps = len(problem.ap_ids)
-
-    best_obj = None
-    best_key = None
-    best_asg = None
-    tol = _tie_tolerance(problem)
-    counters = {"leaves": 0, "floor_rejects": 0, "onu_rejects": 0}
-
-    for combo in itertools.permutations(range(len(slots)), n_users):
-        counters["leaves"] += 1
-        chosen = [slots[s] for s in combo]
-        # backhaul audit
-        load: Dict[int, float] = {}
-        ok = True
-        for u, (a, _) in enumerate(chosen):
-            load[a] = load.get(a, 0.0) + float(problem.rate_bps[u, a])
-            if load[a] > onu:
-                ok = False
-                break
-        if not ok:
-            counters["onu_rejects"] += 1
-            continue
-        active = {}
-        for u, (a, w) in enumerate(chosen):
-            active.setdefault(w, set()).add(a)
-        obj = 0.0
-        for u, (a, w) in enumerate(chosen):
-            denom = problem.preamp_a2
-            busy = active.get(w, set())
-            for b in range(n_aps):
-                if b == a:
-                    continue
-                denom += sig[u, b, w] if b in busy else shot[u, b, w]
-            g = sig[u, a, w] / denom
-            if g < floor:
-                ok = False
-                break
-            obj += g
-        if not ok:
-            counters["floor_rejects"] += 1
-            continue
-        key = tuple(chosen)
-        if _better(obj, key, best_obj, best_key, tol):
-            best_obj, best_key = obj, key
-            best_asg = {u: chosen[u] for u in range(n_users)}
-
-    if best_asg is None:
-        _raise_infeasible(problem, {"floor_rejects": counters["floor_rejects"],
-                                    "onu_rejects": counters["onu_rejects"]})
-    stats = {"method": "exhaustive", "nodes": counters["leaves"],
-             "leaves": counters["leaves"], "gap": 0.0, "complete": True,
-             "elapsed_s": None}
-    return _solution_from_indices(problem, best_asg, stats)

@@ -11,23 +11,20 @@ generalized assignment: node MIPS capacities and route Mbps capacities are
 the only coupling between tasks.  A task's own mobile unit is excluded as a
 destination by default (a device does not process its own offloaded work).
 
-Two solvers are provided.  ``solve_branch_and_bound`` is the production
-path; ``solve_exhaustive`` enumerates assignments with independent longhand
-cost accounting and exists purely as an oracle.  Both break objective ties
-identically (first leaf in preference-ordered enumeration), so they return
+``solve_branch_and_bound`` solves it exactly.  The exhaustive oracle and the
+big-M row form live in :mod:`owcfog.audit`; the oracle breaks objective ties
+identically (first leaf in preference-ordered enumeration), so both return
 the same assignment on the same instance.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .allocator import ConstraintRow
 from .errors import ConfigError, InfeasibleError, ResourceLimitError
 from .topology import (
     MOBILE_KIND,
@@ -36,7 +33,6 @@ from .topology import (
     build_reference_topology,
 )
 
-DEFAULT_ENUMERATION_CAP = 10 ** 8
 _TIE_REL = 1e-9
 
 # DFS preference when costs tie: room server, then mobiles (best route
@@ -97,11 +93,10 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
 
 @dataclass
 class PlacementProblem:
-    """Topology + demands + the big-M linking assignment to workload."""
+    """Topology + the demands to place on it."""
 
     topology: TopologyConfig
     tasks: Sequence[TaskDemand]
-    alpha: Optional[float] = None
     no_self_processing: bool = True
 
     def __post_init__(self) -> None:
@@ -116,13 +111,6 @@ class PlacementProblem:
                 raise ConfigError(
                     f"task {t.task_id}: source {t.source} is not a mobile "
                     f"unit")
-        max_w = max(t.workload_mips for t in self.tasks)
-        if self.alpha is None:
-            self.alpha = 10.0 * max_w
-        if not self.alpha > max_w:
-            raise ConfigError(
-                f"alpha {self.alpha} must exceed the largest workload "
-                f"{max_w}")
 
     def cost(self, task: TaskDemand, node_id: str) -> float:
         node = self.topology.node(node_id)
@@ -256,23 +244,6 @@ def _finish(problem: PlacementProblem, prep: _Prepared,
     return PlacementSolution(problem, named, total, proc, net, mips, stats)
 
 
-def power_report(solution: PlacementSolution) -> Dict[str, object]:
-    """Per-node and total processing/networking power of a placement."""
-    return {
-        "total_power_w": solution.objective_w,
-        "processing_power_w": solution.total_processing_w,
-        "networking_power_w": solution.total_networking_w,
-        "per_node": {
-            n: {
-                "processing_w": solution.processing_power_w[n],
-                "networking_w": solution.networking_power_w[n],
-                "workload_mips": solution.workload_mips[n],
-            }
-            for n in sorted(solution.processing_power_w)
-        },
-    }
-
-
 def utilization_report(solution: PlacementSolution) -> List[Dict[str, object]]:
     """Workload fraction used on each mobile unit."""
     rows = []
@@ -284,130 +255,6 @@ def utilization_report(solution: PlacementSolution) -> List[Dict[str, object]]:
             / m.capacity_mips,
         })
     return rows
-
-
-# =====================================================================
-# materialized MILP (audits and property tests only)
-# =====================================================================
-
-class PlacementModel:
-    """Explicit row/variable form of the placement MILP.
-
-    Variable keys: ("delta", k, n), ("X", k, n), ("L", k, n) and
-    ("lam", k, n, hop) where hop walks the route to n (the OLT first).
-    The solvers never consume this object; it lets tests audit the algebra
-    constraint by constraint.
-    """
-
-    def __init__(self, problem: PlacementProblem):
-        self.problem = problem
-        self.topology = problem.topology
-        self.node_ids = [n.node_id for n in self.topology.nodes]
-        self.rows: List[ConstraintRow] = []
-        self._hops: Dict[str, List[Tuple[str, str]]] = {}
-        for n_id in self.node_ids:
-            route = self.topology.route_to(n_id)
-            stations = ["olt", *route.devices, n_id]
-            self._hops[n_id] = list(zip(stations[:-1], stations[1:]))
-        self._build()
-
-    # -- construction ------------------------------------------------
-    def _build(self) -> None:
-        p = self.problem
-        alpha = p.alpha
-        for t in p.tasks:
-            k = t.task_id
-            for n in self.node_ids:
-                self.rows.append(ConstraintRow(
-                    f"link_lo[k{k},{n}]", "eq21",
-                    [(("X", k, n), alpha), (("delta", k, n), -1.0)],
-                    ">=", 0.0))
-                self.rows.append(ConstraintRow(
-                    f"link_hi[k{k},{n}]", "eq22",
-                    [(("X", k, n), 1.0), (("delta", k, n), -alpha)],
-                    "<=", 0.0))
-            self.rows.append(ConstraintRow(
-                f"one_node[k{k}]", "eq23",
-                [(("delta", k, n), 1.0) for n in self.node_ids], "==", 1.0))
-        for n in self.node_ids:
-            cap = self.topology.node(n).capacity_mips
-            self.rows.append(ConstraintRow(
-                f"node_cap[{n}]", "eq24",
-                [(("X", t.task_id, n), 1.0) for t in p.tasks], "<=", cap))
-            link = self.topology.route_to(n).capacity_mbps
-            for h, hop in enumerate(self._hops[n]):
-                self.rows.append(ConstraintRow(
-                    f"link_cap[{n},{hop[0]}->{hop[1]}]", "eq25",
-                    [(("lam", t.task_id, n, h), 1.0) for t in p.tasks],
-                    "<=", link))
-        for t in p.tasks:
-            k = t.task_id
-            for n in self.node_ids:
-                hops = self._hops[n]
-                stations = ["olt", *(f"{a}->{b}" for a, b in hops)]
-                # conservation at the OLT, each intermediate, and the node
-                self.rows.append(ConstraintRow(
-                    f"flow_src[k{k},{n}]", "eq26",
-                    [(("lam", k, n, 0), 1.0), (("L", k, n), -1.0)],
-                    "==", 0.0))
-                for h in range(1, len(hops)):
-                    self.rows.append(ConstraintRow(
-                        f"flow_mid[k{k},{n},{h}]", "eq26",
-                        [(("lam", k, n, h - 1), 1.0),
-                         (("lam", k, n, h), -1.0)], "==", 0.0))
-                self.rows.append(ConstraintRow(
-                    f"flow_dst[k{k},{n}]", "eq26",
-                    [(("lam", k, n, len(hops) - 1), 1.0),
-                     (("L", k, n), -1.0)], "==", 0.0))
-                self.rows.append(ConstraintRow(
-                    f"flow_demand[k{k},{n}]", "eq27",
-                    [(("L", k, n), 1.0),
-                     (("delta", k, n), -t.flow_mbps)], "==", 0.0))
-            if p.no_self_processing:
-                self.rows.append(ConstraintRow(
-                    f"no_self[k{k}]", "no_self",
-                    [(("delta", k, t.source), 1.0)], "==", 0.0))
-
-    # -- helpers -----------------------------------------------------
-    def rows_in_family(self, family: str) -> List[ConstraintRow]:
-        return [r for r in self.rows if r.family == family]
-
-    def variables(self) -> List[Tuple]:
-        seen: Dict[Tuple, None] = {}
-        for r in self.rows:
-            for v, _ in r.terms:
-                seen.setdefault(v)
-        return list(seen)
-
-    def point_from_assignment(self, assignment: Mapping[int, str],
-                              ) -> Dict[Tuple, float]:
-        point: Dict[Tuple, float] = {}
-        for t in self.problem.tasks:
-            k = t.task_id
-            chosen = assignment[k]
-            for n in self.node_ids:
-                on = 1.0 if n == chosen else 0.0
-                point[("delta", k, n)] = on
-                point[("X", k, n)] = t.workload_mips * on
-                point[("L", k, n)] = t.flow_mbps * on
-                for h in range(len(self._hops[n])):
-                    point[("lam", k, n, h)] = t.flow_mbps * on
-        return point
-
-    def check_point(self, point: Mapping[Tuple, float],
-                    tol: float = 1e-6) -> List[str]:
-        return [r.name for r in self.rows if not r.satisfied(point, tol)]
-
-    def objective(self, point: Mapping[Tuple, float]) -> float:
-        total = 0.0
-        for t in self.problem.tasks:
-            for n in self.node_ids:
-                e = self.topology.node(n).efficiency_w_per_mips
-                psi = self.topology.route_to(n).efficiency_w_per_mbps
-                total += point.get(("X", t.task_id, n), 0.0) * e
-                total += (point.get(("delta", t.task_id, n), 0.0)
-                          * t.flow_mbps * psi)
-        return total
 
 
 # =====================================================================
@@ -426,43 +273,6 @@ def _fill_order(prep: _Prepared, first: int) -> List[Tuple[float, int]]:
                   for j in range(len(prep.node_ids))
                   if w <= prep.node_cap_mips[j]
                   and f <= prep.route_cap_mbps[j])
-
-
-def _greedy_fill_bound(order: Sequence[Tuple[float, int]], w: float,
-                       f: float, count: int,
-                       rem_mips: List[float], rem_mbps: List[float],
-                       ) -> Optional[float]:
-    """Relaxation bound for a block of *identical* remaining tasks.
-
-    Drops the self-exclusion/matching structure and fills nodes in the
-    ``_fill_order`` cost order, so it never exceeds the true completion
-    cost; with loosely coupled instances it is usually exact.  Returns None
-    if even the relaxation cannot host all tasks.  The order is fixed per
-    solve; only the remaining capacities change between search nodes.  The
-    search in ``solve_branch_and_bound`` runs this same loop inline, with
-    the same slot counts and the same summation order, so its bound is
-    bitwise the one computed here.
-    """
-    need = count
-    total = 0.0
-    for c, j in order:
-        if need == 0:
-            break
-        # take = min(need, max(0, slots)) without the builtin calls
-        take = math.floor(rem_mips[j] / w + 1e-9)
-        if f > 0:
-            by_flow = math.floor(rem_mbps[j] / f + 1e-9)
-            if by_flow < take:
-                take = by_flow
-        if take < 0:
-            take = 0
-        elif take > need:
-            take = need
-        total += take * c
-        need -= take
-    if need > 0:
-        return None
-    return total
 
 
 def _cheapest_suffix(prep: _Prepared) -> List[float]:
@@ -501,13 +311,15 @@ def solve_branch_and_bound(problem: PlacementProblem,
     which removes their permutations from the tree without losing the
     canonical optimum.
 
-    A node's bound is the cheapest-node suffix sum, raised to the greedy
-    fill bound (``_greedy_fill_bound``) once the remaining tasks share one
-    (workload, flow).  The fill order is sorted once per solve, and the fill
-    loop runs inline with the same arithmetic, so every bound, prune and
-    incumbent is bitwise what a per-node call would give.  A node that finds
-    the time limit expired returns at once and its parent stops branching,
-    so ``nodes`` counts only the nodes searched.
+    A node's bound is the cheapest-node suffix sum, raised to a greedy fill
+    bound once the remaining tasks share one (workload, flow): it drops the
+    self-exclusion and fills nodes cheapest first, so it never exceeds the
+    true completion cost, and a fill that cannot host every task is a dead
+    end.  The fill order is sorted once per solve.  The root's bound is
+    reported as ``stats["root_bound"]``; a dead end there means no
+    placement exists.  A node that finds the time limit expired returns at
+    once and its parent stops branching, so ``nodes`` counts only the nodes
+    searched.
     """
     t0 = time.monotonic()
     prep = _prepare(problem)
@@ -528,22 +340,11 @@ def solve_branch_and_bound(problem: PlacementProblem,
     deadline = None if time_limit_s is None else t0 + time_limit_s
     timed_out = False
     floor = math.floor
-
-    root_bound: Optional[float] = cheap[0]
-    if uniform[0]:
-        gb = _greedy_fill_bound(order, task_w[0], task_f[0], n,
-                                rem_mips, rem_mbps)
-        root_bound = None if gb is None else max(gb, cheap[0])
-    if root_bound is None:
-        raise InfeasibleError(
-            "tasks cannot all be hosted: node or route capacities exhaust "
-            "before every task is placed",
-            report={"constraint": "capacity_packing",
-                    "tasks": n, "nodes": n_nodes})
+    root_bound: Optional[float] = None
 
     def descend(depth: int, cost_so_far: float) -> None:
         nonlocal nodes, leaves, bound_prunes, relax_dead_ends, timed_out
-        nonlocal best_obj, best_asg
+        nonlocal best_obj, best_asg, root_bound
         nodes += 1
         if deadline is not None and nodes % 256 == 0 \
                 and time.monotonic() > deadline:
@@ -558,7 +359,7 @@ def solve_branch_and_bound(problem: PlacementProblem,
         w, f = task_w[depth], task_f[depth]
         tail = cheap[depth]
         if uniform[depth]:
-            # _greedy_fill_bound over the remaining n - depth tasks
+            # fill the remaining n - depth tasks into nodes, cheapest first
             need = n - depth
             total = 0.0
             for c, j in order:
@@ -581,6 +382,8 @@ def solve_branch_and_bound(problem: PlacementProblem,
                 return
             if total >= tail:  # max(total, tail)
                 tail = total
+        if depth == 0:
+            root_bound = tail
         if best_obj is not None and cost_so_far + tail >= best_obj - tol:
             bound_prunes += 1
             return
@@ -609,6 +412,12 @@ def solve_branch_and_bound(problem: PlacementProblem,
             raise ResourceLimitError(
                 f"time limit {time_limit_s}s expired before any feasible "
                 f"placement was found")
+        if root_bound is None:
+            raise InfeasibleError(
+                "tasks cannot all be hosted: node or route capacities "
+                "exhaust before every task is placed",
+                report={"constraint": "capacity_packing",
+                        "tasks": n, "nodes": n_nodes})
         raise InfeasibleError(
             "no placement satisfies the node and route capacities together",
             report={"constraint": "capacity_packing", "tasks": n,
@@ -623,116 +432,10 @@ def solve_branch_and_bound(problem: PlacementProblem,
         "leaves": leaves,
         "bound_prunes": bound_prunes,
         "relax_dead_ends": relax_dead_ends,
+        "root_bound": root_bound,
         "gap": gap,
         "complete": not timed_out,
         "elapsed_s": elapsed,
-    }
-    return _finish(problem, prep, best_asg, stats)
-
-
-# =====================================================================
-# exhaustive oracle
-# =====================================================================
-
-def solve_exhaustive(problem: PlacementProblem,
-                     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-                     ) -> PlacementSolution:
-    """Enumerate every placement; independent cost accounting per leaf.
-
-    When no capacity can possibly bind (total workload below every node
-    capacity and total flow below every route), tasks decompose and the
-    per-task minimum is exact without enumeration.
-    """
-    t0 = time.monotonic()
-    prep = _prepare(problem)
-    topo = problem.topology
-    n = len(problem.tasks)
-    tol = _tie_tolerance(prep)
-    tasks = list(problem.tasks)
-
-    # longhand per-(task, node) cost straight from the topology tables
-    def longhand(task: TaskDemand, node_id: str) -> float:
-        node = topo.node(node_id)
-        route = topo.route_to(node_id)
-        return (task.workload_mips * node.efficiency_w_per_mips
-                + task.flow_mbps * route.efficiency_w_per_mbps)
-
-    options: List[List[int]] = []
-    for i, t in enumerate(tasks):
-        opts = []
-        for j, n_id in enumerate(prep.node_ids):
-            node = topo.node(n_id)
-            route = topo.route_to(n_id)
-            if t.workload_mips > node.capacity_mips:
-                continue
-            if t.flow_mbps > route.capacity_mbps:
-                continue
-            if problem.no_self_processing and n_id == t.source:
-                continue
-            opts.append(j)
-        options.append(opts)
-
-    total_w = sum(t.workload_mips for t in tasks)
-    total_f = sum(t.flow_mbps for t in tasks)
-    decomposes = all(total_w <= c for c in prep.node_cap_mips) \
-        and all(total_f <= c for c in prep.route_cap_mbps)
-
-    best_obj: Optional[float] = None
-    best_asg: Optional[List[int]] = None
-    leaves = 0
-
-    if decomposes:
-        # tasks are independent; first option within tol of the per-task
-        # minimum wins (options are in preference order)
-        best_asg = []
-        best_obj = 0.0
-        for i, t in enumerate(tasks):
-            costs = [(longhand(t, prep.node_ids[j]), j) for j in options[i]]
-            floor_c = min(cc for cc, _ in costs)
-            for cc, jj in costs:
-                if cc <= floor_c + tol:
-                    best_asg.append(jj)
-                    best_obj += cc
-                    break
-            leaves += len(costs)
-    else:
-        size = 1
-        for opts in options:
-            size *= len(opts)
-            if size > enumeration_cap:
-                raise ResourceLimitError(
-                    f"exhaustive placement would enumerate > "
-                    f"{enumeration_cap} assignments")
-        for combo in itertools.product(*options):
-            leaves += 1
-            used_m = [0.0] * len(prep.node_ids)
-            used_f = [0.0] * len(prep.node_ids)
-            obj = 0.0
-            ok = True
-            for i, j in enumerate(combo):
-                used_m[j] += tasks[i].workload_mips
-                used_f[j] += tasks[i].flow_mbps
-                if used_m[j] > prep.node_cap_mips[j] + 1e-9 \
-                        or used_f[j] > prep.route_cap_mbps[j] + 1e-9:
-                    ok = False
-                    break
-                obj += longhand(tasks[i], prep.node_ids[j])
-            if not ok:
-                continue
-            if best_obj is None or obj < best_obj - tol:
-                best_obj = obj
-                best_asg = list(combo)
-
-    if best_asg is None:
-        raise InfeasibleError(
-            "no placement satisfies the node and route capacities together",
-            report={"constraint": "capacity_packing", "tasks": n,
-                    "nodes": len(prep.node_ids)})
-    stats = {
-        "method": "exhaustive",
-        "leaves": leaves,
-        "decomposed": decomposes,
-        "elapsed_s": time.monotonic() - t0,
     }
     return _finish(problem, prep, best_asg, stats)
 

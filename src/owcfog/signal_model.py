@@ -9,16 +9,12 @@ access point a, every other AP is either:
 - a source of *shot noise* on w (w unassigned there): the wavelength is still
   emitted for illumination, just unmodulated.
 
-The receiver's own preamplifier noise floor is always present. Two
-interference accounting modes exist and must never be merged:
+The receiver's own preamplifier noise floor is always present. Interference
+is accounted *linearized*, as the sum of squared interferer currents, which
+is what keeps the assignment model linear; :func:`owcfog.audit.sinr` also
+computes the exact square of the summed currents for comparison.
 
-- ``linearized``: sum of squared interferer currents (what the assignment
-  MILP uses, so its constraints stay linear), and
-- ``exact``: square of the summed interferer currents.
-
-The exact mode never reports a higher SINR than the linearized mode.
-
-One kernel serves the allocator, its audits and :func:`sinr`:
+One kernel serves the allocator and the audit references:
 :func:`photocurrent_powers` gives the signal and shot arrays, and
 :func:`linearized_gammas` each assigned user's linearized SINR. It adds a
 denominator as preamp noise first, then the foreign APs in ascending order;
@@ -29,9 +25,8 @@ their tie-breaks agree. ``np.sum`` reorders the additions and breaks this.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,8 +35,6 @@ from owcfog.errors import ConfigError
 
 #: Elementary charge, coulombs (2019 SI exact value).
 ELECTRON_CHARGE_C = 1.602176634e-19
-
-_MODES = ("linearized", "exact")
 
 
 @dataclass
@@ -64,34 +57,9 @@ class NoiseParams:
             raise ConfigError("noise parameters must be positive")
 
 
-def electrical_signal_power(rx_power_w: float, responsivity_a_per_w: float) -> float:
-    """Signal power (R * P_rx)^2 in A^2 for a received optical power."""
-    if rx_power_w < 0:
-        raise ConfigError("received power must be non-negative")
-    i = responsivity_a_per_w * rx_power_w
-    return i * i
-
-
 def preamp_noise(noise: NoiseParams) -> float:
     """Preamplifier noise power N_pr * B, in A^2."""
     return noise.preamp_a2_per_hz * noise.bandwidth_hz
-
-
-def shot_noise(rx_power_w: float, noise: NoiseParams) -> float:
-    """Shot noise 2 e (R * P_rx) B contributed by one optical source, A^2."""
-    if rx_power_w < 0:
-        raise ConfigError("received power must be non-negative")
-    return 2.0 * ELECTRON_CHARGE_C * noise.responsivity_a_per_w * rx_power_w \
-        * noise.bandwidth_hz
-
-
-def sinr_db(sinr_linear: float) -> float:
-    """10 log10 of a linear SINR; -inf for zero."""
-    if sinr_linear < 0:
-        raise ConfigError("SINR cannot be negative")
-    if sinr_linear == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(sinr_linear)
 
 
 def photocurrent_powers(rx_power_w: np.ndarray, noise: NoiseParams
@@ -135,7 +103,7 @@ def linearized_gammas(signal_a2: np.ndarray, shot_a2: np.ndarray,
 
 
 # =====================================================================
-# Channel table + assignments
+# Channel table
 # =====================================================================
 
 @dataclass
@@ -184,74 +152,3 @@ class ChannelTable:
         return cls(users, ap_ids, wavelengths, rx, rate,
                    [pos[u] for u in users])
 
-
-Assignment = Mapping[int, Tuple[int, str]]
-"""user -> (ap_id, wavelength)."""
-
-
-def _validate_assignment(assignment: Assignment, table: ChannelTable):
-    slots = set()
-    for u, (a, w) in assignment.items():
-        if u not in table.users:
-            raise ConfigError(f"assignment names unknown user {u}")
-        if a not in table.ap_ids:
-            raise ConfigError(f"assignment names unknown AP {a}")
-        if w not in table.wavelengths:
-            raise ConfigError(f"assignment names unknown wavelength {w!r}")
-        if (a, w) in slots:
-            raise ConfigError(f"slot (ap {a}, {w}) assigned twice")
-        slots.add((a, w))
-
-
-@dataclass
-class SINRBreakdown:
-    """Per-user SINR decomposition, all powers in A^2."""
-
-    signal_a2: float
-    interference_a2: float
-    shot_a2: float
-    preamp_a2: float
-    sinr: float
-    sinr_db: float
-
-
-def sinr(assignment: Assignment, table: ChannelTable, noise: NoiseParams,
-         mode: str = "linearized") -> Dict[int, SINRBreakdown]:
-    """SINR of every assigned user under a WDMA assignment.
-
-    Args:
-        assignment: user -> (ap_id, wavelength); at most one user per slot.
-        table: complete channel table (assigned-but-out-of-FOV links simply
-            carry zero received power and contribute nothing).
-        noise: receiver noise parameters.
-        mode: "linearized" (sum of squared interferer currents) or "exact"
-            (square of summed currents).
-
-    Returns:
-        dict user -> SINRBreakdown.
-    """
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    _validate_assignment(assignment, table)
-    rows = [table.users.index(u) for u in assignment]
-    slots = [(table.ap_ids.index(a), table.wavelengths.index(w))
-             for a, w in assignment.values()]
-    signal, shot = photocurrent_powers(table.rx_power_w[rows], noise)
-    preamp = preamp_noise(noise)
-    aps, wls, busy = _interferers(slots, signal.shape)
-    n = np.arange(len(rows))
-    own, foreign = signal[n, aps, wls], np.where(busy, signal[n, :, wls], 0.0)
-    quiet = np.where(busy, 0.0, shot[n, :, wls])
-    quiet[n, aps] = 0.0
-    shot_total = quiet.sum(axis=1)
-    if mode == "linearized":
-        interference = foreign.sum(axis=1)
-        ratios = linearized_gammas(signal, shot, preamp, slots)
-    else:
-        # sqrt of a rounded square returns the current exactly (radix 2)
-        interference = np.sqrt(foreign).sum(axis=1) ** 2
-        ratios = own / (interference + shot_total + preamp)
-    return {u: SINRBreakdown(sig, itf, sh, preamp, r, sinr_db(r))
-            for u, sig, itf, sh, r in zip(
-                assignment, own.tolist(), interference.tolist(),
-                shot_total.tolist(), ratios.tolist())}

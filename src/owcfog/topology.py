@@ -14,7 +14,7 @@ All types here are frozen: a topology is built once and then shared freely
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .channel import WAVELENGTHS
 from .errors import ConfigError
@@ -92,8 +92,8 @@ MOBILE_ROUTE_EFFICIENCY_W_PER_MBPS: Dict[str, float] = {
 ETHERNET_LAN_CAP_MBPS = 10_000.0
 DEFAULT_MOBILE_COUNT = 8
 
-# descriptive device chains (from the OLT); used by the re-derivation
-# diagnostic, never as the source of the route efficiencies above
+# device chains from the OLT: they set each route's capacity, never its
+# efficiency (the published figures above are authoritative)
 _ROUTE_CHAINS: Dict[str, Tuple[str, ...]] = {
     "RoomFog": ("ONU",),
     "BuildFog": ("Ethernet switch",),
@@ -165,7 +165,6 @@ class TopologyConfig:
 
     nodes: Tuple[ProcessingNode, ...]
     routes: Tuple[Route, ...]
-    devices: Tuple[NetworkDevice, ...] = REFERENCE_DEVICES
 
     def __post_init__(self) -> None:
         ids = [n.node_id for n in self.nodes]
@@ -200,12 +199,6 @@ class TopologyConfig:
 
     def mobiles(self) -> List[ProcessingNode]:
         return [n for n in self.nodes if n.is_mobile]
-
-    def device(self, name: str) -> NetworkDevice:
-        for d in self.devices:
-            if d.name == name:
-                return d
-        raise ConfigError(f"no device named {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -274,81 +267,9 @@ def build_reference_topology(
     return TopologyConfig(tuple(nodes), tuple(routes))
 
 
-def derive_route_efficiency(chain: Sequence[NetworkDevice]) -> float:
-    """Re-derive a route's W/Mbit/s as the sum of device power/capacity.
-
-    Diagnostic only: the published per-route efficiencies are authoritative
-    because the exact device chain behind each is not disclosed; this lets a
-    test confirm the one chain that *is* pinned down (a lone ONU feeding the
-    room server) and document what the others would imply.
-    """
-    if not chain:
-        raise ConfigError("empty device chain")
-    return sum(d.efficiency_w_per_mbps for d in chain)
-
-
 # ---------------------------------------------------------------------------
-# document round-trip + consistency checks
+# consistency checks
 # ---------------------------------------------------------------------------
-
-
-def topology_to_document(topology: TopologyConfig) -> Dict:
-    """Plain-dict form mirroring the hardware tables field for field."""
-    doc: Dict = {
-        "processing_nodes": [
-            {
-                "id": n.node_id,
-                "kind": n.kind,
-                "capacity_mips": n.capacity_mips,
-                "efficiency_w_per_mips": n.efficiency_w_per_mips,
-                **({"wavelength": n.wavelength} if n.is_mobile else {}),
-            }
-            for n in topology.nodes
-        ],
-        "network_devices": [
-            {
-                "name": d.name,
-                "model": d.model,
-                "power_w": d.power_w,
-                "capacity_gbps": d.capacity_gbps,
-            }
-            for d in topology.devices
-        ],
-        "routes": [
-            {
-                "destination": r.destination,
-                "devices": list(r.devices),
-                "capacity_mbps": r.capacity_mbps,
-                "efficiency_w_per_mbps": r.efficiency_w_per_mbps,
-            }
-            for r in topology.routes
-        ],
-    }
-    return doc
-
-
-def topology_from_document(doc: Mapping) -> TopologyConfig:
-    """Inverse of :func:`topology_to_document` (strict about keys)."""
-    try:
-        nodes = tuple(
-            ProcessingNode(
-                node_id=item["id"], kind=item["kind"],
-                capacity_mips=float(item["capacity_mips"]),
-                efficiency_w_per_mips=float(item["efficiency_w_per_mips"]),
-                wavelength=item.get("wavelength"))
-            for item in doc["processing_nodes"])
-        devices = tuple(
-            NetworkDevice(item["name"], item["model"],
-                          float(item["power_w"]), float(item["capacity_gbps"]))
-            for item in doc["network_devices"])
-        routes = tuple(
-            Route(item["destination"], tuple(item["devices"]),
-                  float(item["capacity_mbps"]),
-                  float(item["efficiency_w_per_mbps"]))
-            for item in doc["routes"])
-    except KeyError as exc:
-        raise ConfigError(f"topology document missing field {exc}") from None
-    return TopologyConfig(nodes, routes, devices)
 
 
 def validate_topology(topology: TopologyConfig) -> List[str]:

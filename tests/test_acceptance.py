@@ -13,11 +13,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from owcfog.allocator import (
-    AllocationProblem,
+from owcfog.allocator import AllocationProblem, solve_branch_and_bound
+from owcfog.audit import (
     LinearizedModel,
     check_feasibility,
-    solve_branch_and_bound,
+    sinr,
     solve_exhaustive,
 )
 from owcfog.channel import (
@@ -39,7 +39,7 @@ from owcfog.placement import (
     sweep,
 )
 from owcfog.scenarios import fraction_at_least
-from owcfog.signal_model import ELECTRON_CHARGE_C, ChannelTable, NoiseParams, sinr
+from owcfog.signal_model import ELECTRON_CHARGE_C, ChannelTable, NoiseParams
 from owcfog.topology import TopologyConfig, build_reference_topology
 
 SINR_FLOOR = 10 ** 1.4          # linear; 14 dB

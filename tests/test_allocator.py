@@ -12,11 +12,14 @@ import pytest
 
 from owcfog.allocator import (
     AllocationProblem,
-    LinearizedModel,
     _solution_from_indices,
-    check_feasibility,
-    default_beta,
     solve_branch_and_bound,
+)
+from owcfog.audit import (
+    LinearizedModel,
+    check_feasibility,
+    electrical_signal_power,
+    shot_noise,
     solve_exhaustive,
 )
 from owcfog.channel import ChannelRecord
@@ -24,10 +27,8 @@ from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.signal_model import (
     ChannelTable,
     NoiseParams,
-    electrical_signal_power,
     linearized_gammas,
     preamp_noise,
-    shot_noise,
 )
 
 
@@ -93,7 +94,7 @@ def _indices(p, sol):
 
 def test_default_beta_dominates_every_gamma():
     p = _problem([[1e-5, 1e-7], [1e-7, 1e-5]])
-    beta = default_beta(p)
+    beta = LinearizedModel(p).beta
     # gamma can never exceed signal / preamp floor
     assert beta == pytest.approx(10 * float(p.signal_a2.max()) / p.preamp_a2)
     sol = solve_exhaustive(p)

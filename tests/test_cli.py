@@ -228,13 +228,30 @@ def test_every_figure_projects(tmp_path, capsys, fig, needle):
 # console entry point
 # ---------------------------------------------------------------------
 
-def test_module_entry_point(tmp_path):
+def _child_env():
     # the child does not inherit pytest's ``pythonpath`` setting
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "owcfog.cli", "validate"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("module,absent", [
+    ("owcfog.cli", "owcfog.audit"),
+    ("owcfog.placement", "owcfog.allocator"),
+])
+def test_import_leaves_module_unloaded(module, absent):
+    # the CLI never loads verification code, and the two solvers are
+    # independent of each other
+    code = (f"import sys, {module}; "
+            f"sys.exit({absent!r} in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr

@@ -9,15 +9,14 @@ import random
 
 import pytest
 
+from owcfog.audit import PlacementModel, solve_exhaustive
+from owcfog.config import load_config
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.placement import (
-    PlacementModel,
     PlacementProblem,
     TaskDemand,
     demands_from_drr,
-    power_report,
     solve_branch_and_bound,
-    solve_exhaustive,
     sweep,
     utilization_report,
 )
@@ -135,14 +134,11 @@ def test_cost_order_at_drr_004_and_006(topo):
 def test_power_report_splits(topo):
     sol = solve_branch_and_bound(
         PlacementProblem(topo, demands_from_drr(1000.0, 0.002, 1)))
-    report = power_report(sol)
-    assert report["per_node"]["ccloud"]["processing_w"] == \
-        pytest.approx(0.796)
-    assert report["per_node"]["ccloud"]["networking_w"] == \
-        pytest.approx(0.256)
+    assert sol.processing_power_w["ccloud"] == pytest.approx(0.796)
+    assert sol.networking_power_w["ccloud"] == pytest.approx(0.256)
     # accounting identity: objective is exactly the sum of the two splits
-    assert report["total_power_w"] == pytest.approx(
-        report["processing_power_w"] + report["networking_power_w"])
+    assert sol.objective_w == pytest.approx(
+        sol.total_processing_w + sol.total_networking_w)
 
 
 # =====================================================================
@@ -281,6 +277,8 @@ def test_uniform_demand_matches_exhaustive():
         bb = solve_branch_and_bound(p)
         assert bb.assignment == ex.assignment
         assert bb.objective_w == pytest.approx(ex.objective_w, rel=1e-9)
+        # the fill bound may never exceed the optimum it bounds
+        assert bb.stats["root_bound"] <= ex.objective_w * (1 + 1e-12)
         enumerated += not ex.stats["decomposed"]
     assert enumerated >= 20 and infeasible >= 1
 
@@ -378,6 +376,16 @@ def test_sweep_cell_search_tree_ceilings(topo, drr, workload, nodes, leaves,
     assert stats["bound_prunes"] <= prunes
 
 
+def test_root_fill_bound_is_admissible_on_tight_sweep_cells(topo):
+    # at drr = 0.002 the root fill bound meets the optimum to a few ulp, so
+    # a bound inflated by even 0.1% shows here
+    sources = [m.node_id for m in topo.mobiles()]
+    for w in load_config()["sweep"]["workload_mips"]:
+        tasks = demands_from_drr(w, 0.002, 50, sources)
+        sol = solve_branch_and_bound(PlacementProblem(topo, tasks))
+        assert sol.stats["root_bound"] <= sol.objective_w * (1 + 1e-12)
+
+
 # =====================================================================
 # sweep behavior
 # =====================================================================
@@ -451,8 +459,7 @@ def test_flow_conservation_and_link_rows_catch_violations(topo):
 
 def test_alpha_binds_assignment_to_workload(topo):
     tasks = demands_from_drr(1500.0, 0.1, 2)
-    problem = PlacementProblem(topo, tasks, alpha=2000.0)
-    model = PlacementModel(problem)
+    model = PlacementModel(PlacementProblem(topo, tasks), alpha=2000.0)
     point = model.point_from_assignment({0: "ccloud", 1: "metrofog"})
     assert model.check_point(point) == []
     # X without delta violates the upper link
@@ -469,6 +476,7 @@ def test_alpha_binds_assignment_to_workload(topo):
 
 
 def test_alpha_must_exceed_workloads(topo):
+    problem = PlacementProblem(topo, demands_from_drr(1500.0, 0.1, 1))
     with pytest.raises(ConfigError):
-        PlacementProblem(topo, demands_from_drr(1500.0, 0.1, 1),
-                         alpha=1000.0)
+        PlacementModel(problem, alpha=1000.0)
+    assert PlacementModel(problem).alpha == 15_000.0

@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owcfog.audit import electrical_signal_power, shot_noise, sinr, sinr_db
 from owcfog.channel import ChannelRecord
 from owcfog.errors import ConfigError
 from owcfog.signal_model import (
     ELECTRON_CHARGE_C,
     ChannelTable,
     NoiseParams,
-    electrical_signal_power,
     preamp_noise,
-    shot_noise,
-    sinr,
-    sinr_db,
 )
 
 # Frozen expectations (hand arithmetic first):

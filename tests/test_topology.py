@@ -5,14 +5,12 @@ import pytest
 from owcfog.errors import ConfigError
 from owcfog.topology import (
     MOBILE_ROUTE_EFFICIENCY_W_PER_MBPS,
+    REFERENCE_DEVICES,
     NetworkDevice,
     ProcessingNode,
     Route,
     TopologyConfig,
     build_reference_topology,
-    derive_route_efficiency,
-    topology_from_document,
-    topology_to_document,
     validate_topology,
 )
 
@@ -88,14 +86,10 @@ def test_missing_wavelength_tag_rejected():
 
 def test_derive_route_efficiency_onu_anchor(topo):
     # the one chain pinned down by the catalogue: a lone ONU feeding the room
-    onu = topo.device("ONU")
-    assert derive_route_efficiency([onu]) == pytest.approx(0.0015)
+    onu = next(d for d in REFERENCE_DEVICES if d.name == "ONU")
+    assert onu.efficiency_w_per_mbps == pytest.approx(0.0015)
     assert topo.route_to("roomfog").efficiency_w_per_mbps == \
-        pytest.approx(derive_route_efficiency([onu]))
-    olt = topo.device("OLT")
-    assert derive_route_efficiency([olt]) == pytest.approx(0.00125)
-    with pytest.raises(ConfigError):
-        derive_route_efficiency([])
+        pytest.approx(onu.efficiency_w_per_mbps)
 
 
 def test_orderings_hold(topo):
@@ -111,19 +105,8 @@ def test_validator_catches_broken_ordering(topo):
                                         0.005))
         else:
             nodes.append(n)
-    broken = TopologyConfig(tuple(nodes), topo.routes, topo.devices)
+    broken = TopologyConfig(tuple(nodes), topo.routes)
     assert any("processing efficiency" in p for p in validate_topology(broken))
-
-
-def test_document_round_trip(topo):
-    doc = topology_to_document(topo)
-    assert {d["name"] for d in doc["network_devices"]} >= {"OLT", "ONU"}
-    again = topology_from_document(doc)
-    assert again == topo
-    assert validate_topology(again) == []
-    doc["routes"][0].pop("capacity_mbps")
-    with pytest.raises(ConfigError):
-        topology_from_document(doc)
 
 
 def test_topology_structural_validation(topo):
