@@ -32,11 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from owcfog.channel import (
-    FEC_FREE_SINR_DB,
-    FEC_MIN_SINR_DB,
-    FEC_RATE_FACTOR,
-)
+from owcfog.channel import fec_rate
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.signal_model import (
     ChannelTable,
@@ -157,13 +153,9 @@ def _solution_from_indices(problem: AllocationProblem,
     sinr_lin = {problem.users[u]: g for u, g in enumerate(gammas)}
     sinr_dbs = {u: 10.0 * math.log10(g) if g > 0 else -math.inf
                 for u, g in sinr_lin.items()}
-    rates = {}
-    for u, (a, w) in enumerate(slots):
-        base = float(problem.rate_bps[u, a])
-        db = sinr_dbs[problem.users[u]]
-        if FEC_MIN_SINR_DB <= db < FEC_FREE_SINR_DB:
-            base *= FEC_RATE_FACTOR
-        rates[problem.users[u]] = base
+    rates = {problem.users[u]: fec_rate(float(problem.rate_bps[u, a]),
+                                        sinr_dbs[problem.users[u]])
+             for u, (a, w) in enumerate(slots)}
     return AllocationSolution(
         assignment=named, sinr=sinr_lin, sinr_db=sinr_dbs,
         rate_bps=rates, objective=_objective(gammas), stats=stats,

@@ -15,6 +15,22 @@ each source is paired with those visible sinks alone (29-37 of the 544
 elements at the 0.5 m mesh). A trace's metrics are measured once and shared
 by every wavelength that traced it.
 
+Work that does not depend on the whole link is shared between links:
+    - per AP, the power landing on each element and its delay, and the
+      lit sources (``_ap_view``);
+    - per receiver position, each element's gain and delay toward the
+      detector, and the visible sinks (``_rx_view``);
+    - per (mesh, sources, sinks) set, the element-pair transfer and delay of
+      the second bounce (``_cached_pair_chunks``), reused by the next AP
+      that lights the same sources; on the default room every AP lights the
+      same 416 elements.
+Each view is keyed on the mesh it was built from and computed by the
+expressions a lone trace would use, and the per-AP weighting, time index
+and ``bincount`` order of the second bounce are unchanged, so every trace
+has the same bits as one taken with empty caches. The 3-dB bandwidth scans
+the magnitude spectrum in growing blocks and stops at the first crossing,
+which reads the same samples as a scan of the whole spectrum.
+
 Conventions:
     - SI units throughout (metres, seconds, watts, hertz).
     - Access points point straight down, receivers straight up.
@@ -53,6 +69,10 @@ FEC_RATE_FACTOR = 0.9
 # order in which partial histograms add into the response, and a different
 # order changes the last bits of fine-mesh traces.
 _CHUNK_TARGET = 2_000_000
+
+# Bins in the first block of the 3-dB crossing scan; each later block is as
+# long as all the blocks before it.
+_FFT_BLOCK = 512
 
 
 # =====================================================================
@@ -266,10 +286,14 @@ def surface_elements(room: RoomConfig, wavelength: str):
     Raises:
         ResourceLimitError: when the mesh would exceed ``room.max_elements``.
     """
+    return _surface_mesh(*_mesh_key(room, wavelength))
+
+
+def _mesh_key(room: RoomConfig, wavelength: str) -> Tuple:
+    """The arguments of ``_surface_mesh`` for one room and wavelength."""
     refl = room.reflectivity_for(wavelength)
-    return _surface_mesh(room.length_m, room.width_m, room.height_m,
-                         room.element_edge_m, refl["walls"], refl["ceiling"],
-                         refl["floor"], room.max_elements)
+    return (room.length_m, room.width_m, room.height_m, room.element_edge_m,
+            refl["walls"], refl["ceiling"], refl["floor"], room.max_elements)
 
 
 # typed: an int 0 reflectivity builds an int rho array, unlike 0.0
@@ -304,9 +328,70 @@ def _surface_mesh(L, W, H, e, rho_walls, rho_ceiling, rho_floor, max_elements):
             f"{centers.shape[0]} surface elements exceed cap {max_elements}; "
             f"raise max_elements or coarsen element_edge_m"
         )
-    for arr in (centers, normals, areas, rhos):
+    return _read_only(centers, normals, areas, rhos)
+
+
+def _read_only(*arrays):
+    for arr in arrays:
         arr.flags.writeable = False
-    return centers, normals, areas, rhos
+    return arrays
+
+
+# The per-AP and per-position views below are keyed on the mesh key (the
+# arguments of ``_surface_mesh``), so a view is never shared between meshes.
+# Their caches hold every AP of a room under four reflectivity maps, and one
+# receiver position under four maps: ``compute_channel_records`` visits the
+# APs and maps of one position before it moves on.
+
+@functools.lru_cache(maxsize=32)
+def _ap_view(key, ap_position_m, m, po):
+    """AP -> element transfer: power collected by each element.
+
+    Returns read-only (p_elem, t_elem, src_power, src_idx): the power landing
+    on each element, its arrival time, the power each element re-emits, and
+    the indices of the elements that re-emit any.
+    """
+    centers, normals, areas, rhos = _surface_mesh(*key)
+    apv = np.asarray(ap_position_m, float)
+    v1 = centers - apv
+    d1 = np.linalg.norm(v1, axis=1)
+    d1 = np.where(d1 <= 0, np.inf, d1)
+    cos_phi1 = -v1[:, 2] / d1  # AP normal is -z
+    cos_inc1 = -np.einsum("ij,ij->i", v1, normals) / d1
+    ok1 = (cos_phi1 > 0) & (cos_inc1 > 0)
+    p_elem = np.zeros_like(d1)
+    p_elem[ok1] = (po * (m + 1.0) / (2.0 * math.pi * d1[ok1] ** 2)
+                   * cos_phi1[ok1] ** m * cos_inc1[ok1] * areas[ok1])
+    t_elem = d1 / SPEED_OF_LIGHT_M_S
+    src_power = rhos * p_elem
+    return _read_only(p_elem, t_elem, src_power, np.nonzero(src_power > 0)[0])
+
+
+@functools.lru_cache(maxsize=4)
+def _rx_view(key, rx_position_m, fov_deg, area_m2):
+    """Element -> receiver transfer: per-unit-power gain of each element
+    acting as an order-1 Lambertian emitter, with the FOV cut applied.
+
+    Returns read-only (g_rx, t_rx, sinks, sink_gain, sink_t): the gain and
+    delay of every element, the indices of the sinks (elements with
+    ``rhos * g_rx > 0``), and the sinks' reflect-and-deliver gain and delay.
+    """
+    centers, normals, _, rhos = _surface_mesh(*key)
+    rxv = np.asarray(rx_position_m, float)
+    cos_fov = math.cos(math.radians(fov_deg))
+    v2 = rxv - centers
+    d2 = np.linalg.norm(v2, axis=1)
+    d2 = np.where(d2 <= 0, np.inf, d2)
+    cos_emit2 = np.einsum("ij,ij->i", v2, normals) / d2
+    cos_inc2 = -v2[:, 2] / d2  # receiver normal is +z
+    ok2 = (cos_emit2 > 0) & (cos_inc2 >= cos_fov)
+    g_rx = np.zeros_like(d2)
+    g_rx[ok2] = (cos_emit2[ok2] * cos_inc2[ok2] * area_m2
+                 / (math.pi * d2[ok2] ** 2))
+    t_rx = d2 / SPEED_OF_LIGHT_M_S
+    sink_gain = rhos * g_rx
+    sinks = np.nonzero(sink_gain > 0)[0]
+    return _read_only(g_rx, t_rx, sinks, sink_gain[sinks], t_rx[sinks])
 
 
 # =====================================================================
@@ -380,36 +465,12 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
         order_powers[0] = po * g
 
     if max_order >= 1 and po > 0.0:
-        centers, normals, areas, rhos = surface_elements(room, wavelength)
-        apv = np.asarray(ap.position_m, float)
-        rxv = np.asarray(rx_position_m, float)
-        m = ap.lambertian_order
-        cos_fov = math.cos(math.radians(receiver.fov_deg))
-
-        # AP -> element transfer: power collected by each element.
-        v1 = centers - apv
-        d1 = np.linalg.norm(v1, axis=1)
-        d1 = np.where(d1 <= 0, np.inf, d1)
-        cos_phi1 = -v1[:, 2] / d1  # AP normal is -z
-        cos_inc1 = -np.einsum("ij,ij->i", v1, normals) / d1
-        ok1 = (cos_phi1 > 0) & (cos_inc1 > 0)
-        p_elem = np.zeros_like(d1)
-        p_elem[ok1] = (po * (m + 1.0) / (2.0 * math.pi * d1[ok1] ** 2)
-                       * cos_phi1[ok1] ** m * cos_inc1[ok1] * areas[ok1])
-        t_elem = d1 / SPEED_OF_LIGHT_M_S
-
-        # element -> receiver transfer: per-unit-power gain of each element
-        # acting as an order-1 Lambertian emitter, with the FOV cut applied.
-        v2 = rxv - centers
-        d2 = np.linalg.norm(v2, axis=1)
-        d2 = np.where(d2 <= 0, np.inf, d2)
-        cos_emit2 = np.einsum("ij,ij->i", v2, normals) / d2
-        cos_inc2 = -v2[:, 2] / d2  # receiver normal is +z
-        ok2 = (cos_emit2 > 0) & (cos_inc2 >= cos_fov)
-        g_rx = np.zeros_like(d2)
-        g_rx[ok2] = (cos_emit2[ok2] * cos_inc2[ok2] * receiver.area_m2
-                     / (math.pi * d2[ok2] ** 2))
-        t_rx = d2 / SPEED_OF_LIGHT_M_S
+        key = _mesh_key(room, wavelength)
+        rhos = _surface_mesh(*key)[3]
+        p_elem, t_elem, src_power, src_idx = _ap_view(
+            key, tuple(ap.position_m), ap.lambertian_order, po)
+        g_rx, t_rx, sinks, sink_gain, sink_t = _rx_view(
+            key, tuple(rx_position_m), receiver.fov_deg, receiver.area_m2)
 
         # ---- first order --------------------------------------------
         contrib = rhos * p_elem * g_rx
@@ -422,8 +483,8 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
         # ---- second order -------------------------------------------
         if max_order >= 2:
             order_powers[2] = _second_order_pass(
-                hist, room, centers, normals, areas, rhos,
-                p_elem, t_elem, g_rx, t_rx)
+                hist, room.time_bin_s, key, src_power, src_idx, t_elem,
+                sinks, sink_gain, sink_t)
 
     return ImpulseResponse(room.time_bin_s, _trim(hist), order_powers)
 
@@ -442,31 +503,49 @@ def _trim(hist: np.ndarray) -> np.ndarray:
     return hist[: nz[-1] + 1].copy()
 
 
-def _second_order_pass(hist, room, centers, normals, areas, rhos,
-                       p_elem, t_elem, g_rx, t_rx) -> float:
+def _second_order_pass(hist, bin_width_s, key, src_power, src_idx, t_elem,
+                       sinks, sink_gain, sink_t) -> float:
     """Accumulate AP->i->j->receiver contributions into ``hist``.
 
-    Sources i are the elements lit by the AP; sinks j are the elements with
-    ``rhos * g_rx > 0``, inside the receiver's field of view and facing it.
-    The filter is exact: any other j has ``contrib == 0`` for every i, so it
-    never adds to the response, and dropping those columns keeps the live
-    pairs in row-major order, so each ``bincount`` sees the same weights in
-    the same order. Chunked over sources (see ``_CHUNK_TARGET``).
+    Sources i are the elements lit by the AP (``src_idx``); sinks j are the
+    elements with ``rhos * g_rx > 0``, inside the receiver's field of view
+    and facing it. The filter is exact: any other j has ``contrib == 0`` for
+    every i, so it never adds to the response, and dropping those columns
+    keeps the live pairs in row-major order, so each ``bincount`` sees the
+    same weights in the same order. Chunked over sources (see
+    ``_CHUNK_TARGET``); the pair geometry of one (mesh, sources, sinks) set
+    is kept for the next AP when it fits in one chunk's worth of pairs.
     Returns the total second-order power added.
     """
-    n = centers.shape[0]
-    src_power = rhos * p_elem            # power re-emitted by each i
-    sink_gain = rhos * g_rx              # j's reflect+deliver gain
-    src_idx = np.nonzero(src_power > 0)[0]
-    sinks = np.nonzero(sink_gain > 0)[0]
     if src_idx.size == 0 or sinks.size == 0:
         return 0.0
-    sink_centers, sink_normals = centers[sinks], normals[sinks]
-    sink_areas, sink_gain, sink_t = areas[sinks], sink_gain[sinks], t_rx[sinks]
+    if src_idx.size * sinks.size <= _CHUNK_TARGET:
+        chunks = _cached_pair_chunks(key, src_idx.tobytes(), sinks.tobytes())
+    else:
+        chunks = _pair_chunks(_surface_mesh(*key), src_idx, sinks)
     nbins = hist.size
-    inv_bin = 1.0 / room.time_bin_s
+    inv_bin = 1.0 / bin_width_s
     total = 0.0
-    chunk = max(1, _CHUNK_TARGET // n)
+    for rows, trans, dij_c in chunks:
+        contrib = src_power[rows, None] * trans * sink_gain[None, :]
+        live = contrib > 0
+        if not np.any(live):
+            continue
+        tt = (t_elem[rows, None] + dij_c + sink_t[None, :])
+        idx = (tt[live] * inv_bin).astype(np.int64)
+        w = contrib[live]
+        hist += np.bincount(idx, weights=w, minlength=nbins)
+        total += float(w.sum())
+    return total
+
+
+def _pair_chunks(mesh, src_idx, sinks):
+    """Yield (rows, trans, dij / c) per chunk of source rows: the
+    element-to-element transfer and delay of every (source, sink) pair."""
+    centers, normals, areas, _ = mesh
+    sink_centers, sink_normals = centers[sinks], normals[sinks]
+    sink_areas = areas[sinks]
+    chunk = max(1, _CHUNK_TARGET // centers.shape[0])
     for k0 in range(0, src_idx.size, chunk):
         rows = src_idx[k0:k0 + chunk]
         vij = sink_centers[None, :, :] - centers[rows, None, :]  # (c, s, 3)
@@ -478,16 +557,17 @@ def _second_order_pass(hist, room, centers, normals, areas, rhos,
         # wrongly admit back-to-back pairs
         trans = np.where((cos_emit > 0) & (cos_inc > 0), cos_emit * cos_inc, 0.0)
         trans *= sink_areas[None, :] / (math.pi * dij ** 2)
-        contrib = src_power[rows, None] * trans * sink_gain[None, :]
-        live = contrib > 0
-        if not np.any(live):
-            continue
-        tt = (t_elem[rows, None] + dij / SPEED_OF_LIGHT_M_S + sink_t[None, :])
-        idx = (tt[live] * inv_bin).astype(np.int64)
-        w = contrib[live]
-        hist += np.bincount(idx, weights=w, minlength=nbins)
-        total += float(w.sum())
-    return total
+        yield rows, trans, dij / SPEED_OF_LIGHT_M_S
+
+
+# One entry of at most _CHUNK_TARGET pairs: one 0.1 m trace pairs 10,400
+# sources with 898 sinks, and its two pair arrays would hold 150 MB.
+@functools.lru_cache(maxsize=1)
+def _cached_pair_chunks(key, src_bytes, sink_bytes):
+    src_idx = np.frombuffer(src_bytes, dtype=np.intp)
+    sinks = np.frombuffer(sink_bytes, dtype=np.intp)
+    return tuple(_read_only(*chunk)
+                 for chunk in _pair_chunks(_surface_mesh(*key), src_idx, sinks))
 
 
 # =====================================================================
@@ -527,24 +607,44 @@ def bandwidth_3db(ir: ImpulseResponse, pad_factor: int = 8,
         raise InfeasibleError("no received power; 3-dB bandwidth undefined",
                               report={"kind": "empty_impulse_response"})
     n = max(min_fft, 1 << (int(p.size * max(1, pad_factor)) - 1).bit_length())
-    mag = np.abs(np.fft.rfft(p, n=n))
-    mag /= mag[0]
-    freqs = np.fft.rfftfreq(n, d=ir.bin_width_s)
+    spec = np.fft.rfft(p, n=n)
     target = 1.0 / math.sqrt(2.0)
-    below = np.nonzero(mag < target)[0]
     nyquist = 1.0 / (2.0 * ir.bin_width_s)
-    if below.size == 0:
+    crossing = _first_bin_below(spec, target)
+    if crossing is None:
         return nyquist
-    k = int(below[0])
+    k, m0, m1 = crossing
     if k == 0:  # numerically impossible (mag[0] == 1) but stay safe
         return 0.0
-    # linear interpolation of the crossing between samples k-1 and k
-    m0, m1 = mag[k - 1], mag[k]
-    f0, f1 = freqs[k - 1], freqs[k]
+    # linear interpolation of the crossing between samples k-1 and k;
+    # val is rfftfreq's sample spacing, so f0 and f1 are its samples
+    val = 1.0 / (n * ir.bin_width_s)
+    f0, f1 = (k - 1) * val, k * val
     if m1 == m0:
         return float(f1)
     f_cross = f0 + (m0 - target) / (m0 - m1) * (f1 - f0)
     return float(min(f_cross, nyquist))
+
+
+def _first_bin_below(spec, target):
+    """First k with |spec[k]| / |spec[0]| < target, as (k, mag[k-1], mag[k]).
+
+    The magnitude is taken block by block, since the crossing usually sits
+    in the first few hundred of the n / 2 + 1 bins; ``before`` carries the
+    last magnitude of the previous block. None when no bin falls below.
+    """
+    dc = abs(spec[0])
+    before = None
+    start, stop = 0, _FFT_BLOCK
+    while start < spec.size:
+        mag = np.abs(spec[start:stop]) / dc
+        below = np.nonzero(mag < target)[0]
+        if below.size:
+            j = int(below[0])
+            return start + j, (mag[j - 1] if j else before), mag[j]
+        before = mag[-1]
+        start, stop = stop, 2 * stop
+    return None
 
 
 def supported_data_rate(bw_3db_hz: float, receiver_bandwidth_hz: float,
@@ -563,10 +663,18 @@ def supported_data_rate(bw_3db_hz: float, receiver_bandwidth_hz: float,
             f"SINR {sinr_db:.2f} dB below the {FEC_MIN_SINR_DB} dB floor",
             report={"kind": "sinr_floor", "sinr_db": sinr_db,
                     "floor_db": FEC_MIN_SINR_DB})
-    rate = rate_factor * min(bw_3db_hz, receiver_bandwidth_hz)
+    return fec_rate(rate_factor * min(bw_3db_hz, receiver_bandwidth_hz), sinr_db)
+
+
+def fec_rate(rate_bps: float, sinr_db: float) -> float:
+    """Rate left after forward error correction: 10% less below 15.6 dB.
+
+    The de-rating covers every SINR under ``FEC_FREE_SINR_DB``, including an
+    admitted link a rounding tolerance below the 14 dB floor.
+    """
     if sinr_db < FEC_FREE_SINR_DB:
-        rate *= FEC_RATE_FACTOR
-    return rate
+        return rate_bps * FEC_RATE_FACTOR
+    return rate_bps
 
 
 # =====================================================================

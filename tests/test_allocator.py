@@ -251,6 +251,20 @@ def test_fec_derating_applied_between_14_and_15p6():
     assert any(14.0 <= db < 15.6 for db in sol.sinr_db.values())
 
 
+@pytest.mark.parametrize("scale", [1 - 5e-13, 10 ** 0.004])
+def test_fec_derating_covers_users_admitted_under_the_floor(scale):
+    # The solver admits gammas down to floor * (1 - 1e-12); a user admitted
+    # just under 14 dB is de-rated like one at 14.04 dB.
+    floor = 10.0 ** 1.4
+    p = AllocationProblem([0], [0], ["red"], signal_a2=[[[floor * scale]]],
+                          shot_a2=[[[0.0]]], rate_bps=[[1e9]], preamp_a2=1.0,
+                          sinr_floor=floor)
+    for sol in (solve_branch_and_bound(p), solve_exhaustive(p)):
+        assert (sol.sinr_db[0] < 14.0) == (scale < 1)
+        assert 14.0 - 1e-9 < sol.sinr_db[0] < 14.05
+        assert sol.rate_bps[0] == 1e9 * 0.9
+
+
 def test_infeasible_floor_names_constraint():
     p = _problem([[1e-8, 1e-8], [1e-8, 1e-8]])  # hopelessly weak signals
     for solve in (solve_exhaustive, solve_branch_and_bound):

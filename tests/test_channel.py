@@ -31,6 +31,7 @@ from owcfog.channel import (
     supported_data_rate,
     trace_impulse_response,
 )
+from owcfog.config import load_config, receiver_from_config, room_from_config
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 
 C = SPEED_OF_LIGHT_M_S
@@ -242,6 +243,47 @@ def test_trace_element_cap():
             trace_impulse_response(room, room.aps[0], rec, rxp, "red", 1)
 
 
+def _clear_tracer_caches():
+    for cached in (channel_mod._surface_mesh, channel_mod._ap_view,
+                   channel_mod._rx_view, channel_mod._cached_pair_chunks):
+        cached.cache_clear()
+
+
+def test_cached_views_equal_fresh_traces():
+    # The first AP hangs at 2 m, so it lights fewer elements than the
+    # ceiling APs traced after it at each position, and the pair geometry
+    # must be rebuilt for them; a per-wavelength map and a second room at
+    # the same positions need views of their own meshes.
+    flat = {"walls": 0.8, "ceiling": 0.8, "floor": 0.3}
+    per_wl = {wl: dict(flat) for wl in WAVELENGTHS}
+    per_wl["green"] = {"walls": 0.5, "ceiling": 0.0, "floor": 0.1}
+    rooms = [RoomConfig(element_edge_m=0.5, reflectivity=refl,
+                        grid_nx=4, grid_ny=2)
+             for refl in (per_wl, {"walls": 0.6, "ceiling": 0.7, "floor": 0.2})]
+    for room in rooms:
+        room.aps[0].position_m = (1.0, 1.0, 2.0)
+    rec = ReceiverSpec()
+    links = [(room, ap, (x, y, room.receiver_plane_m), wl)
+             for x, y in grid_positions(rooms[0])
+             for room in rooms
+             for ap in room.aps
+             for wl in ("red", "green")]
+
+    _clear_tracer_caches()
+    warm = [trace_impulse_response(room, ap, rec, rxp, wl, 2)
+            for room, ap, rxp, wl in links]
+    for cached in (channel_mod._ap_view, channel_mod._rx_view,
+                   channel_mod._cached_pair_chunks):
+        info = cached.cache_info()
+        assert info.hits > 0 and info.misses > 0
+
+    for (room, ap, rxp, wl), ir in zip(links, warm):
+        _clear_tracer_caches()
+        fresh = trace_impulse_response(room, ap, rec, rxp, wl, 2)
+        assert ir.powers_w.tobytes() == fresh.powers_w.tobytes()
+        assert ir.order_powers_w == fresh.order_powers_w
+
+
 @pytest.mark.slow
 def test_second_order_power_converges_when_halving_elements():
     # halving the mesh edge onto the default (0.2 m -> 0.1 m) moves the total
@@ -328,6 +370,70 @@ def test_bandwidth_echo_never_raises_bandwidth():
 def test_bandwidth_requires_power():
     with pytest.raises(InfeasibleError):
         bandwidth_3db(_ir([0.0, 0.0]))
+
+
+def _bandwidth_3db_full(ir, pad_factor=8, min_fft=16384):
+    """``bandwidth_3db`` written longhand over every bin of the spectrum."""
+    p = ir.powers_w
+    n = max(min_fft, 1 << (int(p.size * max(1, pad_factor)) - 1).bit_length())
+    mag = np.abs(np.fft.rfft(p, n=n))
+    mag /= mag[0]
+    freqs = np.fft.rfftfreq(n, d=ir.bin_width_s)
+    target = 1.0 / math.sqrt(2.0)
+    below = np.nonzero(mag < target)[0]
+    nyquist = 1.0 / (2.0 * ir.bin_width_s)
+    if below.size == 0:
+        return nyquist, None
+    k = int(below[0])
+    m0, m1 = mag[k - 1], mag[k]
+    f0, f1 = freqs[k - 1], freqs[k]
+    if m1 == m0:
+        return float(f1), k
+    f_cross = f0 + (m0 - target) / (m0 - m1) * (f1 - f0)
+    return float(min(f_cross, nyquist)), k
+
+
+def _decay_crossing_at(k_want):
+    """An exponential decay over 2,048 bins whose 3-dB crossing is bin k_want."""
+    lo, hi = 0.5, 1000.0        # decay constants (bins) above / below k_want
+    for _ in range(200):
+        tau = math.sqrt(lo * hi)
+        ir = _ir(np.exp(-np.arange(2048) / tau))
+        k = _bandwidth_3db_full(ir)[1]
+        if k == k_want:
+            return ir
+        lo, hi = (tau, hi) if k > k_want else (lo, tau)
+    raise AssertionError(f"no decay crosses at bin {k_want}")
+
+
+def test_bandwidth_crossing_matches_full_spectrum_on_synthetic_responses():
+    block = channel_mod._FFT_BLOCK
+    cases = [(_decay_crossing_at(k), {}, k)
+             for k in (block - 1, block, block + 1, 2 * block, 3000)]
+    # a boxcar filling its transform is zero at every bin but the first
+    cases.append((_ir(np.ones(1024)), {"pad_factor": 1, "min_fft": 1024}, 1))
+    cases.append((_ir([0, 0, 3e-6]), {}, None))     # flat |H|: Nyquist
+    for ir, kw, k_want in cases:
+        want, k = _bandwidth_3db_full(ir, **kw)
+        assert k == k_want
+        assert bandwidth_3db(ir, **kw) == want
+
+
+def test_bandwidth_crossing_matches_full_spectrum_on_default_grid():
+    cfg = load_config()
+    room, rec = room_from_config(cfg), receiver_from_config(cfg)
+    crossings = set()
+    for x, y in grid_positions(room):
+        for ap in room.aps:
+            unit = AccessPoint(ap.ap_id, ap.position_m,
+                               ap.half_power_semiangle_deg, {"red": 1.0})
+            ir = trace_impulse_response(room, unit, rec,
+                                        (x, y, room.receiver_plane_m), "red")
+            want, k = _bandwidth_3db_full(ir)
+            assert bandwidth_3db(ir) == want
+            crossings.add(k)
+    assert len(grid_positions(room)) * len(room.aps) == 1024
+    assert None in crossings and len(crossings) > 2
 
 
 @given(st.floats(min_value=1e-9, max_value=1e3))
