@@ -20,10 +20,11 @@ Work that does not depend on the whole link is shared between links:
       lit sources (``_ap_view``);
     - per receiver position, each element's gain and delay toward the
       detector, and the visible sinks (``_rx_view``);
-    - per (mesh, sources, sinks) set, the element-pair transfer and delay of
-      the second bounce (``_cached_pair_chunks``), reused by the next AP
-      that lights the same sources; on the default room every AP lights the
-      same 416 elements.
+    - per (mesh geometry, sources, sinks) set, the element-pair transfer and
+      delay of the second bounce (``_cached_pair_chunks``), reused by the
+      next trace that pairs the same elements, whatever its AP or
+      reflectivity map; on the default room every AP lights the same 416
+      elements.
 Each view is keyed on the mesh it was built from and computed by the
 expressions a lone trace would use, and the per-AP weighting, time index
 and ``bincount`` order of the second bounce are unchanged, so every trace
@@ -255,10 +256,10 @@ def los_gain(ap: AccessPoint, receiver: ReceiverSpec,
 # Surface discretization
 # =====================================================================
 
-def _face_grid(c0, c1, u_len, v_len, make_point, normal, rho):
+def _face_grid(c0, c1, u_len, v_len, make_point, normal):
     """Mesh one rectangular face into <= edge-sized cells.
 
-    Returns (centers, normals, areas, rhos) arrays for the face.
+    Returns (centers, normals, areas) arrays for the face.
     """
     nu = max(1, math.ceil(u_len / c0))
     nv = max(1, math.ceil(v_len / c1))
@@ -270,8 +271,7 @@ def _face_grid(c0, c1, u_len, v_len, make_point, normal, rho):
     n = pts.shape[0]
     normals = np.tile(np.asarray(normal, dtype=float), (n, 1))
     areas = np.full(n, du * dv)
-    rhos = np.full(n, rho)
-    return pts, normals, areas, rhos
+    return pts, normals, areas
 
 
 def surface_elements(room: RoomConfig, wavelength: str):
@@ -296,39 +296,57 @@ def _mesh_key(room: RoomConfig, wavelength: str) -> Tuple:
             refl["walls"], refl["ceiling"], refl["floor"], room.max_elements)
 
 
-# typed: an int 0 reflectivity builds an int rho array, unlike 0.0
-@functools.lru_cache(maxsize=4, typed=True)
-def _surface_mesh(L, W, H, e, rho_walls, rho_ceiling, rho_floor, max_elements):
+def _geometry_key(key: Tuple) -> Tuple:
+    """The arguments of ``_mesh_geometry`` within a mesh key."""
+    L, W, H, e, _, _, _, max_elements = key
+    return L, W, H, e, max_elements
+
+
+@functools.lru_cache(maxsize=1)
+def _mesh_geometry(L, W, H, e, max_elements):
+    """Element centers, normals and areas of the six faces, which no
+    reflectivity changes, and the element count of each face (floor,
+    ceiling, then the four walls)."""
     faces = []
 
-    def face(u_len, v_len, maker, normal, rho):
-        faces.append(_face_grid(e, e, u_len, v_len, maker, normal, rho))
+    def face(u_len, v_len, maker, normal):
+        faces.append(_face_grid(e, e, u_len, v_len, maker, normal))
 
     # Floor (z=0, normal up) and ceiling (z=H, normal down).
     face(L, W, lambda u, v: np.column_stack([u, v, np.zeros_like(u)]),
-         (0, 0, 1), rho_floor)
+         (0, 0, 1))
     face(L, W, lambda u, v: np.column_stack([u, v, np.full_like(u, H)]),
-         (0, 0, -1), rho_ceiling)
+         (0, 0, -1))
     # Four walls.
     face(L, H, lambda u, v: np.column_stack([u, np.zeros_like(u), v]),
-         (0, 1, 0), rho_walls)
+         (0, 1, 0))
     face(L, H, lambda u, v: np.column_stack([u, np.full_like(u, W), v]),
-         (0, -1, 0), rho_walls)
+         (0, -1, 0))
     face(W, H, lambda u, v: np.column_stack([np.zeros_like(u), u, v]),
-         (1, 0, 0), rho_walls)
+         (1, 0, 0))
     face(W, H, lambda u, v: np.column_stack([np.full_like(u, L), u, v]),
-         (-1, 0, 0), rho_walls)
+         (-1, 0, 0))
 
     centers = np.vstack([f[0] for f in faces])
     normals = np.vstack([f[1] for f in faces])
     areas = np.concatenate([f[2] for f in faces])
-    rhos = np.concatenate([f[3] for f in faces])
     if centers.shape[0] > max_elements:
         raise ResourceLimitError(
             f"{centers.shape[0]} surface elements exceed cap {max_elements}; "
             f"raise max_elements or coarsen element_edge_m"
         )
-    return _read_only(centers, normals, areas, rhos)
+    return _read_only(centers, normals, areas) + (
+        tuple(f[2].size for f in faces),)
+
+
+# typed: an int 0 reflectivity builds an int rho array, unlike 0.0
+@functools.lru_cache(maxsize=4, typed=True)
+def _surface_mesh(L, W, H, e, rho_walls, rho_ceiling, rho_floor, max_elements):
+    centers, normals, areas, counts = _mesh_geometry(L, W, H, e, max_elements)
+    face_rhos = (rho_floor, rho_ceiling) + (rho_walls,) * 4
+    rhos = np.concatenate([np.full(k, rho)
+                           for k, rho in zip(counts, face_rhos)])
+    return (centers, normals, areas) + _read_only(rhos)
 
 
 def _read_only(*arrays):
@@ -483,8 +501,8 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
         # ---- second order -------------------------------------------
         if max_order >= 2:
             order_powers[2] = _second_order_pass(
-                hist, room.time_bin_s, key, src_power, src_idx, t_elem,
-                sinks, sink_gain, sink_t)
+                hist, room.time_bin_s, _geometry_key(key), src_power,
+                src_idx, t_elem, sinks, sink_gain, sink_t)
 
     return ImpulseResponse(room.time_bin_s, _trim(hist), order_powers)
 
@@ -503,8 +521,8 @@ def _trim(hist: np.ndarray) -> np.ndarray:
     return hist[: nz[-1] + 1].copy()
 
 
-def _second_order_pass(hist, bin_width_s, key, src_power, src_idx, t_elem,
-                       sinks, sink_gain, sink_t) -> float:
+def _second_order_pass(hist, bin_width_s, geometry, src_power, src_idx,
+                       t_elem, sinks, sink_gain, sink_t) -> float:
     """Accumulate AP->i->j->receiver contributions into ``hist``.
 
     Sources i are the elements lit by the AP (``src_idx``); sinks j are the
@@ -513,16 +531,18 @@ def _second_order_pass(hist, bin_width_s, key, src_power, src_idx, t_elem,
     every i, so it never adds to the response, and dropping those columns
     keeps the live pairs in row-major order, so each ``bincount`` sees the
     same weights in the same order. Chunked over sources (see
-    ``_CHUNK_TARGET``); the pair geometry of one (mesh, sources, sinks) set
-    is kept for the next AP when it fits in one chunk's worth of pairs.
+    ``_CHUNK_TARGET``); the pair geometry of one (mesh geometry, sources,
+    sinks) set is kept for the next trace, whatever its AP or reflectivity
+    map, when it fits in one chunk's worth of pairs.
     Returns the total second-order power added.
     """
     if src_idx.size == 0 or sinks.size == 0:
         return 0.0
     if src_idx.size * sinks.size <= _CHUNK_TARGET:
-        chunks = _cached_pair_chunks(key, src_idx.tobytes(), sinks.tobytes())
+        chunks = _cached_pair_chunks(geometry, src_idx.tobytes(),
+                                     sinks.tobytes())
     else:
-        chunks = _pair_chunks(_surface_mesh(*key), src_idx, sinks)
+        chunks = _pair_chunks(_mesh_geometry(*geometry), src_idx, sinks)
     nbins = hist.size
     inv_bin = 1.0 / bin_width_s
     total = 0.0
@@ -563,11 +583,11 @@ def _pair_chunks(mesh, src_idx, sinks):
 # One entry of at most _CHUNK_TARGET pairs: one 0.1 m trace pairs 10,400
 # sources with 898 sinks, and its two pair arrays would hold 150 MB.
 @functools.lru_cache(maxsize=1)
-def _cached_pair_chunks(key, src_bytes, sink_bytes):
+def _cached_pair_chunks(geometry, src_bytes, sink_bytes):
     src_idx = np.frombuffer(src_bytes, dtype=np.intp)
     sinks = np.frombuffer(sink_bytes, dtype=np.intp)
-    return tuple(_read_only(*chunk)
-                 for chunk in _pair_chunks(_surface_mesh(*key), src_idx, sinks))
+    return tuple(_read_only(*chunk) for chunk in
+                 _pair_chunks(_mesh_geometry(*geometry), src_idx, sinks))
 
 
 # =====================================================================

@@ -20,6 +20,7 @@ the same assignment on the same instance.
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -192,10 +193,40 @@ def _prepare(problem: PlacementProblem) -> _Prepared:
                      [t.flow_mbps for t in tasks])
 
 
+def _worst_cost(prep: _Prepared) -> float:
+    """M: every task on its dearest eligible node, and at least 1 W.
+
+    No placement costs more, so M scales both the tie tolerance and the
+    rounding slack.
+    """
+    return max(1.0, sum(max(c for c, ok in zip(row, okrow) if ok)
+                        for row, okrow in zip(prep.cost, prep.eligible)))
+
+
 def _tie_tolerance(prep: _Prepared) -> float:
-    worst = sum(max(c for c, ok in zip(row, okrow) if ok)
-                for row, okrow in zip(prep.cost, prep.eligible))
-    return _TIE_REL * max(1.0, worst)
+    return _TIE_REL * _worst_cost(prep)
+
+
+def _rounding_slack(prep: _Prepared) -> float:
+    """s: the most a computed fill bound may exceed a computed leaf below it.
+
+    Costs are >= 0, so a float sum of k of them is within gamma(k - 1) of
+    its exact value, gamma(k) = k*u / (1 - k*u) with u the unit roundoff
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 4.2).
+    A leaf sums n costs; a bound ``cost_so_far + tail`` gives each of its
+    terms at most n roundings (a fill term is also rounded as ``take * c``).
+    With the exact bound at most the exact leaf, and both at most the worst
+    placement cost M (itself a rounded sum, at most M * (1 + gamma(n))):
+
+        bound - leaf <= (gamma(n) + gamma(n - 1)) * M * (1 + gamma(n))
+                     <= 2 * gamma(2n) * M.
+
+    ``s = 2 * gamma(2n + 2) * M`` adds at least 4u * M on top: room for the
+    three roundings of threshold sums (each under 1.01u * M) that the
+    cutoff argument in ``solve_branch_and_bound`` also needs.
+    """
+    k = (2 * len(prep.cost) + 2) * (sys.float_info.epsilon / 2)
+    return 2 * k / (1 - k) * _worst_cost(prep)
 
 
 # =====================================================================
@@ -309,23 +340,69 @@ def solve_branch_and_bound(problem: PlacementProblem,
     (ties broken toward the room server, then mobiles).  Identical tasks
     from the same source are forced into non-decreasing preference order,
     which removes their permutations from the tree without losing the
-    canonical optimum.
+    canonical optimum.  A leaf replaces the incumbent only when it is
+    cheaper by more than ``tol`` (``_tie_tolerance``), and a node is pruned
+    when its bound reaches the incumbent less ``tol``.
 
     A node's bound is the cheapest-node suffix sum, raised to a greedy fill
     bound once the remaining tasks share one (workload, flow): it drops the
     self-exclusion and fills nodes cheapest first, so it never exceeds the
     true completion cost, and a fill that cannot host every task is a dead
-    end.  The fill order is sorted once per solve.  The root's bound is
+    end.  The fill order is sorted once per solve.  The root's bound LB is
     reported as ``stats["root_bound"]``; a dead end there means no
-    placement exists.  A node that finds the time limit expired returns at
-    once and its parent stops branching, so ``nodes`` counts only the nodes
-    searched.
+    placement exists.
+
+    **Cutoff probe.**  The search first runs as a probe: at the root it
+    takes a virtual incumbent ``LB + 3 tol`` with no assignment, so the
+    same prune and accept rules cut every node whose bound reaches
+    ``LB + 2 tol`` and accept the first leaf X below it, where the probe
+    stops.  X is the answer when ``X < LB + tol - 2s``, with ``s`` from
+    ``_rounding_slack``; otherwise (no leaf, or X in the band
+    ``[LB + tol - 2s, LB + 2 tol)``) the search runs again from the root
+    with no incumbent.  Both passes share the DFS order, the symmetry rule,
+    the capacity checks and the dead-end cuts, so they walk the same tree.
+
+    Why X is the leaf the incumbent chain alone ends on, ties included.
+    ``B`` is a node's computed bound, ``v(L)`` a leaf's computed value, and
+    ``e <= u (LB + 3 tol) < 1.01u M`` the rounding of one threshold sum.
+    The premise (the tests check it, up to s, at random partial states) is
+    ``B <= v(L) + G`` for every leaf L below the node, with
+    ``G <= 2 gamma(2n) M`` and so ``s - G >= 4u M >= 3e``.
+
+    1. The probe compares against ``T = (LB + 3 tol) - tol``, so
+       ``T >= LB + 2 tol - 2e``.  A leaf L before X in DFS order was either
+       rejected (``v(L) >= T``) or lies below a node pruned with
+       ``B >= T``; either way ``v(L) >= T - G``.
+    2. Without the probe, the incumbent I held when the search reaches X's
+       ancestors is such a leaf (or none), so its threshold is
+       ``v(I) - tol >= LB + tol - G - 3e``.
+    3. The settle line ``(LB + tol) - 2s`` rounds twice, so an ancestor of
+       X has ``B <= v(X) + G < LB + tol - 2s + 2e + G``, which is below
+       that threshold since ``2s >= 2G + 5e``: no ancestor is pruned, and
+       ``v(X)`` itself is below it, so X is accepted.
+    4. A later leaf Y replaces X only if ``v(Y) < (v(X) - tol) + e <
+       LB - 2s + 3e <= LB - G``, but every leaf has ``v(Y) >= LB - G`` by
+       the premise at the root.  So X is the last incumbent.
+
+    The probe thus returns the incumbent chain's answer.  With a cutoff at
+    ``LB + tol`` step 2 fails, with a settle line at ``LB + 2 tol`` step 4
+    fails, and without s steps 3 and 4 leave no room for rounding.
+
+    ``nodes``, ``leaves``, ``bound_prunes`` and ``relax_dead_ends`` count
+    both passes; ``cutoff_nodes`` is the probe's share and
+    ``cutoff_settled`` says whether it settled the solve.  A node that
+    finds the time limit expired returns at once and its parent stops
+    branching, so ``nodes`` counts only the nodes searched.  On a timeout
+    the incumbent is the cheaper of the probe's band leaf and the second
+    pass's incumbent, and ``gap`` is measured against ``LB - s``, which is
+    at most the optimum.
     """
     t0 = time.monotonic()
     prep = _prepare(problem)
     n = len(problem.tasks)
     n_nodes = len(prep.node_ids)
     tol = _tie_tolerance(prep)
+    slack = _rounding_slack(prep)
     cheap = _cheapest_suffix(prep)
     uniform = _uniform_suffix(prep)
     order = _fill_order(prep, uniform.index(True))
@@ -338,23 +415,25 @@ def solve_branch_and_bound(problem: PlacementProblem,
     best_asg: Optional[List[int]] = None
     nodes = leaves = bound_prunes = relax_dead_ends = 0
     deadline = None if time_limit_s is None else t0 + time_limit_s
-    timed_out = False
+    timed_out = stop = False
+    probing = True
     floor = math.floor
     root_bound: Optional[float] = None
 
     def descend(depth: int, cost_so_far: float) -> None:
         nonlocal nodes, leaves, bound_prunes, relax_dead_ends, timed_out
-        nonlocal best_obj, best_asg, root_bound
+        nonlocal best_obj, best_asg, root_bound, stop
         nodes += 1
         if deadline is not None and nodes % 256 == 0 \
                 and time.monotonic() > deadline:
-            timed_out = True
+            timed_out = stop = True
             return
         if depth == n:
             leaves += 1
             if best_obj is None or cost_so_far < best_obj - tol:
                 best_obj = cost_so_far
                 best_asg = list(assignment)
+                stop = probing
             return
         w, f = task_w[depth], task_f[depth]
         tail = cheap[depth]
@@ -384,6 +463,8 @@ def solve_branch_and_bound(problem: PlacementProblem,
                 tail = total
         if depth == 0:
             root_bound = tail
+            if probing:
+                best_obj = tail + 3 * tol
         if best_obj is not None and cost_so_far + tail >= best_obj - tol:
             bound_prunes += 1
             return
@@ -401,10 +482,21 @@ def solve_branch_and_bound(problem: PlacementProblem,
             descend(depth + 1, cost_so_far + cost_row[j])
             rem_mips[j] += w
             rem_mbps[j] += f
-            if timed_out:
+            if stop:
                 break
 
     descend(0, 0.0)
+    cutoff_nodes = nodes
+    settled = best_asg is not None \
+        and best_obj < root_bound + tol - 2 * slack
+    band_obj, band_asg = best_obj, best_asg
+    if not settled and not timed_out and root_bound is not None:
+        probing = stop = False
+        best_obj = best_asg = None
+        descend(0, 0.0)
+        if timed_out and band_asg is not None \
+                and (best_asg is None or band_obj < best_obj):
+            best_obj, best_asg = band_obj, band_asg
     elapsed = time.monotonic() - t0
 
     if best_asg is None:
@@ -425,13 +517,15 @@ def solve_branch_and_bound(problem: PlacementProblem,
                     "relaxation_bound_w": root_bound})
     gap = 0.0
     if timed_out:
-        gap = max(0.0, (best_obj - root_bound) / max(1.0, best_obj))
+        gap = max(0.0, (best_obj - (root_bound - slack)) / max(1.0, best_obj))
     stats = {
         "method": "branch_and_bound",
         "nodes": nodes,
         "leaves": leaves,
         "bound_prunes": bound_prunes,
         "relax_dead_ends": relax_dead_ends,
+        "cutoff_nodes": cutoff_nodes,
+        "cutoff_settled": settled,
         "root_bound": root_bound,
         "gap": gap,
         "complete": not timed_out,

@@ -244,8 +244,9 @@ def test_trace_element_cap():
 
 
 def _clear_tracer_caches():
-    for cached in (channel_mod._surface_mesh, channel_mod._ap_view,
-                   channel_mod._rx_view, channel_mod._cached_pair_chunks):
+    for cached in (channel_mod._mesh_geometry, channel_mod._surface_mesh,
+                   channel_mod._ap_view, channel_mod._rx_view,
+                   channel_mod._cached_pair_chunks):
         cached.cache_clear()
 
 
@@ -253,13 +254,18 @@ def test_cached_views_equal_fresh_traces():
     # The first AP hangs at 2 m, so it lights fewer elements than the
     # ceiling APs traced after it at each position, and the pair geometry
     # must be rebuilt for them; a per-wavelength map and a second room at
-    # the same positions need views of their own meshes.
+    # the same positions need views of their own meshes. A green ceiling
+    # with zero reflectivity drops ceiling sinks, so green pairs other
+    # elements than red; the third room's two maps pair the same ones.
     flat = {"walls": 0.8, "ceiling": 0.8, "floor": 0.3}
     per_wl = {wl: dict(flat) for wl in WAVELENGTHS}
     per_wl["green"] = {"walls": 0.5, "ceiling": 0.0, "floor": 0.1}
+    two_maps = {wl: dict(flat) for wl in WAVELENGTHS}
+    two_maps["red"] = {"walls": 0.7, "ceiling": 0.6, "floor": 0.25}
     rooms = [RoomConfig(element_edge_m=0.5, reflectivity=refl,
                         grid_nx=4, grid_ny=2)
-             for refl in (per_wl, {"walls": 0.6, "ceiling": 0.7, "floor": 0.2})]
+             for refl in (per_wl, {"walls": 0.6, "ceiling": 0.7, "floor": 0.2},
+                          two_maps)]
     for room in rooms:
         room.aps[0].position_m = (1.0, 1.0, 2.0)
     rec = ReceiverSpec()
@@ -276,6 +282,15 @@ def test_cached_views_equal_fresh_traces():
                    channel_mod._cached_pair_chunks):
         info = cached.cache_info()
         assert info.hits > 0 and info.misses > 0
+
+    # the pair geometry does not depend on reflectivity: per position, only
+    # the 2 m AP and the first ceiling AP miss, and both maps reuse them
+    _clear_tracer_caches()
+    for room, ap, rxp, wl in links:
+        if room is rooms[2]:
+            trace_impulse_response(room, ap, rec, rxp, wl, 2)
+    info = channel_mod._cached_pair_chunks.cache_info()
+    assert info.hits >= 7 * info.misses > 0
 
     for (room, ap, rxp, wl), ir in zip(links, warm):
         _clear_tracer_caches()

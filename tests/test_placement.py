@@ -5,6 +5,8 @@ cost(task, node) = W * E_node + F * Psi_node, e.g. a 1000 MIPS task with a
 2 Mbit/s flow on the central cloud costs 1000*0.000796 + 2*0.128 = 1.052 W.
 """
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -15,6 +17,13 @@ from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.placement import (
     PlacementProblem,
     TaskDemand,
+    _cheapest_suffix,
+    _fill_order,
+    _finish,
+    _prepare,
+    _rounding_slack,
+    _tie_tolerance,
+    _uniform_suffix,
     demands_from_drr,
     solve_branch_and_bound,
     sweep,
@@ -298,7 +307,10 @@ def test_relaxation_dead_ends_reported():
         TaskDemand(k, "mobile_0", 800.0, 1.0) for k in (1, 2, 3)]
     p = PlacementProblem(TopologyConfig(nodes, routes), tasks)
     bb = solve_branch_and_bound(p)
-    assert bb.stats["relax_dead_ends"] == 1
+    # the cutoff probe finds no leaf here, so the search after it meets
+    # the same dead end again: once per pass
+    assert not bb.stats["cutoff_settled"]
+    assert bb.stats["relax_dead_ends"] == 2
     assert bb.assignment == solve_exhaustive(p).assignment
     assert bb.assignment[0] == "buildfog"
 
@@ -342,9 +354,10 @@ def test_time_limited_solve_reports_gap(topo):
 
 def test_expired_time_limit_stops_at_first_check(topo):
     # a zero budget expires at the first clock check (node 256), so the
-    # count and the incumbent are the same on every machine
-    tasks = demands_from_drr(200.0, 0.002, 50)
-    problem = PlacementProblem(topo, tasks)
+    # count and the incumbent are the same on every machine; the cutoff
+    # probe stops at a near-tie in 131 nodes and falls back, so the check
+    # comes in the search after it
+    problem = _near_tie_cell(topo, 300.0, (1.5, 1.5))
     sol = solve_branch_and_bound(problem, time_limit_s=0.0)
     assert sol.stats["complete"] is False
     assert sol.stats["nodes"] == 256
@@ -356,6 +369,29 @@ def test_expired_time_limit_stops_at_first_check(topo):
     assert full.objective_w <= sol.objective_w
     assert (sol.objective_w - full.objective_w) / sol.objective_w \
         <= sol.stats["gap"] + 1e-12
+
+
+def test_expired_time_limit_gap_needs_no_slack(topo):
+    # the root bound sits above this cell's optimum by rounding, so a gap
+    # measured against the bound itself understates the true gap
+    problem = _near_tie_cell(topo, 300.0, (1.5, 1.5))
+    sol = solve_branch_and_bound(problem, time_limit_s=0.0)
+    full = solve_branch_and_bound(problem)
+    assert not sol.stats["complete"]
+    assert full.stats["root_bound"] > full.objective_w
+    assert (sol.objective_w - full.objective_w) / sol.objective_w \
+        <= sol.stats["gap"]
+
+
+def test_zero_budget_settles_tight_cell_before_first_check(topo):
+    # the cutoff probe proves this drr = 0.002 cell in fewer than 256
+    # nodes, so a zero budget never reaches a clock check
+    problem = PlacementProblem(topo, demands_from_drr(200.0, 0.002, 50))
+    sol = solve_branch_and_bound(problem, time_limit_s=0.0)
+    assert sol.stats["complete"] is True
+    assert sol.stats["cutoff_settled"] is True
+    assert sol.stats["nodes"] < 256
+    assert sol.assignment == solve_branch_and_bound(problem).assignment
 
 
 # search-tree size of three default sweep cells (50 tasks): a tighter bound
@@ -384,6 +420,235 @@ def test_root_fill_bound_is_admissible_on_tight_sweep_cells(topo):
         tasks = demands_from_drr(w, 0.002, 50, sources)
         sol = solve_branch_and_bound(PlacementProblem(topo, tasks))
         assert sol.stats["root_bound"] <= sol.objective_w * (1 + 1e-12)
+
+
+# =====================================================================
+# cutoff probe against the incumbent chain
+# =====================================================================
+
+def _incumbent_chain(problem):
+    """The search without its cutoff probe, written out longhand: one DFS
+    from the root with no incumbent, where a leaf replaces the incumbent
+    only when cheaper by more than the tie tolerance.  The solver must end
+    on the same leaf, ties included."""
+    prep = _prepare(problem)
+    n, n_nodes = len(problem.tasks), len(prep.node_ids)
+    tol = _tie_tolerance(prep)
+    cheap = _cheapest_suffix(prep)
+    uniform = _uniform_suffix(prep)
+    order = _fill_order(prep, uniform.index(True))
+    rem_mips = list(prep.node_cap_mips)
+    rem_mbps = list(prep.route_cap_mbps)
+    assignment = [0] * n
+    best = {"obj": None, "asg": None}
+
+    def descend(depth, cost_so_far):
+        if depth == n:
+            if best["obj"] is None or cost_so_far < best["obj"] - tol:
+                best["obj"], best["asg"] = cost_so_far, list(assignment)
+            return
+        w, f = prep.task_w[depth], prep.task_f[depth]
+        tail = cheap[depth]
+        if uniform[depth]:
+            need = n - depth
+            total = 0.0
+            for c, j in order:
+                if need == 0:
+                    break
+                take = math.floor(rem_mips[j] / w + 1e-9)
+                if f > 0:
+                    take = min(take, math.floor(rem_mbps[j] / f + 1e-9))
+                take = min(need, max(0, take))
+                total += take * c
+                need -= take
+            if need > 0:
+                return
+            tail = max(total, tail)
+        if best["obj"] is not None \
+                and cost_so_far + tail >= best["obj"] - tol:
+            return
+        prev = prep.group_prev[depth]
+        for j in range(assignment[prev] if prev is not None else 0,
+                       n_nodes):
+            if not prep.eligible[depth][j]:
+                continue
+            if w > rem_mips[j] + 1e-9 or f > rem_mbps[j] + 1e-9:
+                continue
+            assignment[depth] = j
+            rem_mips[j] -= w
+            rem_mbps[j] -= f
+            descend(depth + 1, cost_so_far + prep.cost[depth][j])
+            rem_mips[j] += w
+            rem_mbps[j] += f
+
+    descend(0, 0.0)
+    if best["asg"] is None:
+        raise InfeasibleError("no placement", report={})
+    return _finish(problem, prep, best["asg"], {})
+
+
+def _assert_probe_matches_chain(problem):
+    """Solve both ways; an infeasible instance must be infeasible to both.
+    Returns the solver's stats, or None when infeasible."""
+    try:
+        ref = _incumbent_chain(problem)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solve_branch_and_bound(problem)
+        return None
+    bb = solve_branch_and_bound(problem)
+    assert bb.assignment == ref.assignment
+    assert bb.objective_w.hex() == ref.objective_w.hex()
+    return bb.stats
+
+
+def _near_tie_cell(topo, workload, offsets):
+    """A drr = 0.002 cell of 50 tasks whose optimum is all-cloud, with
+    campfog, then metrofog, cut to one task and priced ``offsets[k]`` tie
+    tolerances above the cloud for it.  Which of these near-ties the
+    incumbent chain keeps depends on the order it meets them."""
+    tasks = demands_from_drr(workload, 0.002, 50)
+    base = PlacementProblem(topo, tasks)
+    tol = _tie_tolerance(_prepare(base))
+    cloud = base.cost(tasks[0], "ccloud")
+    nodes = list(topo.nodes)
+    ids = [node.node_id for node in nodes]
+    for node_id, k in zip(("campfog", "metrofog"), offsets):
+        psi = topo.route_to(node_id).efficiency_w_per_mbps
+        eff = (cloud + k * tol - tasks[0].flow_mbps * psi) / workload
+        nodes[ids.index(node_id)] = dataclasses.replace(
+            nodes[ids.index(node_id)], capacity_mips=workload,
+            efficiency_w_per_mips=eff)
+    problem = PlacementProblem(TopologyConfig(tuple(nodes), topo.routes),
+                               tasks)
+    assert _tie_tolerance(_prepare(problem)) == tol
+    return problem
+
+
+def _uniform_family(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = _rand_topo(rng, rng.randint(1, 4), rng.randint(1, 5))
+        srcs = [m.node_id for m in t.mobiles()]
+        w = rng.choice([300, 700, 1400])
+        f = rng.choice([0, 60, 400, 900])
+        yield PlacementProblem(t, [TaskDemand(k, srcs[k % len(srcs)], w, f)
+                                   for k in range(rng.randint(5, 14))])
+
+
+def _mixed_family(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = _rand_topo(rng, rng.randint(1, 4), rng.randint(1, 5))
+        srcs = [m.node_id for m in t.mobiles()]
+        yield PlacementProblem(t, [
+            TaskDemand(k, rng.choice(srcs), rng.choice([300, 700, 1400]),
+                       rng.choice([0, 60, 400, 900]))
+            for k in range(rng.randint(2, 9))])
+
+
+def test_cutoff_probe_matches_incumbent_chain_on_sweep_cells(topo):
+    sweep_cfg = load_config()["sweep"]
+    sources = [m.node_id for m in topo.mobiles()]
+    nodes = 0
+    for drr in sweep_cfg["drr"]:
+        for w in sweep_cfg["workload_mips"]:
+            stats = _assert_probe_matches_chain(PlacementProblem(
+                topo, demands_from_drr(w, drr, 50, sources)))
+            assert stats["cutoff_nodes"] <= stats["nodes"]
+            nodes += stats["nodes"]
+    assert nodes < 10_000
+
+
+@pytest.mark.parametrize("family", [_uniform_family, _mixed_family])
+def test_cutoff_probe_matches_incumbent_chain_on_random_families(family):
+    outcomes = []
+    for problem in family(21, 300):
+        stats = _assert_probe_matches_chain(problem)
+        if stats is not None:
+            outcomes.append(stats["cutoff_settled"])
+    assert len(outcomes) >= 200
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_cutoff_probe_matches_incumbent_chain_on_near_ties(topo):
+    # first-leaf offsets of 1 to 2 tie tolerances above the root bound
+    # stop the probe inside its band, where only the full search can tell
+    # which near-tie the chain keeps
+    settled = []
+    for w in (200.0, 1500.0):
+        for offsets in [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5),
+                        (2.5, 1.5), (2.5, 2.5)]:
+            stats = _assert_probe_matches_chain(_near_tie_cell(topo, w,
+                                                               offsets))
+            settled.append(stats["cutoff_settled"])
+    assert any(settled) and not all(settled)
+
+
+def test_cutoff_probe_keeps_its_rounding_margin(topo):
+    # a first leaf 1.5 s under LB + tol is not clear of the incumbent
+    # chain's rounding, so the probe must fall back rather than settle
+    probe = _near_tie_cell(topo, 700.0, (1.0,))
+    prep = _prepare(probe)
+    ratio = _rounding_slack(prep) / _tie_tolerance(prep)
+    stats = _assert_probe_matches_chain(
+        _near_tie_cell(topo, 700.0, (1.0 - 1.5 * ratio,)))
+    assert stats["cutoff_settled"] is False
+
+
+def test_fill_bound_holds_at_partial_states():
+    # The probe's exactness rests on every node's bound being at most the
+    # cheapest completion below it, up to the rounding slack s.  Place a
+    # random prefix of tasks, then solve what is left (the remaining tasks
+    # on the remaining capacities, own-source rule kept) both ways: the
+    # root bound of that problem is at least the fill bound the search
+    # computes at the same state, and the oracle gives the completion.
+    rng = random.Random(17)
+    checked = dead = 0
+    while checked < 60:
+        t = _rand_topo(rng, rng.randint(1, 3), rng.randint(1, 3))
+        srcs = [m.node_id for m in t.mobiles()]
+        w = rng.choice([300, 700, 1400])
+        f = rng.choice([0, 60, 400, 900])
+        tasks = [TaskDemand(k, srcs[k % len(srcs)], w, f)
+                 for k in range(rng.randint(4, 7))]
+        try:
+            full = PlacementProblem(t, tasks)
+            slack = _rounding_slack(_prepare(full))
+        except InfeasibleError:
+            continue
+        rem_mips = {n.node_id: n.capacity_mips for n in t.nodes}
+        rem_mbps = {r.destination: r.capacity_mbps for r in t.routes}
+        depth = rng.randint(1, len(tasks) - 1)
+        for task in tasks[:depth]:
+            fits = [n for n in rem_mips if n != task.source
+                    and w <= rem_mips[n] + 1e-9 and f <= rem_mbps[n] + 1e-9]
+            if not fits:
+                break
+            node = rng.choice(fits)
+            rem_mips[node] -= w
+            rem_mbps[node] -= f
+        else:
+            # a full node keeps a sliver of capacity that fits no task
+            nodes = tuple(dataclasses.replace(
+                n, capacity_mips=max(rem_mips[n.node_id], 1e-6))
+                for n in t.nodes)
+            routes = tuple(dataclasses.replace(
+                r, capacity_mbps=max(rem_mbps[r.destination], 1e-6))
+                for r in t.routes)
+            rest = PlacementProblem(TopologyConfig(nodes, routes),
+                                    tasks[depth:])
+            try:
+                oracle = solve_exhaustive(rest)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_branch_and_bound(rest)
+                dead += 1
+                continue
+            bound = solve_branch_and_bound(rest).stats["root_bound"]
+            assert bound <= oracle.objective_w + slack
+            checked += 1
+    assert dead >= 1
 
 
 # =====================================================================
