@@ -139,6 +139,9 @@ class _Prepared:
     group_prev: List[Optional[int]]  # index of previous identical task
     task_w: List[float]
     task_f: List[float]
+    # M: every task on its dearest eligible node, and at least 1 W; no
+    # placement costs more, so M scales the tie tolerance and rounding slack
+    worst_w: float
 
 
 def _prepare(problem: PlacementProblem) -> _Prepared:
@@ -188,23 +191,15 @@ def _prepare(problem: PlacementProblem) -> _Prepared:
         sig = (t.workload_mips, t.flow_mbps, t.source)
         group_prev.append(last_of_group.get(sig))
         last_of_group[sig] = i
+    worst = sum(max(c for c, ok in zip(row, okrow) if ok)
+                for row, okrow in zip(cost, eligible))
     return _Prepared(node_ids, caps, links, cost, eligible, group_prev,
                      [t.workload_mips for t in tasks],
-                     [t.flow_mbps for t in tasks])
-
-
-def _worst_cost(prep: _Prepared) -> float:
-    """M: every task on its dearest eligible node, and at least 1 W.
-
-    No placement costs more, so M scales both the tie tolerance and the
-    rounding slack.
-    """
-    return max(1.0, sum(max(c for c, ok in zip(row, okrow) if ok)
-                        for row, okrow in zip(prep.cost, prep.eligible)))
+                     [t.flow_mbps for t in tasks], max(1.0, worst))
 
 
 def _tie_tolerance(prep: _Prepared) -> float:
-    return _TIE_REL * _worst_cost(prep)
+    return _TIE_REL * prep.worst_w
 
 
 def _rounding_slack(prep: _Prepared) -> float:
@@ -215,8 +210,9 @@ def _rounding_slack(prep: _Prepared) -> float:
     (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 4.2).
     A leaf sums n costs; a bound ``cost_so_far + tail`` gives each of its
     terms at most n roundings (a fill term is also rounded as ``take * c``).
-    With the exact bound at most the exact leaf, and both at most the worst
-    placement cost M (itself a rounded sum, at most M * (1 + gamma(n))):
+    The exact bound is at most the exact leaf, and both are at most the
+    exact worst placement cost, itself at most M * (1 + gamma(n)) for its
+    rounded sum M = ``worst_w``.  So
 
         bound - leaf <= (gamma(n) + gamma(n - 1)) * M * (1 + gamma(n))
                      <= 2 * gamma(2n) * M.
@@ -226,7 +222,7 @@ def _rounding_slack(prep: _Prepared) -> float:
     cutoff argument in ``solve_branch_and_bound`` also needs.
     """
     k = (2 * len(prep.cost) + 2) * (sys.float_info.epsilon / 2)
-    return 2 * k / (1 - k) * _worst_cost(prep)
+    return 2 * k / (1 - k) * prep.worst_w
 
 
 # =====================================================================
