@@ -451,6 +451,104 @@ def test_bandwidth_crossing_matches_full_spectrum_on_default_grid():
     assert None in crossings and len(crossings) > 2
 
 
+def _count_rffts(monkeypatch):
+    """Record (n, out) of every ``np.fft.rfft`` call."""
+    calls = []
+    real = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs.get("n"), kwargs.get("out")))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return calls
+
+
+def test_bandwidth_workspace_shared_across_lengths_matches_fresh_calls():
+    # decays of 2,048 bins take 16,384-point transforms, of 6,000 bins
+    # 65,536-point ones; a single impulse in each length is flat (Nyquist)
+    short = [_ir(np.exp(-np.arange(2048) / tau)) for tau in (3.0, 40.0, 400.0)]
+    long = [_ir(np.exp(-np.arange(6000) / tau)) for tau in (5.0, 90.0, 2000.0)]
+    short.append(_ir([0, 0, 3e-6]))
+    long.append(_ir(np.r_[np.zeros(5999), 1e-6]))
+    workspace = {}
+    buffers = {}
+    for a, b in zip(short, long):
+        for ir in (a, b):
+            got = bandwidth_3db(ir, workspace=workspace)
+            assert got.hex() == bandwidth_3db(ir).hex()
+            assert got == _bandwidth_3db_full(ir)[0]
+            for n, buf in workspace.items():
+                assert buffers.setdefault(n, buf) is buf
+    assert sorted(workspace) == [16384, 65536]
+    assert all(buf.shape == (n // 2 + 1,) for n, buf in workspace.items())
+
+
+def test_records_share_one_workspace_and_skip_flat_transforms(monkeypatch):
+    # On the default grid 168 of the 1,024 traces are proven flat by their
+    # direct ray, so they read the Nyquist limit without a transform.
+    cfg = load_config()
+    room, rec = room_from_config(cfg), receiver_from_config(cfg)
+    workspaces = []
+    real = channel_mod.bandwidth_3db
+
+    def spy(ir, *args, **kwargs):
+        workspaces.append(kwargs["workspace"])
+        return real(ir, *args, **kwargs)
+    monkeypatch.setattr(channel_mod, "bandwidth_3db", spy)
+    rffts = _count_rffts(monkeypatch)
+    records = compute_channel_records(room, rec, grid_positions(room))
+    assert len(workspaces) == 1024
+    assert all(ws is workspaces[0] for ws in workspaces)
+    assert list(workspaces[0]) == [65536]
+    assert len(rffts) == 856
+    assert all(out is workspaces[0][65536] for _, out in rffts)
+    nyquist = 1.0 / (2.0 * room.time_bin_s)
+    red = [r for r in records if r.wavelength == "red"]
+    assert sum(r.bw_3db_hz == nyquist for r in red) == 204
+
+
+def test_flat_certificate_line_matches_full_spectrum(monkeypatch):
+    # A direct ray of 1 and one echo R at 64 bins: min |H| / |H(0)| is
+    # (1 - R) / (1 + R), reached at DFT bin 16384 / 128. R puts that ratio
+    # at target * (1 + t * delta), from far below the test's line to far
+    # above it; every t < 0 crosses, and only t >= 2 is certified.
+    target = 1.0 / math.sqrt(2.0)
+    delta = channel_mod._FLAT_MARGIN
+    rffts = _count_rffts(monkeypatch)
+    for t in (-1e6, -1e3, -2.0, 0.5, 2.0, 1e3, 1e6):
+        ratio = target * (1.0 + t * delta)
+        p = np.zeros(65)
+        p[0], p[64] = 1.0, (1.0 - ratio) / (1.0 + ratio)
+        ir = _ir(p)
+        want, k = _bandwidth_3db_full(ir)
+        assert (k is not None) == (t < 0)
+        rffts.clear()
+        assert bandwidth_3db(ir) == want
+        assert len(rffts) == (0 if t >= 2 else 1)
+
+
+def test_flat_certificate_needs_nonnegative_bins(monkeypatch):
+    # 2 max p - sum p = 1 clears target * sum p = 0.707, but with the
+    # negative bin |H| dips to 0.7 near a sixth of the sampling rate
+    ir = _ir([1.0, -0.3, 0.3])
+    rffts = _count_rffts(monkeypatch)
+    want, k = _bandwidth_3db_full(ir)
+    rffts.clear()
+    assert k is not None
+    assert bandwidth_3db(ir) == want
+    assert len(rffts) == 1
+
+
+def test_flat_certificate_covers_bounded_transforms(monkeypatch):
+    rffts = _count_rffts(monkeypatch)
+    ir = _ir([0, 0, 3e-6])
+    longest = channel_mod._FLAT_MAX_FFT
+    assert bandwidth_3db(ir, min_fft=longest) == 50e9
+    assert rffts == []
+    assert bandwidth_3db(ir, min_fft=2 * longest) == 50e9
+    assert rffts == [(2 * longest, None)]
+
+
 @given(st.floats(min_value=1e-9, max_value=1e3))
 @settings(max_examples=25)
 def test_delay_spread_scale_invariant(scale):
@@ -523,9 +621,10 @@ def test_records_rate_and_power_consistency():
 def _count_metric_calls(monkeypatch):
     calls = {"delay_spread": 0, "bandwidth_3db": 0}
     for name in calls:
-        def counted(ir, _real=getattr(channel_mod, name), _name=name):
+        def counted(ir, *args, _real=getattr(channel_mod, name), _name=name,
+                    **kwargs):
             calls[_name] += 1
-            return _real(ir)
+            return _real(ir, *args, **kwargs)
         monkeypatch.setattr(channel_mod, name, counted)
     return calls
 
@@ -572,6 +671,21 @@ def test_records_reject_outside_room():
     room = _coarse_room()
     with pytest.raises(ConfigError):
         compute_channel_records(room, ReceiverSpec(), [(9.0, 1.0)], ["red"])
+
+
+def test_records_reject_bad_maps_where_the_link_loop_meets_them():
+    flat = {"walls": 0.8, "ceiling": 0.8, "floor": 0.3}
+    refl = {wl: dict(flat) for wl in ("red", "yellow", "green")}
+    room = RoomConfig(element_edge_m=0.5, reflectivity=refl)
+    with pytest.raises(ConfigError, match="no reflectivity entry for "
+                                          "wavelength 'blue'"):
+        compute_channel_records(room, ReceiverSpec(), [(1.0, 1.0)])
+    # the first position is checked before any map
+    with pytest.raises(ConfigError, match="outside the room"):
+        compute_channel_records(room, ReceiverSpec(), [(9.0, 1.0)])
+    refl["green"]["floor"] = 1.5
+    with pytest.raises(ConfigError, match=r"reflectivity\[floor\] must be"):
+        compute_channel_records(room, ReceiverSpec(), [(1.0, 1.0)])
 
 
 def test_fov_narrowing_never_hurts_bandwidth_sampled():
