@@ -656,12 +656,11 @@ def bandwidth_3db(ir: ImpulseResponse, pad_factor: int = 8,
     if _flat_to_nyquist(p, total, n, target):
         return nyquist
     if workspace is None:
-        spec = np.fft.rfft(p, n=n)
-    else:
-        spec = workspace.get(n)
-        if spec is None:
-            spec = workspace[n] = np.empty(n // 2 + 1, dtype=complex)
-        np.fft.rfft(p, n=n, out=spec)
+        workspace = {}
+    spec = workspace.get(n)
+    if spec is None:
+        spec = workspace[n] = np.empty(n // 2 + 1, dtype=complex)
+    np.fft.rfft(p, n=n, out=spec)
     crossing = _first_bin_below(spec, target)
     if crossing is None:
         return nyquist

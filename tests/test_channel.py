@@ -546,7 +546,7 @@ def test_flat_certificate_covers_bounded_transforms(monkeypatch):
     assert bandwidth_3db(ir, min_fft=longest) == 50e9
     assert rffts == []
     assert bandwidth_3db(ir, min_fft=2 * longest) == 50e9
-    assert rffts == [(2 * longest, None)]
+    assert [n for n, _ in rffts] == [2 * longest]
 
 
 @given(st.floats(min_value=1e-9, max_value=1e3))
