@@ -15,20 +15,19 @@ each source is paired with those visible sinks alone (29-37 of the 544
 elements at the 0.5 m mesh). A trace's metrics are measured once and shared
 by every wavelength that traced it.
 
-Work that does not depend on the whole link is shared between links:
-    - per AP, the power landing on each element and its delay, and the
-      lit sources (``_ap_view``);
-    - per receiver position, each element's gain and delay toward the
-      detector, and the visible sinks (``_rx_view``);
-    - per (mesh geometry, sources, sinks) set, the element-pair transfer and
-      delay of the second bounce (``_cached_pair_chunks``), reused by the
-      next trace that pairs the same elements, whatever its AP or
-      reflectivity map; on the default room every AP lights the same 416
-      elements.
-Each view is keyed on the mesh it was built from and computed by the
-expressions a lone trace would use, and the per-AP weighting, time index
-and ``bincount`` order of the second bounce are unchanged, so every trace
-has the same bits as one taken with empty caches.
+Work that does not depend on the whole link is shared between links through
+one cached ``_Mesh``, the mesh of the last room geometry traced, which lives
+until a room of another geometry or element cap is traced. Besides the
+read-only element centers, normals and areas, it holds the power landing on
+each element and its delay for every AP traced in the room (keyed on the
+AP's position, Lambertian order and power), each element's gain and delay
+toward the last receiver position, and the element-pair transfer and delay
+of the last second-bounce (sources, sinks) set when it fits in one chunk;
+on the default room every AP lights the same 416 elements. None of these
+depends on a reflectivity map: a trace applies its map with the same
+products and masks a lone trace would use, and the per-AP weighting, time
+index and ``bincount`` order of the second bounce are unchanged, so every
+trace has the same bits as one taken with an empty cache.
 
 The 3-dB bandwidth scans the magnitude spectrum in growing blocks and stops
 at the first crossing, which reads the same samples as a scan of the whole
@@ -293,8 +292,8 @@ def _face_grid(c0, c1, u_len, v_len, make_point, normal):
 def surface_elements(room: RoomConfig, wavelength: str):
     """Discretize the six room faces into Lambertian reflector elements.
 
-    Rooms with equal geometry, reflectivities and element cap share one
-    mesh, built on first use; the arrays are read-only.
+    Rooms with equal geometry and element cap share one mesh, built on
+    first use; its centers, normals and areas are read-only.
 
     Returns:
         (centers, normals, areas, rhos) numpy arrays of shape (N, 3)/(N,)/...
@@ -302,27 +301,16 @@ def surface_elements(room: RoomConfig, wavelength: str):
     Raises:
         ResourceLimitError: when the mesh would exceed ``room.max_elements``.
     """
-    return _surface_mesh(*_mesh_key(room, wavelength))
-
-
-def _mesh_key(room: RoomConfig, wavelength: str) -> Tuple:
-    """The arguments of ``_surface_mesh`` for one room and wavelength."""
     refl = room.reflectivity_for(wavelength)
-    return (room.length_m, room.width_m, room.height_m, room.element_edge_m,
-            refl["walls"], refl["ceiling"], refl["floor"], room.max_elements)
-
-
-def _geometry_key(key: Tuple) -> Tuple:
-    """The arguments of ``_mesh_geometry`` within a mesh key."""
-    L, W, H, e, _, _, _, max_elements = key
-    return L, W, H, e, max_elements
+    mesh = _mesh(room.length_m, room.width_m, room.height_m,
+                 room.element_edge_m, room.max_elements)
+    return mesh.centers, mesh.normals, mesh.areas, mesh.rhos(refl)
 
 
 @functools.lru_cache(maxsize=1)
-def _mesh_geometry(L, W, H, e, max_elements):
-    """Element centers, normals and areas of the six faces, which no
-    reflectivity changes, and the element count of each face (floor,
-    ceiling, then the four walls)."""
+def _mesh(L, W, H, e, max_elements) -> _Mesh:
+    """The elements of the six faces (floor, ceiling, then the four walls)
+    of one room geometry, with the views traces of that room share."""
     faces = []
 
     def face(u_len, v_len, maker, normal):
@@ -344,88 +332,86 @@ def _mesh_geometry(L, W, H, e, max_elements):
          (-1, 0, 0))
 
     centers = np.vstack([f[0] for f in faces])
-    normals = np.vstack([f[1] for f in faces])
-    areas = np.concatenate([f[2] for f in faces])
     if centers.shape[0] > max_elements:
         raise ResourceLimitError(
             f"{centers.shape[0]} surface elements exceed cap {max_elements}; "
             f"raise max_elements or coarsen element_edge_m"
         )
-    return _read_only(centers, normals, areas) + (
-        tuple(f[2].size for f in faces),)
+    return _Mesh(centers, np.vstack([f[1] for f in faces]),
+                 np.concatenate([f[2] for f in faces]),
+                 tuple(f[2].size for f in faces))
 
 
-# typed: an int 0 reflectivity builds an int rho array, unlike 0.0
-@functools.lru_cache(maxsize=4, typed=True)
-def _surface_mesh(L, W, H, e, rho_walls, rho_ceiling, rho_floor, max_elements):
-    centers, normals, areas, counts = _mesh_geometry(L, W, H, e, max_elements)
-    face_rhos = (rho_floor, rho_ceiling) + (rho_walls,) * 4
-    rhos = np.concatenate([np.full(k, rho)
-                           for k, rho in zip(counts, face_rhos)])
-    return (centers, normals, areas) + _read_only(rhos)
+class _Mesh:
+    """Surface elements of one room geometry and the views of them that
+    traces share (see the module docstring). No view depends on a
+    reflectivity map; ``rhos`` turns a map into per-element values."""
 
+    def __init__(self, centers, normals, areas, counts):
+        for arr in (centers, normals, areas):
+            arr.flags.writeable = False
+        self.centers, self.normals, self.areas = centers, normals, areas
+        self.counts = counts
+        #: (AP position, Lambertian order, power) -> (p_elem, t_elem)
+        self.ap_views: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        #: (receiver position, field of view, area), (g_rx, t_rx)
+        self.rx_view: Tuple = (None, None)
+        #: (source and sink index bytes), chunks of the last pair set
+        self.pairs: Tuple = (None, None)
 
-def _read_only(*arrays):
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    def rhos(self, refl: Dict[str, float]) -> np.ndarray:
+        """Each element's reflectivity under one map."""
+        face_rhos = (refl["floor"], refl["ceiling"]) + (refl["walls"],) * 4
+        return np.repeat(face_rhos, self.counts)
 
+    def ap(self, ap_position_m, m, po):
+        """AP -> element transfer: (p_elem, t_elem), the power landing on
+        each element and its arrival time."""
+        key = (ap_position_m, m, po)
+        if key not in self.ap_views:
+            v1 = self.centers - np.asarray(ap_position_m, float)
+            d1 = np.linalg.norm(v1, axis=1)
+            d1 = np.where(d1 <= 0, np.inf, d1)
+            cos_phi1 = -v1[:, 2] / d1  # AP normal is -z
+            cos_inc1 = -np.einsum("ij,ij->i", v1, self.normals) / d1
+            ok1 = (cos_phi1 > 0) & (cos_inc1 > 0)
+            p_elem = np.zeros_like(d1)
+            p_elem[ok1] = (po * (m + 1.0) / (2.0 * math.pi * d1[ok1] ** 2)
+                           * cos_phi1[ok1] ** m * cos_inc1[ok1]
+                           * self.areas[ok1])
+            self.ap_views[key] = p_elem, d1 / SPEED_OF_LIGHT_M_S
+        return self.ap_views[key]
 
-# The per-AP and per-position views below are keyed on the mesh key (the
-# arguments of ``_surface_mesh``), so a view is never shared between meshes.
-# Their caches hold every AP of a room under four reflectivity maps, and one
-# receiver position under four maps: ``compute_channel_records`` visits the
-# APs and maps of one position before it moves on.
+    def rx(self, rx_position_m, fov_deg, area_m2):
+        """Element -> receiver transfer: (g_rx, t_rx), the per-unit-power
+        gain of each element acting as an order-1 Lambertian emitter, with
+        the FOV cut applied, and its delay."""
+        key = (rx_position_m, fov_deg, area_m2)
+        if self.rx_view[0] != key:
+            cos_fov = math.cos(math.radians(fov_deg))
+            v2 = np.asarray(rx_position_m, float) - self.centers
+            d2 = np.linalg.norm(v2, axis=1)
+            d2 = np.where(d2 <= 0, np.inf, d2)
+            cos_emit2 = np.einsum("ij,ij->i", v2, self.normals) / d2
+            cos_inc2 = -v2[:, 2] / d2  # receiver normal is +z
+            ok2 = (cos_emit2 > 0) & (cos_inc2 >= cos_fov)
+            g_rx = np.zeros_like(d2)
+            g_rx[ok2] = (cos_emit2[ok2] * cos_inc2[ok2] * area_m2
+                         / (math.pi * d2[ok2] ** 2))
+            self.rx_view = key, (g_rx, d2 / SPEED_OF_LIGHT_M_S)
+        return self.rx_view[1]
 
-@functools.lru_cache(maxsize=32)
-def _ap_view(key, ap_position_m, m, po):
-    """AP -> element transfer: power collected by each element.
-
-    Returns read-only (p_elem, t_elem, src_power, src_idx): the power landing
-    on each element, its arrival time, the power each element re-emits, and
-    the indices of the elements that re-emit any.
-    """
-    centers, normals, areas, rhos = _surface_mesh(*key)
-    apv = np.asarray(ap_position_m, float)
-    v1 = centers - apv
-    d1 = np.linalg.norm(v1, axis=1)
-    d1 = np.where(d1 <= 0, np.inf, d1)
-    cos_phi1 = -v1[:, 2] / d1  # AP normal is -z
-    cos_inc1 = -np.einsum("ij,ij->i", v1, normals) / d1
-    ok1 = (cos_phi1 > 0) & (cos_inc1 > 0)
-    p_elem = np.zeros_like(d1)
-    p_elem[ok1] = (po * (m + 1.0) / (2.0 * math.pi * d1[ok1] ** 2)
-                   * cos_phi1[ok1] ** m * cos_inc1[ok1] * areas[ok1])
-    t_elem = d1 / SPEED_OF_LIGHT_M_S
-    src_power = rhos * p_elem
-    return _read_only(p_elem, t_elem, src_power, np.nonzero(src_power > 0)[0])
-
-
-@functools.lru_cache(maxsize=4)
-def _rx_view(key, rx_position_m, fov_deg, area_m2):
-    """Element -> receiver transfer: per-unit-power gain of each element
-    acting as an order-1 Lambertian emitter, with the FOV cut applied.
-
-    Returns read-only (g_rx, t_rx, sinks, sink_gain, sink_t): the gain and
-    delay of every element, the indices of the sinks (elements with
-    ``rhos * g_rx > 0``), and the sinks' reflect-and-deliver gain and delay.
-    """
-    centers, normals, _, rhos = _surface_mesh(*key)
-    rxv = np.asarray(rx_position_m, float)
-    cos_fov = math.cos(math.radians(fov_deg))
-    v2 = rxv - centers
-    d2 = np.linalg.norm(v2, axis=1)
-    d2 = np.where(d2 <= 0, np.inf, d2)
-    cos_emit2 = np.einsum("ij,ij->i", v2, normals) / d2
-    cos_inc2 = -v2[:, 2] / d2  # receiver normal is +z
-    ok2 = (cos_emit2 > 0) & (cos_inc2 >= cos_fov)
-    g_rx = np.zeros_like(d2)
-    g_rx[ok2] = (cos_emit2[ok2] * cos_inc2[ok2] * area_m2
-                 / (math.pi * d2[ok2] ** 2))
-    t_rx = d2 / SPEED_OF_LIGHT_M_S
-    sink_gain = rhos * g_rx
-    sinks = np.nonzero(sink_gain > 0)[0]
-    return _read_only(g_rx, t_rx, sinks, sink_gain[sinks], t_rx[sinks])
+    def pair_chunks(self, src_idx, sinks):
+        """The chunks of ``_pair_chunks``, kept for the next trace with the
+        same sources and sinks when they hold at most ``_CHUNK_TARGET``
+        pairs: one 0.1 m trace pairs 10,400 sources with 898 sinks, and its
+        two pair arrays would hold 150 MB."""
+        if src_idx.size * sinks.size > _CHUNK_TARGET:
+            return _pair_chunks(self, src_idx, sinks)
+        key = (src_idx.tobytes(), sinks.tobytes())
+        if self.pairs[0] != key:
+            self.pairs = key, tuple(_pair_chunks(self, src_idx, sinks))
+        return self.pairs[1]
 
 
 # =====================================================================
@@ -499,15 +485,17 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
         order_powers[0] = po * g
 
     if max_order >= 1 and po > 0.0:
-        key = _mesh_key(room, wavelength)
-        rhos = _surface_mesh(*key)[3]
-        p_elem, t_elem, src_power, src_idx = _ap_view(
-            key, tuple(ap.position_m), ap.lambertian_order, po)
-        g_rx, t_rx, sinks, sink_gain, sink_t = _rx_view(
-            key, tuple(rx_position_m), receiver.fov_deg, receiver.area_m2)
+        refl = room.reflectivity_for(wavelength)
+        mesh = _mesh(room.length_m, room.width_m, room.height_m,
+                     room.element_edge_m, room.max_elements)
+        rhos = mesh.rhos(refl)
+        p_elem, t_elem = mesh.ap(tuple(ap.position_m), ap.lambertian_order, po)
+        g_rx, t_rx = mesh.rx(tuple(rx_position_m), receiver.fov_deg,
+                             receiver.area_m2)
+        src_power = rhos * p_elem
 
         # ---- first order --------------------------------------------
-        contrib = rhos * p_elem * g_rx
+        contrib = src_power * g_rx
         live = contrib > 0
         if np.any(live):
             idx = ((t_elem[live] + t_rx[live]) / room.time_bin_s).astype(np.int64)
@@ -516,9 +504,11 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
 
         # ---- second order -------------------------------------------
         if max_order >= 2:
+            sink_gain = rhos * g_rx
+            sinks = np.nonzero(sink_gain > 0)[0]
             order_powers[2] = _second_order_pass(
-                hist, room.time_bin_s, _geometry_key(key), src_power,
-                src_idx, t_elem, sinks, sink_gain, sink_t)
+                hist, room.time_bin_s, mesh, src_power, t_elem, sinks,
+                sink_gain[sinks], t_rx[sinks])
 
     return ImpulseResponse(room.time_bin_s, _trim(hist), order_powers)
 
@@ -537,32 +527,28 @@ def _trim(hist: np.ndarray) -> np.ndarray:
     return hist[: nz[-1] + 1].copy()
 
 
-def _second_order_pass(hist, bin_width_s, geometry, src_power, src_idx,
-                       t_elem, sinks, sink_gain, sink_t) -> float:
+def _second_order_pass(hist, bin_width_s, mesh, src_power, t_elem, sinks,
+                       sink_gain, sink_t) -> float:
     """Accumulate AP->i->j->receiver contributions into ``hist``.
 
-    Sources i are the elements lit by the AP (``src_idx``); sinks j are the
-    elements with ``rhos * g_rx > 0``, inside the receiver's field of view
-    and facing it. The filter is exact: any other j has ``contrib == 0`` for
-    every i, so it never adds to the response, and dropping those columns
-    keeps the live pairs in row-major order, so each ``bincount`` sees the
-    same weights in the same order. Chunked over sources (see
-    ``_CHUNK_TARGET``); the pair geometry of one (mesh geometry, sources,
-    sinks) set is kept for the next trace, whatever its AP or reflectivity
-    map, when it fits in one chunk's worth of pairs.
+    Sources i are the elements that re-emit power from the AP
+    (``src_power > 0``); sinks j are the elements with ``rhos * g_rx > 0``,
+    inside the receiver's field of view and facing it. The filter is exact:
+    any other j has ``contrib == 0`` for every i, so it never adds to the
+    response, and dropping those columns keeps the live pairs in row-major
+    order, so each ``bincount`` sees the same weights in the same order.
+    Chunked over sources (see ``_CHUNK_TARGET``); the mesh keeps the pair
+    geometry of the last (sources, sinks) set for the next trace, whatever
+    its AP or reflectivity map, when it fits in one chunk's worth of pairs.
     Returns the total second-order power added.
     """
+    src_idx = np.nonzero(src_power > 0)[0]
     if src_idx.size == 0 or sinks.size == 0:
         return 0.0
-    if src_idx.size * sinks.size <= _CHUNK_TARGET:
-        chunks = _cached_pair_chunks(geometry, src_idx.tobytes(),
-                                     sinks.tobytes())
-    else:
-        chunks = _pair_chunks(_mesh_geometry(*geometry), src_idx, sinks)
     nbins = hist.size
     inv_bin = 1.0 / bin_width_s
     total = 0.0
-    for rows, trans, dij_c in chunks:
+    for rows, trans, dij_c in mesh.pair_chunks(src_idx, sinks):
         contrib = src_power[rows, None] * trans * sink_gain[None, :]
         live = contrib > 0
         if not np.any(live):
@@ -578,7 +564,7 @@ def _second_order_pass(hist, bin_width_s, geometry, src_power, src_idx,
 def _pair_chunks(mesh, src_idx, sinks):
     """Yield (rows, trans, dij / c) per chunk of source rows: the
     element-to-element transfer and delay of every (source, sink) pair."""
-    centers, normals, areas, _ = mesh
+    centers, normals, areas = mesh.centers, mesh.normals, mesh.areas
     sink_centers, sink_normals = centers[sinks], normals[sinks]
     sink_areas = areas[sinks]
     chunk = max(1, _CHUNK_TARGET // centers.shape[0])
@@ -594,16 +580,6 @@ def _pair_chunks(mesh, src_idx, sinks):
         trans = np.where((cos_emit > 0) & (cos_inc > 0), cos_emit * cos_inc, 0.0)
         trans *= sink_areas[None, :] / (math.pi * dij ** 2)
         yield rows, trans, dij / SPEED_OF_LIGHT_M_S
-
-
-# One entry of at most _CHUNK_TARGET pairs: one 0.1 m trace pairs 10,400
-# sources with 898 sinks, and its two pair arrays would hold 150 MB.
-@functools.lru_cache(maxsize=1)
-def _cached_pair_chunks(geometry, src_bytes, sink_bytes):
-    src_idx = np.frombuffer(src_bytes, dtype=np.intp)
-    sinks = np.frombuffer(sink_bytes, dtype=np.intp)
-    return tuple(_read_only(*chunk) for chunk in
-                 _pair_chunks(_mesh_geometry(*geometry), src_idx, sinks))
 
 
 # =====================================================================

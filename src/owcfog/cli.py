@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -51,6 +52,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _time_limit(text: str) -> float:
+    """A solver budget in seconds. A NaN or infinite budget never expires
+    and a negative one is meaningless, so each is a usage error."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan  # refused below with the other bad values
+    if not (math.isfinite(seconds) and seconds >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite, non-negative number of seconds, "
+            f"got {text!r}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="owcfog", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -68,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(drr, workload, tasks, seed); repeatable")
         p.add_argument("--seed", type=int, default=None,
                        help="scenario RNG seed (overrides config)")
-        p.add_argument("--time-limit", type=float, default=None,
-                       metavar="SECONDS", help="solver time budget")
+        p.add_argument("--time-limit", type=_time_limit, default=None,
+                       metavar="SECONDS",
+                       help="solver time budget, finite and non-negative")
         if fig:
             p.add_argument("--fig", choices=FIGURES, default=None,
                            help="emit the column subset for one figure")

@@ -25,8 +25,8 @@ their tie-breaks agree. ``np.sum`` reorders the additions and breaks this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -120,7 +120,6 @@ class ChannelTable:
     wavelengths: List[str]
     rx_power_w: np.ndarray      # (U, A, W)
     rate_bps: np.ndarray        # (U, A, W)
-    positions: List[Tuple[float, float]] = field(default_factory=list)
 
     @classmethod
     def from_records(cls, records: Sequence[ChannelRecord]) -> "ChannelTable":
@@ -134,7 +133,6 @@ class ChannelTable:
         shape = (len(users), len(ap_ids), len(wavelengths))
         rx = np.full(shape, np.nan)
         rate = np.full(shape, np.nan)
-        pos: Dict[int, Tuple[float, float]] = {}
         uix = {u: i for i, u in enumerate(users)}
         aix = {a: i for i, a in enumerate(ap_ids)}
         wix = {w: i for i, w in enumerate(wavelengths)}
@@ -146,9 +144,7 @@ class ChannelTable:
                     f"{r.wavelength}")
             rx[key] = r.rx_power_w
             rate[key] = r.rate_bps
-            pos[r.user] = (r.user_x, r.user_y)
         if np.isnan(rx).any():
             raise ConfigError("records do not cover every (user, AP, wavelength)")
-        return cls(users, ap_ids, wavelengths, rx, rate,
-                   [pos[u] for u in users])
+        return cls(users, ap_ids, wavelengths, rx, rate)
 

@@ -24,6 +24,7 @@ from owcfog.channel import (
     WAVELENGTHS,
     bandwidth_3db,
     compute_channel_records,
+    default_ap_grid,
     delay_spread,
     grid_positions,
     lambertian_order,
@@ -244,53 +245,102 @@ def test_trace_element_cap():
 
 
 def _clear_tracer_caches():
-    for cached in (channel_mod._mesh_geometry, channel_mod._surface_mesh,
-                   channel_mod._ap_view, channel_mod._rx_view,
-                   channel_mod._cached_pair_chunks):
-        cached.cache_clear()
+    channel_mod._mesh.cache_clear()
 
 
-def test_cached_views_equal_fresh_traces():
+def _room_mesh(room):
+    return channel_mod._mesh(room.length_m, room.width_m, room.height_m,
+                             room.element_edge_m, room.max_elements)
+
+
+def test_clear_tracer_caches_drops_the_mesh():
+    room, rec, rxp = _cube_case()
+    trace_impulse_response(room, room.aps[0], rec, rxp, "red", 2)
+    before = _room_mesh(room)
+    assert before.ap_views and before.rx_view[0] and before.pairs[0]
+    _clear_tracer_caches()
+    assert channel_mod._mesh.cache_info().currsize == 0
+    after = _room_mesh(room)
+    assert after is not before
+    assert not after.ap_views and after.rx_view[0] is None \
+        and after.pairs[0] is None
+
+
+def test_cached_views_equal_fresh_traces(monkeypatch):
     # The first AP hangs at 2 m, so it lights fewer elements than the
     # ceiling APs traced after it at each position, and the pair geometry
-    # must be rebuilt for them; a per-wavelength map and a second room at
-    # the same positions need views of their own meshes. A green ceiling
-    # with zero reflectivity drops ceiling sinks, so green pairs other
-    # elements than red; the third room's two maps pair the same ones.
+    # must be rebuilt for them; the second AP sends less green than red
+    # power, so its views differ by wavelength. A per-wavelength map, a
+    # second room and a 3 x 3 AP grid under four maps share one mesh at the
+    # same positions. A green ceiling with zero reflectivity drops ceiling
+    # sinks, so green pairs other elements than red; the third room's two
+    # maps pair the same ones.
     flat = {"walls": 0.8, "ceiling": 0.8, "floor": 0.3}
     per_wl = {wl: dict(flat) for wl in WAVELENGTHS}
     per_wl["green"] = {"walls": 0.5, "ceiling": 0.0, "floor": 0.1}
     two_maps = {wl: dict(flat) for wl in WAVELENGTHS}
     two_maps["red"] = {"walls": 0.7, "ceiling": 0.6, "floor": 0.25}
+    four_maps = {wl: {"walls": 0.8 - 0.1 * i, "ceiling": 0.7 - 0.1 * i,
+                      "floor": 0.3 - 0.05 * i}
+                 for i, wl in enumerate(WAVELENGTHS)}
     rooms = [RoomConfig(element_edge_m=0.5, reflectivity=refl,
                         grid_nx=4, grid_ny=2)
              for refl in (per_wl, {"walls": 0.6, "ceiling": 0.7, "floor": 0.2},
                           two_maps)]
     for room in rooms:
         room.aps[0].position_m = (1.0, 1.0, 2.0)
+        room.aps[1].tx_power_w["green"] = 0.9
+    nine_aps = RoomConfig(element_edge_m=0.5, reflectivity=four_maps,
+                          grid_nx=4, grid_ny=4,
+                          aps=default_ap_grid(8.0, 4.0, 3.0, nx=3, ny=3))
     rec = ReceiverSpec()
     links = [(room, ap, (x, y, room.receiver_plane_m), wl)
              for x, y in grid_positions(rooms[0])
-             for room in rooms
+             for room in rooms + [nine_aps]
              for ap in room.aps
-             for wl in ("red", "green")]
+             for wl in (WAVELENGTHS if room is nine_aps else ("red", "green"))]
+
+    builds = []
+    pair_chunks = channel_mod._pair_chunks
+
+    def counted(mesh, src_idx, sinks):
+        builds.append(src_idx.size)
+        return pair_chunks(mesh, src_idx, sinks)
+
+    monkeypatch.setattr(channel_mod, "_pair_chunks", counted)
 
     _clear_tracer_caches()
     warm = [trace_impulse_response(room, ap, rec, rxp, wl, 2)
             for room, ap, rxp, wl in links]
-    for cached in (channel_mod._ap_view, channel_mod._rx_view,
-                   channel_mod._cached_pair_chunks):
-        info = cached.cache_info()
-        assert info.hits > 0 and info.misses > 0
+    # every room has the same geometry, so all links share one mesh: it
+    # holds one AP view per (position, order, power) traced and the view
+    # of the last receiver position, and pair sets are both built and reused
+    mesh = _room_mesh(rooms[0])
+    assert all(_room_mesh(room) is mesh for room in rooms + [nine_aps])
+    assert set(mesh.ap_views) == {
+        (tuple(ap.position_m), ap.lambertian_order, ap.tx_power_w[wl])
+        for room, ap, _, wl in links}
+    # the 7 default ceiling APs, the 2 m AP, the second AP at its green
+    # power and the 9 grid APs
+    assert len(mesh.ap_views) == 7 + 1 + 1 + 9
+    assert mesh.rx_view[0] == (links[-1][2], rec.fov_deg, rec.area_m2)
+    assert 0 < len(builds) < len(links) // 2
+
+    # the 3 x 3 grid under four maps and 16 positions: one view per AP
+    _clear_tracer_caches()
+    records = compute_channel_records(nine_aps, rec, grid_positions(nine_aps))
+    assert len(records) == 16 * 9 * 4
+    assert len(_room_mesh(nine_aps).ap_views) == 9
 
     # the pair geometry does not depend on reflectivity: per position, only
-    # the 2 m AP and the first ceiling AP miss, and both maps reuse them
+    # the 2 m AP and the first ceiling AP build a pair set, and both maps
+    # reuse each one
     _clear_tracer_caches()
-    for room, ap, rxp, wl in links:
-        if room is rooms[2]:
-            trace_impulse_response(room, ap, rec, rxp, wl, 2)
-    info = channel_mod._cached_pair_chunks.cache_info()
-    assert info.hits >= 7 * info.misses > 0
+    del builds[:]
+    third = [link for link in links if link[0] is rooms[2]]
+    for room, ap, rxp, wl in third:
+        trace_impulse_response(room, ap, rec, rxp, wl, 2)
+    assert len(third) - len(builds) >= 7 * len(builds) > 0
 
     for (room, ap, rxp, wl), ir in zip(links, warm):
         _clear_tracer_caches()

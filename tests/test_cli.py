@@ -61,6 +61,23 @@ def test_negative_seed_rejected(capsys):
     assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.parametrize("limit,code", [("nan", 1), ("-1", 1), ("inf", 1),
+                                        ("0", 0)])
+def test_time_limit_must_be_finite_and_non_negative(limit, code, tmp_path,
+                                                     capsys):
+    # a NaN deadline is never passed, so it would run with no budget at all
+    out = tmp_path / "out"
+    got, stdout, err = _run(["allocate", "--seed", "1", "--time-limit", limit,
+                             "--out", str(out)], capsys)
+    assert got == code
+    if code:
+        assert json.loads(err)["error"] == "usage"
+        assert "--time-limit" in json.loads(err)["message"]
+        assert stdout == "" and not out.exists()
+    else:
+        assert (out / "manifest").exists()
+
+
 # ---------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------
