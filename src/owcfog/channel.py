@@ -17,17 +17,19 @@ by every wavelength that traced it.
 
 Work that does not depend on the whole link is shared between links through
 one cached ``_Mesh``, the mesh of the last room geometry traced, which lives
-until a room of another geometry or element cap is traced. Besides the
-read-only element centers, normals and areas, it holds the power landing on
-each element and its delay for every AP traced in the room (keyed on the
-AP's position, Lambertian order and power), each element's gain and delay
-toward the last receiver position, and the element-pair transfer and delay
-of the last second-bounce (sources, sinks) set when it fits in one chunk;
-on the default room every AP lights the same 416 elements. None of these
-depends on a reflectivity map: a trace applies its map with the same
-products and masks a lone trace would use, and the per-AP weighting, time
-index and ``bincount`` order of the second bounce are unchanged, so every
-trace has the same bits as one taken with an empty cache.
+until a room of another geometry or element cap is traced. All its arrays
+are read-only. Besides the element centers, normals and areas, it holds the
+power landing on each element and its delay for each AP traced, keyed on
+the AP's position, Lambertian order and power (no more views than the
+traced room has APs times wavelengths; past that they are all dropped),
+each element's gain and delay toward the last receiver position, and the
+element-pair transfer and delay of the last second-bounce (sources, sinks)
+set when it fits in one chunk; on the default room every AP lights the
+same 416 elements. None of these depends on a reflectivity map: a trace
+applies its map with the same products and masks a lone trace would use,
+and the per-AP weighting, time index and ``bincount`` order of the second
+bounce are unchanged, so every trace has the same bits as one taken with an
+empty cache.
 
 The 3-dB bandwidth scans the magnitude spectrum in growing blocks and stops
 at the first crossing, which reads the same samples as a scan of the whole
@@ -345,12 +347,12 @@ def _mesh(L, W, H, e, max_elements) -> _Mesh:
 class _Mesh:
     """Surface elements of one room geometry and the views of them that
     traces share (see the module docstring). No view depends on a
-    reflectivity map; ``rhos`` turns a map into per-element values."""
+    reflectivity map; ``rhos`` turns a map into per-element values. Every
+    stored array is read-only, so no trace can change another's inputs."""
 
     def __init__(self, centers, normals, areas, counts):
-        for arr in (centers, normals, areas):
-            arr.flags.writeable = False
-        self.centers, self.normals, self.areas = centers, normals, areas
+        self.centers, self.normals, self.areas = _frozen(centers, normals,
+                                                         areas)
         self.counts = counts
         #: (AP position, Lambertian order, power) -> (p_elem, t_elem)
         self.ap_views: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
@@ -364,41 +366,23 @@ class _Mesh:
         face_rhos = (refl["floor"], refl["ceiling"]) + (refl["walls"],) * 4
         return np.repeat(face_rhos, self.counts)
 
-    def ap(self, ap_position_m, m, po):
-        """AP -> element transfer: (p_elem, t_elem), the power landing on
-        each element and its arrival time."""
-        key = (ap_position_m, m, po)
-        if key not in self.ap_views:
-            v1 = self.centers - np.asarray(ap_position_m, float)
-            d1 = np.linalg.norm(v1, axis=1)
-            d1 = np.where(d1 <= 0, np.inf, d1)
-            cos_phi1 = -v1[:, 2] / d1  # AP normal is -z
-            cos_inc1 = -np.einsum("ij,ij->i", v1, self.normals) / d1
-            ok1 = (cos_phi1 > 0) & (cos_inc1 > 0)
-            p_elem = np.zeros_like(d1)
-            p_elem[ok1] = (po * (m + 1.0) / (2.0 * math.pi * d1[ok1] ** 2)
-                           * cos_phi1[ok1] ** m * cos_inc1[ok1]
-                           * self.areas[ok1])
-            self.ap_views[key] = p_elem, d1 / SPEED_OF_LIGHT_M_S
-        return self.ap_views[key]
+    def ap(self, room, ap, po):
+        """The ``_ap_transfer`` view of ``ap`` sending ``po`` watts. The
+        room's APs need at most one view per AP and wavelength, so views
+        past that many are of APs no longer traced and are dropped."""
+        key = (tuple(ap.position_m), ap.lambertian_order, po)
+        view = self.ap_views.get(key)
+        if view is None:
+            if len(self.ap_views) >= sum(len(a.tx_power_w) for a in room.aps):
+                self.ap_views.clear()
+            view = self.ap_views[key] = _frozen(*_ap_transfer(self, *key))
+        return view
 
     def rx(self, rx_position_m, fov_deg, area_m2):
-        """Element -> receiver transfer: (g_rx, t_rx), the per-unit-power
-        gain of each element acting as an order-1 Lambertian emitter, with
-        the FOV cut applied, and its delay."""
+        """The ``_rx_transfer`` view of the last receiver traced."""
         key = (rx_position_m, fov_deg, area_m2)
         if self.rx_view[0] != key:
-            cos_fov = math.cos(math.radians(fov_deg))
-            v2 = np.asarray(rx_position_m, float) - self.centers
-            d2 = np.linalg.norm(v2, axis=1)
-            d2 = np.where(d2 <= 0, np.inf, d2)
-            cos_emit2 = np.einsum("ij,ij->i", v2, self.normals) / d2
-            cos_inc2 = -v2[:, 2] / d2  # receiver normal is +z
-            ok2 = (cos_emit2 > 0) & (cos_inc2 >= cos_fov)
-            g_rx = np.zeros_like(d2)
-            g_rx[ok2] = (cos_emit2[ok2] * cos_inc2[ok2] * area_m2
-                         / (math.pi * d2[ok2] ** 2))
-            self.rx_view = key, (g_rx, d2 / SPEED_OF_LIGHT_M_S)
+            self.rx_view = key, _frozen(*_rx_transfer(self, *key))
         return self.rx_view[1]
 
     def pair_chunks(self, src_idx, sinks):
@@ -410,8 +394,47 @@ class _Mesh:
             return _pair_chunks(self, src_idx, sinks)
         key = (src_idx.tobytes(), sinks.tobytes())
         if self.pairs[0] != key:
-            self.pairs = key, tuple(_pair_chunks(self, src_idx, sinks))
+            self.pairs = key, tuple(_frozen(*chunk) for chunk
+                                    in _pair_chunks(self, src_idx, sinks))
         return self.pairs[1]
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _ap_transfer(mesh, ap_position_m, m, po):
+    """AP -> element transfer: (p_elem, t_elem), the power landing on each
+    element and its arrival time."""
+    v1 = mesh.centers - np.asarray(ap_position_m, float)
+    d1 = np.linalg.norm(v1, axis=1)
+    d1 = np.where(d1 <= 0, np.inf, d1)
+    cos_phi1 = -v1[:, 2] / d1  # AP normal is -z
+    cos_inc1 = -np.einsum("ij,ij->i", v1, mesh.normals) / d1
+    ok1 = (cos_phi1 > 0) & (cos_inc1 > 0)
+    p_elem = np.zeros_like(d1)
+    p_elem[ok1] = (po * (m + 1.0) / (2.0 * math.pi * d1[ok1] ** 2)
+                   * cos_phi1[ok1] ** m * cos_inc1[ok1] * mesh.areas[ok1])
+    return p_elem, d1 / SPEED_OF_LIGHT_M_S
+
+
+def _rx_transfer(mesh, rx_position_m, fov_deg, area_m2):
+    """Element -> receiver transfer: (g_rx, t_rx), the per-unit-power gain
+    of each element acting as an order-1 Lambertian emitter, with the FOV
+    cut applied, and its delay."""
+    cos_fov = math.cos(math.radians(fov_deg))
+    v2 = np.asarray(rx_position_m, float) - mesh.centers
+    d2 = np.linalg.norm(v2, axis=1)
+    d2 = np.where(d2 <= 0, np.inf, d2)
+    cos_emit2 = np.einsum("ij,ij->i", v2, mesh.normals) / d2
+    cos_inc2 = -v2[:, 2] / d2  # receiver normal is +z
+    ok2 = (cos_emit2 > 0) & (cos_inc2 >= cos_fov)
+    g_rx = np.zeros_like(d2)
+    g_rx[ok2] = (cos_emit2[ok2] * cos_inc2[ok2] * area_m2
+                 / (math.pi * d2[ok2] ** 2))
+    return g_rx, d2 / SPEED_OF_LIGHT_M_S
 
 
 # =====================================================================
@@ -489,7 +512,7 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
         mesh = _mesh(room.length_m, room.width_m, room.height_m,
                      room.element_edge_m, room.max_elements)
         rhos = mesh.rhos(refl)
-        p_elem, t_elem = mesh.ap(tuple(ap.position_m), ap.lambertian_order, po)
+        p_elem, t_elem = mesh.ap(room, ap, po)
         g_rx, t_rx = mesh.rx(tuple(rx_position_m), receiver.fov_deg,
                              receiver.area_m2)
         src_power = rhos * p_elem

@@ -55,10 +55,7 @@ class _Parser(argparse.ArgumentParser):
 def _time_limit(text: str) -> float:
     """A solver budget in seconds. A NaN or infinite budget never expires
     and a negative one is meaningless, so each is a usage error."""
-    try:
-        seconds = float(text)
-    except ValueError:
-        seconds = math.nan  # refused below with the other bad values
+    seconds = float(text)
     if not (math.isfinite(seconds) and seconds >= 0.0):
         raise argparse.ArgumentTypeError(
             f"must be a finite, non-negative number of seconds, "

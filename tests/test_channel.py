@@ -300,21 +300,36 @@ def test_cached_views_equal_fresh_traces(monkeypatch):
              for ap in room.aps
              for wl in (WAVELENGTHS if room is nine_aps else ("red", "green"))]
 
-    builds = []
-    pair_chunks = channel_mod._pair_chunks
+    # count the views each trace looks up and the ones the mesh builds
+    calls = {name: [] for name in ("lookups", "ap", "rx", "pairs")}
 
-    def counted(mesh, src_idx, sinks):
-        builds.append(src_idx.size)
-        return pair_chunks(mesh, src_idx, sinks)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(1)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(channel_mod, "_pair_chunks", counted)
+    monkeypatch.setattr(channel_mod._Mesh, "ap",
+                        counted("lookups", channel_mod._Mesh.ap))
+    for name in ("ap", "rx"):
+        monkeypatch.setattr(channel_mod, f"_{name}_transfer",
+                            counted(name, getattr(channel_mod,
+                                                  f"_{name}_transfer")))
+    monkeypatch.setattr(channel_mod, "_pair_chunks",
+                        counted("pairs", channel_mod._pair_chunks))
+
+    def counts():
+        got = {name: len(seen) for name, seen in calls.items()}
+        for seen in calls.values():
+            del seen[:]
+        return got
 
     _clear_tracer_caches()
     warm = [trace_impulse_response(room, ap, rec, rxp, wl, 2)
             for room, ap, rxp, wl in links]
     # every room has the same geometry, so all links share one mesh: it
-    # holds one AP view per (position, order, power) traced and the view
-    # of the last receiver position, and pair sets are both built and reused
+    # builds one AP view per (position, order, power) traced and one
+    # receiver view per position, and pair sets are both built and reused
     mesh = _room_mesh(rooms[0])
     assert all(_room_mesh(room) is mesh for room in rooms + [nine_aps])
     assert set(mesh.ap_views) == {
@@ -324,29 +339,63 @@ def test_cached_views_equal_fresh_traces(monkeypatch):
     # power and the 9 grid APs
     assert len(mesh.ap_views) == 7 + 1 + 1 + 9
     assert mesh.rx_view[0] == (links[-1][2], rec.fov_deg, rec.area_m2)
-    assert 0 < len(builds) < len(links) // 2
+    got = counts()
+    assert got["lookups"] == len(links)
+    assert got["ap"] == len(mesh.ap_views)
+    assert got["rx"] == len(grid_positions(rooms[0]))
+    assert 0 < got["pairs"] < len(links) // 2
 
     # the 3 x 3 grid under four maps and 16 positions: one view per AP
     _clear_tracer_caches()
     records = compute_channel_records(nine_aps, rec, grid_positions(nine_aps))
     assert len(records) == 16 * 9 * 4
     assert len(_room_mesh(nine_aps).ap_views) == 9
+    got = counts()
+    assert (got["lookups"], got["ap"], got["rx"]) == (576, 9, 16)
 
     # the pair geometry does not depend on reflectivity: per position, only
     # the 2 m AP and the first ceiling AP build a pair set, and both maps
     # reuse each one
     _clear_tracer_caches()
-    del builds[:]
     third = [link for link in links if link[0] is rooms[2]]
     for room, ap, rxp, wl in third:
         trace_impulse_response(room, ap, rec, rxp, wl, 2)
-    assert len(third) - len(builds) >= 7 * len(builds) > 0
+    builds = counts()["pairs"]
+    assert len(third) - builds >= 7 * builds > 0
 
     for (room, ap, rxp, wl), ir in zip(links, warm):
         _clear_tracer_caches()
         fresh = trace_impulse_response(room, ap, rec, rxp, wl, 2)
         assert ir.powers_w.tobytes() == fresh.powers_w.tobytes()
         assert ir.order_powers_w == fresh.order_powers_w
+
+
+def test_ap_views_stay_bounded_by_the_room_aps():
+    # an AP moved through many positions is traced at each one, but the
+    # mesh keeps no more views than the room's APs can use
+    room = RoomConfig(element_edge_m=0.5)
+    rec = ReceiverSpec()
+    ap = AccessPoint(0, (1.0, 1.0, 3.0), 60.0, {"red": 1.0})
+    keep = sum(len(a.tx_power_w) for a in room.aps)
+    _clear_tracer_caches()
+    for k in range(2 * keep + 1):
+        ap.position_m = (0.5 + 0.1 * k, 1.0, 3.0)
+        trace_impulse_response(room, ap, rec, (2.0, 2.0, 0.85), "red", 1)
+    assert 0 < len(_room_mesh(room).ap_views) <= keep
+
+
+def test_shared_views_are_read_only():
+    room, rec, rxp = _cube_case()
+    _clear_tracer_caches()
+    trace_impulse_response(room, room.aps[0], rec, rxp, "red", 2)
+    mesh = _room_mesh(room)
+    arrays = [mesh.centers, mesh.normals, mesh.areas, *mesh.rx_view[1]]
+    arrays += [arr for view in mesh.ap_views.values() for arr in view]
+    arrays += [arr for chunk in mesh.pairs[1] for arr in chunk]
+    assert len(arrays) > 7
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[...] = arr
 
 
 @pytest.mark.slow

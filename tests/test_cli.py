@@ -62,7 +62,7 @@ def test_negative_seed_rejected(capsys):
 
 
 @pytest.mark.parametrize("limit,code", [("nan", 1), ("-1", 1), ("inf", 1),
-                                        ("0", 0)])
+                                        ("abc", 1), ("0", 0)])
 def test_time_limit_must_be_finite_and_non_negative(limit, code, tmp_path,
                                                      capsys):
     # a NaN deadline is never passed, so it would run with no budget at all
