@@ -273,13 +273,10 @@ def los_gain(ap: AccessPoint, receiver: ReceiverSpec,
 # Surface discretization
 # =====================================================================
 
-def _face_grid(c0, c1, u_len, v_len, make_point, normal):
-    """Mesh one rectangular face into <= edge-sized cells.
-
-    Returns (centers, normals, areas) arrays for the face.
-    """
-    nu = max(1, math.ceil(u_len / c0))
-    nv = max(1, math.ceil(v_len / c1))
+def _face_grid(e, u_len, v_len, make_point, normal):
+    """(centers, normals, areas) of one face meshed into <= e-sized cells."""
+    nu = max(1, math.ceil(u_len / e))
+    nv = max(1, math.ceil(v_len / e))
     du, dv = u_len / nu, v_len / nv
     us = (np.arange(nu) + 0.5) * du
     vs = (np.arange(nv) + 0.5) * dv
@@ -313,25 +310,21 @@ def surface_elements(room: RoomConfig, wavelength: str):
 def _mesh(L, W, H, e, max_elements) -> _Mesh:
     """The elements of the six faces (floor, ceiling, then the four walls)
     of one room geometry, with the views traces of that room share."""
-    faces = []
-
-    def face(u_len, v_len, maker, normal):
-        faces.append(_face_grid(e, e, u_len, v_len, maker, normal))
-
-    # Floor (z=0, normal up) and ceiling (z=H, normal down).
-    face(L, W, lambda u, v: np.column_stack([u, v, np.zeros_like(u)]),
-         (0, 0, 1))
-    face(L, W, lambda u, v: np.column_stack([u, v, np.full_like(u, H)]),
-         (0, 0, -1))
-    # Four walls.
-    face(L, H, lambda u, v: np.column_stack([u, np.zeros_like(u), v]),
-         (0, 1, 0))
-    face(L, H, lambda u, v: np.column_stack([u, np.full_like(u, W), v]),
-         (0, -1, 0))
-    face(W, H, lambda u, v: np.column_stack([np.zeros_like(u), u, v]),
-         (1, 0, 0))
-    face(W, H, lambda u, v: np.column_stack([np.full_like(u, L), u, v]),
-         (-1, 0, 0))
+    faces = [_face_grid(e, *face) for face in (
+        # Floor (z=0, normal up) and ceiling (z=H, normal down).
+        (L, W, lambda u, v: np.column_stack([u, v, np.zeros_like(u)]),
+         (0, 0, 1)),
+        (L, W, lambda u, v: np.column_stack([u, v, np.full_like(u, H)]),
+         (0, 0, -1)),
+        # Four walls.
+        (L, H, lambda u, v: np.column_stack([u, np.zeros_like(u), v]),
+         (0, 1, 0)),
+        (L, H, lambda u, v: np.column_stack([u, np.full_like(u, W), v]),
+         (0, -1, 0)),
+        (W, H, lambda u, v: np.column_stack([np.zeros_like(u), u, v]),
+         (1, 0, 0)),
+        (W, H, lambda u, v: np.column_stack([np.full_like(u, L), u, v]),
+         (-1, 0, 0)))]
 
     centers = np.vstack([f[0] for f in faces])
     if centers.shape[0] > max_elements:
@@ -345,10 +338,9 @@ def _mesh(L, W, H, e, max_elements) -> _Mesh:
 
 
 class _Mesh:
-    """Surface elements of one room geometry and the views of them that
-    traces share (see the module docstring). No view depends on a
-    reflectivity map; ``rhos`` turns a map into per-element values. Every
-    stored array is read-only, so no trace can change another's inputs."""
+    """Surface elements of one room geometry and the read-only views of
+    them that traces share (see the module docstring). ``rhos`` turns a
+    reflectivity map into per-element values."""
 
     def __init__(self, centers, normals, areas, counts):
         self.centers, self.normals, self.areas = _frozen(centers, normals,
@@ -367,9 +359,8 @@ class _Mesh:
         return np.repeat(face_rhos, self.counts)
 
     def ap(self, room, ap, po):
-        """The ``_ap_transfer`` view of ``ap`` sending ``po`` watts. The
-        room's APs need at most one view per AP and wavelength, so views
-        past that many are of APs no longer traced and are dropped."""
+        """The ``_ap_transfer`` view of ``ap`` sending ``po`` watts. Past
+        one view per AP and wavelength of the room, all are dropped."""
         key = (tuple(ap.position_m), ap.lambertian_order, po)
         view = self.ap_views.get(key)
         if view is None:
@@ -560,9 +551,7 @@ def _second_order_pass(hist, bin_width_s, mesh, src_power, t_elem, sinks,
     any other j has ``contrib == 0`` for every i, so it never adds to the
     response, and dropping those columns keeps the live pairs in row-major
     order, so each ``bincount`` sees the same weights in the same order.
-    Chunked over sources (see ``_CHUNK_TARGET``); the mesh keeps the pair
-    geometry of the last (sources, sinks) set for the next trace, whatever
-    its AP or reflectivity map, when it fits in one chunk's worth of pairs.
+    Chunked over sources (see ``_CHUNK_TARGET`` and ``_Mesh.pair_chunks``).
     Returns the total second-order power added.
     """
     src_idx = np.nonzero(src_power > 0)[0]

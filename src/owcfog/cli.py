@@ -81,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="scenario RNG seed (overrides config)")
         p.add_argument("--time-limit", type=_time_limit, default=None,
-                       metavar="SECONDS",
-                       help="solver time budget, finite and non-negative")
+                       metavar="SECONDS", help="solver time budget")
         if fig:
             p.add_argument("--fig", choices=FIGURES, default=None,
                            help="emit the column subset for one figure")
