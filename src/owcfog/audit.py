@@ -281,10 +281,9 @@ class PlacementModel(_RowModel):
         self.node_ids = [n.node_id for n in self.topology.nodes]
         self.rows: List[ConstraintRow] = []
         self._hops: Dict[str, List[Tuple[str, str]]] = {}
-        for n_id in self.node_ids:
-            route = self.topology.route_to(n_id)
-            stations = ["olt", *route.devices, n_id]
-            self._hops[n_id] = list(zip(stations[:-1], stations[1:]))
+        for node in self.topology.nodes:
+            stations = ["olt", *node.route.devices, node.node_id]
+            self._hops[node.node_id] = list(zip(stations[:-1], stations[1:]))
         self._build()
 
     def _build(self) -> None:
@@ -304,12 +303,13 @@ class PlacementModel(_RowModel):
             self.rows.append(ConstraintRow(
                 f"one_node[k{k}]", "eq23",
                 [(("delta", k, n), 1.0) for n in self.node_ids], "==", 1.0))
-        for n in self.node_ids:
-            cap = self.topology.node(n).capacity_mips
+        for node in self.topology.nodes:
+            n = node.node_id
             self.rows.append(ConstraintRow(
                 f"node_cap[{n}]", "eq24",
-                [(("X", t.task_id, n), 1.0) for t in p.tasks], "<=", cap))
-            link = self.topology.route_to(n).capacity_mbps
+                [(("X", t.task_id, n), 1.0) for t in p.tasks], "<=",
+                node.capacity_mips))
+            link = node.route.capacity_mbps
             for h, hop in enumerate(self._hops[n]):
                 self.rows.append(ConstraintRow(
                     f"link_cap[{n},{hop[0]}->{hop[1]}]", "eq25",
@@ -360,12 +360,12 @@ class PlacementModel(_RowModel):
     def objective(self, point: Mapping[Tuple, float]) -> float:
         total = 0.0
         for t in self.problem.tasks:
-            for n in self.node_ids:
-                e = self.topology.node(n).efficiency_w_per_mips
-                psi = self.topology.route_to(n).efficiency_w_per_mbps
-                total += point.get(("X", t.task_id, n), 0.0) * e
+            for node in self.topology.nodes:
+                n = node.node_id
+                total += (point.get(("X", t.task_id, n), 0.0)
+                          * node.efficiency_w_per_mips)
                 total += (point.get(("delta", t.task_id, n), 0.0)
-                          * t.flow_mbps * psi)
+                          * t.flow_mbps * node.route.efficiency_w_per_mbps)
         return total
 
 
@@ -530,19 +530,17 @@ def _enumerate_placements(problem: PlacementProblem,
     # longhand per-(task, node) cost straight from the topology tables
     def longhand(task: TaskDemand, node_id: str) -> float:
         node = topo.node(node_id)
-        route = topo.route_to(node_id)
         return (task.workload_mips * node.efficiency_w_per_mips
-                + task.flow_mbps * route.efficiency_w_per_mbps)
+                + task.flow_mbps * node.route.efficiency_w_per_mbps)
 
     options: List[List[int]] = []
     for i, t in enumerate(tasks):
         opts = []
         for j, n_id in enumerate(prep.node_ids):
             node = topo.node(n_id)
-            route = topo.route_to(n_id)
             if t.workload_mips > node.capacity_mips:
                 continue
-            if t.flow_mbps > route.capacity_mbps:
+            if t.flow_mbps > node.route.capacity_mbps:
                 continue
             if problem.no_self_processing and n_id == t.source:
                 continue

@@ -70,9 +70,8 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 WAVELENGTHS = ("red", "yellow", "green", "blue")
 
 # OOK rate adjustment: links whose electrical SINR sits inside the coding
-# window carry a 10% forward-error-correction overhead; below the window the
-# link cannot run at all.
-FEC_MIN_SINR_DB = 14.0
+# window carry a 10% forward-error-correction overhead; below the window
+# (the allocator's 14 dB ``sinr_floor``) the link cannot run at all.
 FEC_FREE_SINR_DB = 15.6
 FEC_RATE_FACTOR = 0.9
 
@@ -487,7 +486,7 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
     if po < 0:
         raise ConfigError("transmit power must be non-negative")
 
-    hist, nbins = _alloc_bins(room, max_order)
+    hist = _alloc_bins(room, max_order)
     order_powers = {k: 0.0 for k in range(max_order + 1)}
 
     # ---- direct ray -------------------------------------------------
@@ -530,8 +529,7 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
 def _alloc_bins(room: RoomConfig, max_order: int):
     diag = math.sqrt(room.length_m ** 2 + room.width_m ** 2 + room.height_m ** 2)
     max_path = (max_order + 1) * diag
-    nbins = int(max_path / SPEED_OF_LIGHT_M_S / room.time_bin_s) + 2
-    return np.zeros(nbins), nbins
+    return np.zeros(int(max_path / SPEED_OF_LIGHT_M_S / room.time_bin_s) + 2)
 
 
 def _trim(hist: np.ndarray) -> np.ndarray:
@@ -718,26 +716,6 @@ def _first_bin_below(spec, target):
         before = mag[-1]
         start, stop = stop, 2 * stop
     return None
-
-
-def supported_data_rate(bw_3db_hz: float, receiver_bandwidth_hz: float,
-                        sinr_db: float, rate_factor: float = 1.0) -> float:
-    """OOK data rate a link sustains, in bit/s.
-
-    rate = rate_factor * min(channel 3-dB bandwidth, receiver bandwidth),
-    reduced by 10% when the SINR needs the stronger FEC (14 dB <= SINR <
-    15.6 dB).
-
-    Raises:
-        InfeasibleError: when sinr_db is below the 14 dB operating floor.
-    """
-    if sinr_db < FEC_MIN_SINR_DB:
-        raise InfeasibleError(
-            f"SINR {sinr_db:.2f} dB below the {FEC_MIN_SINR_DB} dB floor",
-            report={"kind": "sinr_floor", "sinr_db": sinr_db,
-                    "floor_db": FEC_MIN_SINR_DB})
-    return fec_rate(channel_rate(bw_3db_hz, receiver_bandwidth_hz, rate_factor),
-                    sinr_db)
 
 
 def channel_rate(bw_3db_hz: float, receiver_bandwidth_hz: float,

@@ -32,6 +32,7 @@ from .scenarios import (
     build_manifest,
     chain_scenario,
     channel_bundle,
+    placement_cell,
     placement_cell_tables,
     placement_table,
     topology_from_config,
@@ -136,17 +137,11 @@ def _project_placement(bundle: ResultBundle, fig: Optional[str]) -> None:
 
 def _cmd_place(cfg: Dict, fig: Optional[str],
                time_limit: Optional[float]) -> ResultBundle:
-    topology = topology_from_config(cfg)
-    sweep_cfg = cfg["sweep"]
+    cell = placement_cell(cfg)
     bundle = ResultBundle(
-        tables=placement_cell_tables(topology, sweep_cfg["drr"][0],
-                                     sweep_cfg["workload_mips"][0],
-                                     sweep_cfg["tasks"], time_limit),
-        manifest=build_manifest(
-            cfg, stage="place",
-            placement={"drr": sweep_cfg["drr"][0],
-                       "workload_mips": sweep_cfg["workload_mips"][0],
-                       "tasks": sweep_cfg["tasks"]}),
+        tables=placement_cell_tables(topology_from_config(cfg), **cell,
+                                     time_limit_s=time_limit),
+        manifest=build_manifest(cfg, stage="place", placement=cell),
     )
     _project_placement(bundle, fig)
     return bundle

@@ -115,16 +115,15 @@ class PlacementProblem:
 
     def cost(self, task: TaskDemand, node_id: str) -> float:
         node = self.topology.node(node_id)
-        route = self.topology.route_to(node_id)
         return (task.workload_mips * node.efficiency_w_per_mips
-                + task.flow_mbps * route.efficiency_w_per_mbps)
+                + task.flow_mbps * node.route.efficiency_w_per_mbps)
 
 
-def _preference_order(topology: TopologyConfig) -> List[str]:
+def _preference_order(topology: TopologyConfig) -> List[ProcessingNode]:
     def key(n: ProcessingNode):
-        psi = topology.route_to(n.node_id).efficiency_w_per_mbps
-        return (_KIND_PREFERENCE[n.kind], psi, n.node_id)
-    return [n.node_id for n in sorted(topology.nodes, key=key)]
+        return (_KIND_PREFERENCE[n.kind], n.route.efficiency_w_per_mbps,
+                n.node_id)
+    return sorted(topology.nodes, key=key)
 
 
 @dataclass
@@ -145,14 +144,12 @@ class _Prepared:
 
 
 def _prepare(problem: PlacementProblem) -> _Prepared:
-    topo = problem.topology
-    node_ids = _preference_order(topo)
-    nodes = [topo.node(n) for n in node_ids]
-    routes = [topo.route_to(n) for n in node_ids]
+    nodes = _preference_order(problem.topology)
+    node_ids = [node.node_id for node in nodes]
     caps = [node.capacity_mips for node in nodes]
-    links = [route.capacity_mbps for route in routes]
+    links = [node.route.capacity_mbps for node in nodes]
     effs = [node.efficiency_w_per_mips for node in nodes]
-    psis = [route.efficiency_w_per_mbps for route in routes]
+    psis = [node.route.efficiency_w_per_mbps for node in nodes]
     tasks = list(problem.tasks)
     # the expression of PlacementProblem.cost, so every entry is bitwise equal
     cost = [[t.workload_mips * e + t.flow_mbps * psi
@@ -263,9 +260,8 @@ def _finish(problem: PlacementProblem, prep: _Prepared,
         n_id = prep.node_ids[assignment_idx[i]]
         named[t.task_id] = n_id
         node = topo.node(n_id)
-        route = topo.route_to(n_id)
         proc[n_id] += t.workload_mips * node.efficiency_w_per_mips
-        net[n_id] += t.flow_mbps * route.efficiency_w_per_mbps
+        net[n_id] += t.flow_mbps * node.route.efficiency_w_per_mbps
         mips[n_id] += t.workload_mips
         total += prep.cost[i][assignment_idx[i]]
     return PlacementSolution(problem, named, total, proc, net, mips, stats)

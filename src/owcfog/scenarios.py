@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +43,7 @@ __all__ = [
     "allocate_scenario",
     "allocation_bundle",
     "chain_scenario",
+    "placement_cell",
     "topology_from_config",
     "topology_from_allocation",
     "placement_table",
@@ -78,7 +79,6 @@ class Scenario:
     mode: str                                # "ppp" | "fixed"
     seed: int
     positions_m: Tuple[Tuple[float, float], ...]
-    allocation: Optional[AllocationSolution] = field(default=None, repr=False)
 
     @property
     def n_users(self) -> int:
@@ -285,13 +285,18 @@ def channel_table(records: Sequence[ChannelRecord]) -> Table:
     return (list(CHANNEL_HEADER), rows)
 
 
-def allocation_tables(solution: AllocationSolution) -> Dict[str, Table]:
-    rows = [[u, solution.assignment[u][0], solution.assignment[u][1],
-             solution.sinr_db[u], solution.rate_bps[u]]
-            for u in sorted(solution.assignment)]
-    summary = [[solution.objective,
-                int(solution.stats.get("nodes", 0)),
-                float(solution.stats.get("gap", 0.0))]]
+def allocation_tables(solution: Optional[AllocationSolution]
+                      ) -> Dict[str, Table]:
+    """Assignment and summary tables; both are empty without a solution."""
+    rows: List[List[object]] = []
+    summary: List[List[object]] = []
+    if solution is not None:
+        rows = [[u, solution.assignment[u][0], solution.assignment[u][1],
+                 solution.sinr_db[u], solution.rate_bps[u]]
+                for u in sorted(solution.assignment)]
+        summary = [[solution.objective,
+                    int(solution.stats.get("nodes", 0)),
+                    float(solution.stats.get("gap", 0.0))]]
     return {
         "allocation": (list(ALLOCATION_HEADER), rows),
         "allocation_summary": (list(ALLOCATION_SUMMARY_HEADER), summary),
@@ -299,7 +304,9 @@ def allocation_tables(solution: AllocationSolution) -> Dict[str, Table]:
 
 
 def cdf_table(records: Sequence[ChannelRecord]) -> Table:
-    rows = [[bw, frac] for bw, frac in bandwidth_cdf(records)]
+    """The bandwidth CDF as a table; empty when there are no records."""
+    rows = [[bw, frac] for bw, frac in bandwidth_cdf(records)] \
+        if records else []
     return (list(CDF_HEADER), rows)
 
 
@@ -341,22 +348,15 @@ def allocate_scenario(cfg: Dict, time_limit_s: Optional[float] = None
     except InfeasibleError as exc:
         raise InfeasibleError(str(exc),
                               report={"stage": "allocate", **exc.report})
-    scenario.allocation = solution
     return scenario, records, solution
 
 
 def allocation_bundle(cfg: Dict, time_limit_s: Optional[float] = None
                       ) -> ResultBundle:
     scenario, records, solution = allocate_scenario(cfg, time_limit_s)
-    tables: Dict[str, Table] = {"channel": channel_table(records)
-                                if records else (list(CHANNEL_HEADER), [])}
-    if solution is not None:
-        tables.update(allocation_tables(solution))
-    else:
-        tables["allocation"] = (list(ALLOCATION_HEADER), [])
-        tables["allocation_summary"] = (list(ALLOCATION_SUMMARY_HEADER), [])
     return ResultBundle(
-        tables=tables,
+        tables={"channel": channel_table(records),
+                **allocation_tables(solution)},
         manifest=build_manifest(cfg, scenario, stage="allocate"),
     )
 
@@ -369,8 +369,9 @@ def topology_from_config(cfg: Dict) -> TopologyConfig:
         mobile_rates_mbps=topo_cfg["mobile_rates_mbps"])
 
 
-def topology_from_allocation(cfg: Dict, scenario: Scenario) -> TopologyConfig:
-    """Fog topology whose mobile units mirror the solved scenario.
+def topology_from_allocation(cfg: Dict, sol: AllocationSolution
+                             ) -> TopologyConfig:
+    """Fog topology whose mobile units mirror a solved allocation.
 
     Mobile unit *i* is user *i*: it inherits the user's assigned wavelength,
     and its route is capped by the solved downlink rate (in Mbit/s).  Config
@@ -379,9 +380,6 @@ def topology_from_allocation(cfg: Dict, scenario: Scenario) -> TopologyConfig:
     topo_cfg = cfg["topology"]
     if topo_cfg["mobile_wavelengths"] is not None:
         return topology_from_config(cfg)
-    if scenario.allocation is None:
-        raise ConfigError("scenario has no allocation to derive a topology from")
-    sol = scenario.allocation
     users = sorted(sol.assignment)
     wavelengths = [sol.assignment[u][1] for u in users]
     rates_mbps = [sol.rate_bps[u] / 1e6 for u in users]
@@ -391,13 +389,22 @@ def topology_from_allocation(cfg: Dict, scenario: Scenario) -> TopologyConfig:
                                     mobile_rates_mbps=rates_mbps)
 
 
+def placement_cell(cfg: Dict) -> Dict[str, object]:
+    """The placement cell ``place`` and ``chain`` solve, as the manifest
+    records it: the first entries of the sweep axes and the task count."""
+    sweep_cfg = cfg["sweep"]
+    return {"drr": sweep_cfg["drr"][0],
+            "workload_mips": sweep_cfg["workload_mips"][0],
+            "tasks": sweep_cfg["tasks"]}
+
+
 def placement_cell_tables(topology: TopologyConfig, drr: float,
-                          workload: float, tasks: int,
+                          workload_mips: float, tasks: int,
                           time_limit_s: Optional[float] = None
                           ) -> Dict[str, Table]:
     """Solve one (DRR, workload) cell; returns placement + utilization tables."""
     sources = [m.node_id for m in topology.mobiles()]
-    demands = demands_from_drr(workload, drr, tasks, sources)
+    demands = demands_from_drr(workload_mips, drr, tasks, sources)
     try:
         sol = solve_placement(PlacementProblem(topology, demands),
                               time_limit_s=time_limit_s)
@@ -407,54 +414,40 @@ def placement_cell_tables(topology: TopologyConfig, drr: float,
     util_rows = [[u["mobile_id"], u["wavelength"], u["utilization"]]
                  for u in utilization_report(sol)]
     return {
-        "placement": placement_table([solution_row(drr, workload, sol)],
-                                     topology),
+        "placement": placement_table(
+            [solution_row(drr, workload_mips, sol)], topology),
         "utilization": (list(UTILIZATION_HEADER), util_rows),
     }
 
 
-def chain_scenario(cfg: Dict, drr: Optional[float] = None,
-                   workload_mips: Optional[float] = None,
-                   tasks: Optional[int] = None,
-                   time_limit_s: Optional[float] = None) -> ResultBundle:
+def chain_scenario(cfg: Dict, time_limit_s: Optional[float] = None
+                   ) -> ResultBundle:
     """Run the whole pipeline on one scenario and one placement cell.
 
     Channel metrics are traced at the scenario's user positions, the WDMA
     assignment is solved, the solved rates cap the mobile routes of the fog
-    topology, and the placement model runs at the requested (DRR, workload)
-    point — by default the first entries of the config's sweep axes.  An
-    empty scenario yields a bundle of empty tables.
+    topology, and the placement model runs at the config's
+    :func:`placement_cell`.  An empty scenario yields a bundle of empty
+    tables.
     """
-    sweep_cfg = cfg["sweep"]
-    drr = sweep_cfg["drr"][0] if drr is None else float(drr)
-    workload = (sweep_cfg["workload_mips"][0] if workload_mips is None
-                else float(workload_mips))
-    tasks = sweep_cfg["tasks"] if tasks is None else int(tasks)
-
     scenario, records, solution = allocate_scenario(cfg, time_limit_s)
+    tables = {"channel": channel_table(records),
+              "bandwidth_cdf": cdf_table(records),
+              **allocation_tables(solution)}
     if solution is None:
-        tables: Dict[str, Table] = {
-            "channel": (list(CHANNEL_HEADER), []),
-            "bandwidth_cdf": (list(CDF_HEADER), []),
-            "allocation": (list(ALLOCATION_HEADER), []),
-            "allocation_summary": (list(ALLOCATION_SUMMARY_HEADER), []),
-            "placement": (list(PLACEMENT_BASE_HEADER), []),
-            "utilization": (list(UTILIZATION_HEADER), []),
-        }
+        tables["placement"] = (list(PLACEMENT_BASE_HEADER), [])
+        tables["utilization"] = (list(UTILIZATION_HEADER), [])
         return ResultBundle(tables=tables,
                             manifest=build_manifest(cfg, scenario,
                                                     stage="chain"))
 
-    topology = topology_from_allocation(cfg, scenario)
-    tables = {"channel": channel_table(records),
-              "bandwidth_cdf": cdf_table(records)}
-    tables.update(allocation_tables(solution))
-    tables.update(placement_cell_tables(topology, drr, workload, tasks,
-                                        time_limit_s))
+    topology = topology_from_allocation(cfg, solution)
+    cell = placement_cell(cfg)
+    tables.update(placement_cell_tables(topology, **cell,
+                                        time_limit_s=time_limit_s))
     rates = [solution.rate_bps[u] for u in sorted(solution.rate_bps)]
     manifest = build_manifest(
-        cfg, scenario, stage="chain",
-        placement={"drr": drr, "workload_mips": workload, "tasks": tasks},
+        cfg, scenario, stage="chain", placement=cell,
         rate_range_gbps=[min(rates) / 1e9, max(rates) / 1e9],
     )
     return ResultBundle(tables=tables, manifest=manifest)

@@ -3,9 +3,10 @@
 The reference build mirrors the measured hardware catalogue: five fixed
 processing locations (room, building, campus, metro, central cloud) plus
 eight wavelength-tagged mobile units pooled as a mobile fog layer.  Every
-processing location is reached from the OLT by exactly one route with a
-fixed power-per-throughput efficiency; routes to mobile units additionally
-depend on the optical wireless wavelength serving that unit.
+processing location is reached from the OLT by exactly one route, so each
+:class:`ProcessingNode` carries its route, with a fixed power-per-throughput
+efficiency; routes to mobile units additionally depend on the optical
+wireless wavelength serving that unit.
 
 All types here are frozen: a topology is built once and then shared freely
 (the placement sweep reads it from many cells).
@@ -111,13 +112,32 @@ _ROUTE_CHAINS: Dict[str, Tuple[str, ...]] = {
 
 
 @dataclass(frozen=True)
+class Route:
+    """The single path from the OLT to one processing node."""
+
+    devices: Tuple[str, ...]
+    capacity_mbps: float
+    efficiency_w_per_mbps: float
+
+    def __post_init__(self) -> None:
+        if not self.capacity_mbps > 0:
+            raise ConfigError(
+                f"route via {self.devices}: capacity must be > 0")
+        if not self.efficiency_w_per_mbps > 0:
+            raise ConfigError(
+                f"route via {self.devices}: efficiency must be > 0")
+
+
+@dataclass(frozen=True)
 class ProcessingNode:
-    """A compute location: capacity in MIPS, efficiency in W/MIPS."""
+    """A compute location: capacity in MIPS, efficiency in W/MIPS, and the
+    route from the OLT that carries its tasks' flows."""
 
     node_id: str
     kind: str
     capacity_mips: float
     efficiency_w_per_mips: float
+    route: Route
     wavelength: Optional[str] = None  # mobile units only
 
     def __post_init__(self) -> None:
@@ -142,45 +162,16 @@ class ProcessingNode:
 
 
 @dataclass(frozen=True)
-class Route:
-    """The single path from the OLT to one processing node."""
-
-    destination: str
-    devices: Tuple[str, ...]
-    capacity_mbps: float
-    efficiency_w_per_mbps: float
-
-    def __post_init__(self) -> None:
-        if not self.capacity_mbps > 0:
-            raise ConfigError(
-                f"route to {self.destination}: capacity must be > 0")
-        if not self.efficiency_w_per_mbps > 0:
-            raise ConfigError(
-                f"route to {self.destination}: efficiency must be > 0")
-
-
-@dataclass(frozen=True)
 class TopologyConfig:
-    """Immutable node + route collection for the placement model."""
+    """Immutable node collection for the placement model; each node
+    carries its own route, so nodes are all there is to check."""
 
     nodes: Tuple[ProcessingNode, ...]
-    routes: Tuple[Route, ...]
 
     def __post_init__(self) -> None:
         ids = [n.node_id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate node ids in topology")
-        by_dest: Dict[str, int] = {}
-        for r in self.routes:
-            by_dest[r.destination] = by_dest.get(r.destination, 0) + 1
-        for n in self.nodes:
-            if by_dest.get(n.node_id, 0) != 1:
-                raise ConfigError(
-                    f"node {n.node_id} must have exactly one route, "
-                    f"found {by_dest.get(n.node_id, 0)}")
-        extra = set(by_dest) - set(ids)
-        if extra:
-            raise ConfigError(f"routes to unknown nodes: {sorted(extra)}")
         non_mobile_kinds = [n.kind for n in self.nodes if not n.is_mobile]
         if len(set(non_mobile_kinds)) != len(non_mobile_kinds):
             raise ConfigError("at most one node per fixed fog kind")
@@ -190,12 +181,6 @@ class TopologyConfig:
             if n.node_id == node_id:
                 return n
         raise ConfigError(f"no node {node_id!r} in topology")
-
-    def route_to(self, node_id: str) -> Route:
-        for r in self.routes:
-            if r.destination == node_id:
-                return r
-        raise ConfigError(f"no route to {node_id!r}")
 
     def mobiles(self) -> List[ProcessingNode]:
         return [n for n in self.nodes if n.is_mobile]
@@ -234,19 +219,17 @@ def build_reference_topology(
 
     catalogue = {d.name: d for d in REFERENCE_DEVICES}
     nodes: List[ProcessingNode] = []
-    routes: List[Route] = []
 
     for kind in ("RoomFog", "BuildFog", "CampFog", "MetroFog", "CCloud"):
         cap, eff = _NODE_SPECS[kind]
         node_id = kind.lower()
-        nodes.append(ProcessingNode(node_id, kind, cap, eff))
         chain = _ROUTE_CHAINS[kind]
         link = _chain_capacity_mbps([catalogue[c] for c in chain])
         if kind in ("BuildFog", "CampFog"):
             # the local Ethernet LAN is the stated bottleneck on these paths
             link = min(link, ETHERNET_LAN_CAP_MBPS)
-        routes.append(Route(node_id, chain, link,
-                            ROUTE_EFFICIENCY_W_PER_MBPS[kind]))
+        route = Route(chain, link, ROUTE_EFFICIENCY_W_PER_MBPS[kind])
+        nodes.append(ProcessingNode(node_id, kind, cap, eff, route))
 
     cap, eff = _NODE_SPECS[MOBILE_KIND]
     onu_mbps = catalogue["ONU"].capacity_gbps * 1e3
@@ -256,15 +239,12 @@ def build_reference_topology(
                 f"mobile unit {i}: missing or unknown wavelength tag {wl!r}")
         if not rate > 0:
             raise ConfigError(f"mobile unit {i}: downlink rate must be > 0")
-        node_id = f"mobile_{i}"
-        nodes.append(ProcessingNode(node_id, MOBILE_KIND, cap, eff,
-                                    wavelength=wl))
-        routes.append(Route(
-            node_id, _ROUTE_CHAINS[MOBILE_KIND],
-            min(float(rate), onu_mbps),
-            MOBILE_ROUTE_EFFICIENCY_W_PER_MBPS[wl]))
+        route = Route(_ROUTE_CHAINS[MOBILE_KIND], min(float(rate), onu_mbps),
+                      MOBILE_ROUTE_EFFICIENCY_W_PER_MBPS[wl])
+        nodes.append(ProcessingNode(f"mobile_{i}", MOBILE_KIND, cap, eff,
+                                    route, wavelength=wl))
 
-    return TopologyConfig(tuple(nodes), tuple(routes))
+    return TopologyConfig(tuple(nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +283,9 @@ def validate_topology(topology: TopologyConfig) -> List[str]:
         entries = by_kind.get(kind)
         if not entries:
             return None
-        return topology.route_to(entries[0].node_id).efficiency_w_per_mbps
+        return entries[0].route.efficiency_w_per_mbps
 
-    mobile_psis = [topology.route_to(m.node_id).efficiency_w_per_mbps
-                   for m in topology.mobiles()]
+    mobile_psis = [m.route.efficiency_w_per_mbps for m in topology.mobiles()]
     if mobile_psis and all(psi(k) is not None for k in FOG_KINDS):
         room, build, camp, metro, cloud = (psi(k) for k in FOG_KINDS)
         if not room < min(mobile_psis):
@@ -321,16 +300,17 @@ def validate_topology(topology: TopologyConfig) -> List[str]:
             if not lo < hi:
                 problems.append(f"route efficiency ordering violated: {name}")
 
-    greens = [topology.route_to(m.node_id).efficiency_w_per_mbps
+    greens = [m.route.efficiency_w_per_mbps
               for m in topology.mobiles() if m.wavelength == "green"]
-    blues = [topology.route_to(m.node_id).efficiency_w_per_mbps
+    blues = [m.route.efficiency_w_per_mbps
              for m in topology.mobiles() if m.wavelength == "blue"]
     if greens and blues and set(greens) != set(blues):
         problems.append("green and blue mobile routes must share one "
                         "efficiency")
 
-    for r in topology.routes:
-        if not (r.capacity_mbps > 0 and r.capacity_mbps < float("inf")):
-            problems.append(f"route to {r.destination}: capacity not finite "
+    for n in topology.nodes:
+        if not (n.route.capacity_mbps > 0
+                and n.route.capacity_mbps < float("inf")):
+            problems.append(f"route to {n.node_id}: capacity not finite "
                             f"and positive")
     return problems

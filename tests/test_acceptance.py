@@ -120,10 +120,7 @@ def _same_slices(problem):
 
 
 def _mobiles_only(topo: TopologyConfig) -> TopologyConfig:
-    nodes = tuple(n for n in topo.nodes if n.is_mobile)
-    routes = tuple(r for r in topo.routes
-                   if topo.node(r.destination).is_mobile)
-    return TopologyConfig(nodes, routes)
+    return TopologyConfig(tuple(n for n in topo.nodes if n.is_mobile))
 
 
 # ---------------------------------------------------------------------
@@ -140,9 +137,8 @@ def test_acceptance_1_placement_regimes(capsys):
 
         def cost(node_id, drr, w=1000.0):
             node = topo.node(node_id)
-            route = topo.route_to(node_id)
             return w * node.efficiency_w_per_mips \
-                + drr * w * route.efficiency_w_per_mbps
+                + drr * w * node.route.efficiency_w_per_mbps
 
         # cheap flow: the efficient central cloud wins outright
         sol = solve_one(0.002)

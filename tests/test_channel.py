@@ -23,13 +23,14 @@ from owcfog.channel import (
     SPEED_OF_LIGHT_M_S,
     WAVELENGTHS,
     bandwidth_3db,
+    channel_rate,
     compute_channel_records,
     default_ap_grid,
     delay_spread,
+    fec_rate,
     grid_positions,
     lambertian_order,
     los_gain,
-    supported_data_rate,
     trace_impulse_response,
 )
 from owcfog.config import load_config, receiver_from_config, room_from_config
@@ -662,25 +663,23 @@ def test_delay_spread_scale_invariant(scale):
 # =====================================================================
 
 def test_supported_rate_plain():
-    assert supported_data_rate(5e9, 5e9, 20.0) == pytest.approx(5e9)
+    assert channel_rate(5e9, 5e9) == pytest.approx(5e9)
     # channel narrower than the receiver
-    assert supported_data_rate(3.2e9, 5e9, 20.0) == pytest.approx(3.2e9)
+    assert channel_rate(3.2e9, 5e9) == pytest.approx(3.2e9)
     # receiver narrower than the channel
-    assert supported_data_rate(50e9, 5e9, 20.0) == pytest.approx(5e9)
-    assert supported_data_rate(5e9, 5e9, 20.0, rate_factor=0.5) == pytest.approx(2.5e9)
+    assert channel_rate(50e9, 5e9) == pytest.approx(5e9)
+    assert channel_rate(5e9, 5e9, rate_factor=0.5) == pytest.approx(2.5e9)
+    assert fec_rate(5e9, 20.0) == 5e9
 
 
 def test_supported_rate_fec_window():
-    assert supported_data_rate(5e9, 5e9, 14.5) == pytest.approx(4.5e9)
-    assert supported_data_rate(5e9, 5e9, 14.0) == pytest.approx(4.5e9)
+    assert fec_rate(5e9, 14.5) == pytest.approx(4.5e9)
+    assert fec_rate(5e9, 14.0) == pytest.approx(4.5e9)
     # the penalty ends exactly at 15.6 dB
-    assert supported_data_rate(5e9, 5e9, 15.6) == pytest.approx(5e9)
-    assert supported_data_rate(5e9, 5e9, 15.5999) == pytest.approx(4.5e9)
-
-
-def test_supported_rate_floor():
-    with pytest.raises(InfeasibleError):
-        supported_data_rate(5e9, 5e9, 13.999)
+    assert fec_rate(5e9, 15.6) == pytest.approx(5e9)
+    assert fec_rate(5e9, 15.5999) == pytest.approx(4.5e9)
+    # an admitted link a rounding tolerance below the 14 dB floor
+    assert fec_rate(5e9, 13.999) == pytest.approx(4.5e9)
 
 
 # =====================================================================

@@ -46,30 +46,27 @@ def topo():
 
 
 def _mobiles_only(topo):
-    nodes = tuple(n for n in topo.nodes if n.is_mobile)
-    routes = tuple(r for r in topo.routes
-                   if topo.node(r.destination).is_mobile)
-    return TopologyConfig(nodes, routes)
+    return TopologyConfig(tuple(n for n in topo.nodes if n.is_mobile))
 
 
 def _rand_topo(rng, n_mob, n_fog):
     kinds = ["RoomFog", "BuildFog", "CampFog", "MetroFog", "CCloud"][:n_fog]
-    nodes, routes = [], []
+    nodes = []
     for i in range(n_mob):
-        nid = f"mobile_{i}"
-        nodes.append(ProcessingNode(
-            nid, MOBILE_KIND, rng.choice([800, 1500, 2000]),
-            round(rng.uniform(0.003, 0.005), 5),
-            wavelength=rng.choice(WL)))
-        routes.append(Route(nid, ("ONU",), rng.choice([500, 2000, 10000]),
-                            round(rng.uniform(0.001, 0.003), 5)))
+        cap = rng.choice([800, 1500, 2000])
+        eff = round(rng.uniform(0.003, 0.005), 5)
+        wl = rng.choice(WL)
+        route = Route(("ONU",), rng.choice([500, 2000, 10000]),
+                      round(rng.uniform(0.001, 0.003), 5))
+        nodes.append(ProcessingNode(f"mobile_{i}", MOBILE_KIND, cap, eff,
+                                    route, wavelength=wl))
     for k in kinds:
-        nodes.append(ProcessingNode(k.lower(), k,
-                                    rng.choice([2000, 5000, 90000]),
-                                    round(rng.uniform(0.0008, 0.003), 6)))
-        routes.append(Route(k.lower(), ("ONU",), rng.choice([1000, 10000]),
-                            round(rng.uniform(0.002, 0.1), 5)))
-    return TopologyConfig(tuple(nodes), tuple(routes))
+        cap = rng.choice([2000, 5000, 90000])
+        eff = round(rng.uniform(0.0008, 0.003), 6)
+        route = Route(("ONU",), rng.choice([1000, 10000]),
+                      round(rng.uniform(0.002, 0.1), 5))
+        nodes.append(ProcessingNode(k.lower(), k, cap, eff, route))
+    return TopologyConfig(tuple(nodes))
 
 
 # =====================================================================
@@ -213,16 +210,14 @@ def test_total_workload_over_capacity(topo):
 def test_packing_infeasibility(topo):
     # every task fits somewhere, total fits, but the combination cannot:
     # two 1400 MIPS tasks with only one node able to host either
-    nodes = (
-        ProcessingNode("mobile_0", MOBILE_KIND, 1500.0, 0.004,
+    route = Route(("ONU",), 10_000.0, 0.0015)
+    t = TopologyConfig((
+        ProcessingNode("mobile_0", MOBILE_KIND, 1500.0, 0.004, route,
                        wavelength="red"),
-        ProcessingNode("mobile_1", MOBILE_KIND, 1500.0, 0.004,
+        ProcessingNode("mobile_1", MOBILE_KIND, 1500.0, 0.004, route,
                        wavelength="blue"),
-        ProcessingNode("roomfog", "RoomFog", 1500.0, 0.003),
-    )
-    routes = tuple(Route(n.node_id, ("ONU",), 10_000.0, 0.0015)
-                   for n in nodes)
-    t = TopologyConfig(nodes, routes)
+        ProcessingNode("roomfog", "RoomFog", 1500.0, 0.003, route),
+    ))
     tasks = [TaskDemand(0, "mobile_0", 1400.0, 1.0),
              TaskDemand(1, "mobile_0", 1400.0, 1.0),
              TaskDemand(2, "mobile_0", 1400.0, 1.0)]
@@ -295,17 +290,16 @@ def test_uniform_demand_matches_exhaustive():
 def test_relaxation_dead_ends_reported():
     # a 900 MIPS task on the room server leaves it no 800 MIPS slot, so
     # the fill bound finds three tasks for two slots and cuts the node
+    route = Route(("ONU",), 10_000.0, 0.0015)
     nodes = (
-        ProcessingNode("mobile_0", MOBILE_KIND, 500.0, 0.004,
+        ProcessingNode("mobile_0", MOBILE_KIND, 500.0, 0.004, route,
                        wavelength="red"),
-        ProcessingNode("roomfog", "RoomFog", 1600.0, 0.003),
-        ProcessingNode("buildfog", "BuildFog", 1700.0, 0.002),
+        ProcessingNode("roomfog", "RoomFog", 1600.0, 0.003, route),
+        ProcessingNode("buildfog", "BuildFog", 1700.0, 0.002, route),
     )
-    routes = tuple(Route(n.node_id, ("ONU",), 10_000.0, 0.0015)
-                   for n in nodes)
     tasks = [TaskDemand(0, "mobile_0", 900.0, 1.0)] + [
         TaskDemand(k, "mobile_0", 800.0, 1.0) for k in (1, 2, 3)]
-    p = PlacementProblem(TopologyConfig(nodes, routes), tasks)
+    p = PlacementProblem(TopologyConfig(nodes), tasks)
     bb = solve_branch_and_bound(p)
     # the cutoff probe finds no leaf here, so the search after it meets
     # the same dead end again: once per pass
@@ -514,13 +508,12 @@ def _near_tie_cell(topo, workload, offsets):
     nodes = list(topo.nodes)
     ids = [node.node_id for node in nodes]
     for node_id, k in zip(("campfog", "metrofog"), offsets):
-        psi = topo.route_to(node_id).efficiency_w_per_mbps
+        psi = topo.node(node_id).route.efficiency_w_per_mbps
         eff = (cloud + k * tol - tasks[0].flow_mbps * psi) / workload
         nodes[ids.index(node_id)] = dataclasses.replace(
             nodes[ids.index(node_id)], capacity_mips=workload,
             efficiency_w_per_mips=eff)
-    problem = PlacementProblem(TopologyConfig(tuple(nodes), topo.routes),
-                               tasks)
+    problem = PlacementProblem(TopologyConfig(tuple(nodes)), tasks)
     assert _tie_tolerance(_prepare(problem)) == tol
     return problem
 
@@ -618,7 +611,7 @@ def test_fill_bound_holds_at_partial_states():
         except InfeasibleError:
             continue
         rem_mips = {n.node_id: n.capacity_mips for n in t.nodes}
-        rem_mbps = {r.destination: r.capacity_mbps for r in t.routes}
+        rem_mbps = {n.node_id: n.route.capacity_mbps for n in t.nodes}
         depth = rng.randint(1, len(tasks) - 1)
         for task in tasks[:depth]:
             fits = [n for n in rem_mips if n != task.source
@@ -631,13 +624,11 @@ def test_fill_bound_holds_at_partial_states():
         else:
             # a full node keeps a sliver of capacity that fits no task
             nodes = tuple(dataclasses.replace(
-                n, capacity_mips=max(rem_mips[n.node_id], 1e-6))
+                n, capacity_mips=max(rem_mips[n.node_id], 1e-6),
+                route=dataclasses.replace(
+                    n.route, capacity_mbps=max(rem_mbps[n.node_id], 1e-6)))
                 for n in t.nodes)
-            routes = tuple(dataclasses.replace(
-                r, capacity_mbps=max(rem_mbps[r.destination], 1e-6))
-                for r in t.routes)
-            rest = PlacementProblem(TopologyConfig(nodes, routes),
-                                    tasks[depth:])
+            rest = PlacementProblem(TopologyConfig(nodes), tasks[depth:])
             try:
                 oracle = solve_exhaustive(rest)
             except InfeasibleError:
@@ -670,15 +661,13 @@ def test_sweep_rows_and_monotonicity(topo):
 
 def test_sweep_flags_infeasible_cells():
     # one mobile and a room server cannot absorb ten 1400 MIPS tasks
+    route = Route(("ONU",), 10_000.0, 0.0015)
     nodes = (
-        ProcessingNode("mobile_0", MOBILE_KIND, 1500.0, 0.004,
+        ProcessingNode("mobile_0", MOBILE_KIND, 1500.0, 0.004, route,
                        wavelength="red"),
-        ProcessingNode("roomfog", "RoomFog", 6200.0, 0.003),
+        ProcessingNode("roomfog", "RoomFog", 6200.0, 0.003, route),
     )
-    routes = tuple(Route(n.node_id, ("ONU",), 10_000.0, 0.0015)
-                   for n in nodes)
-    rows = sweep([0.1], [1400.0], TopologyConfig(nodes, routes),
-                 task_count=10)
+    rows = sweep([0.1], [1400.0], TopologyConfig(nodes), task_count=10)
     assert rows[0]["status"] == "infeasible"
 
 

@@ -125,16 +125,17 @@ def test_cdf_needs_records():
 # chaining
 # ---------------------------------------------------------------------
 
-def _one_user_cfg():
+def _one_user_cfg(workload_mips=1000.0):
     return merge_config({
         "scenario": {"mode": "fixed", "positions_m": [[2.0, 1.0]],
                      "name": "single"},
+        "sweep": {"drr": [0.002], "workload_mips": [workload_mips],
+                  "tasks": 1},
     })
 
 
 def test_chain_single_user():
-    bundle = chain_scenario(_one_user_cfg(), drr=0.002, workload_mips=1000,
-                            tasks=1)
+    bundle = chain_scenario(_one_user_cfg())
     assert set(bundle.tables) == {"channel", "bandwidth_cdf", "allocation",
                                   "allocation_summary", "placement",
                                   "utilization"}
@@ -160,13 +161,13 @@ def test_chain_empty_scenario_gives_empty_bundle():
 def test_chain_caps_mobile_routes_by_solved_rates():
     cfg = merge_config({"scenario": {"name": "s1-analogue"}})
     scenario, _, solution = allocate_scenario(cfg)
-    topo = topology_from_allocation(cfg, scenario)
+    topo = topology_from_allocation(cfg, solution)
     mobiles = topo.mobiles()
     assert len(mobiles) == scenario.n_users
     for i, m in enumerate(mobiles):
         assert m.node_id == f"mobile_{i}"
         assert m.wavelength == solution.assignment[i][1]
-        cap = topo.route_to(m.node_id).capacity_mbps
+        cap = m.route.capacity_mbps
         assert cap <= solution.rate_bps[i] / 1e6 + 1e-9
 
 
@@ -177,17 +178,17 @@ def test_chain_topology_config_override_wins():
         "topology": {"mobile_wavelengths": ["red", "blue"],
                      "mobile_rates_mbps": [2000.0, 3000.0]},
     })
-    scenario, _, _ = allocate_scenario(cfg)
-    topo = topology_from_allocation(cfg, scenario)
+    _, _, solution = allocate_scenario(cfg)
+    topo = topology_from_allocation(cfg, solution)
     assert [m.wavelength for m in topo.mobiles()] == ["red", "blue"]
-    assert topo.route_to("mobile_1").capacity_mbps == 3000.0
+    assert topo.node("mobile_1").route.capacity_mbps == 3000.0
 
 
 def test_chain_labels_placement_stage_on_infeasibility():
-    cfg = _one_user_cfg()
+    cfg = _one_user_cfg(workload_mips=500_000.0)
     with pytest.warns(UserWarning):
         with pytest.raises(InfeasibleError) as err:
-            chain_scenario(cfg, drr=0.002, workload_mips=500_000, tasks=1)
+            chain_scenario(cfg)
     assert err.value.report["stage"] == "place"
 
 
@@ -196,8 +197,7 @@ def test_chain_labels_placement_stage_on_infeasibility():
 # ---------------------------------------------------------------------
 
 def test_bundle_layout_and_reproducibility(tmp_path):
-    bundle = chain_scenario(_one_user_cfg(), drr=0.002, workload_mips=1000,
-                            tasks=1)
+    bundle = chain_scenario(_one_user_cfg())
     first = bundle.write(tmp_path / "a")
     again = bundle.write(tmp_path / "b")
     names_a = sorted(p.name for p in first)

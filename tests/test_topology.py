@@ -1,5 +1,7 @@
 """Topology catalogue and route checks."""
 
+from dataclasses import replace
+
 import pytest
 
 from owcfog.errors import ConfigError
@@ -43,38 +45,38 @@ def test_route_efficiencies_match_catalogue(topo):
     want = {"ccloud": 0.128, "metrofog": 0.0713, "campfog": 0.0475,
             "buildfog": 0.0238, "roomfog": 0.0015}
     for node_id, psi in want.items():
-        assert topo.route_to(node_id).efficiency_w_per_mbps == psi
+        assert topo.node(node_id).route.efficiency_w_per_mbps == psi
     # default wavelength cycle: red, yellow, green, blue, red, ...
-    psis = [topo.route_to(m.node_id).efficiency_w_per_mbps
+    psis = [m.route.efficiency_w_per_mbps
             for m in topo.mobiles()]
     assert psis[:4] == [0.00222, 0.00195, 0.00177, 0.00177]
     assert psis[4:] == psis[:4]
 
 
 def test_room_route_is_988_percent_better_than_cloud(topo):
-    room = topo.route_to("roomfog").efficiency_w_per_mbps
-    cloud = topo.route_to("ccloud").efficiency_w_per_mbps
+    room = topo.node("roomfog").route.efficiency_w_per_mbps
+    cloud = topo.node("ccloud").route.efficiency_w_per_mbps
     assert 1 - room / cloud == pytest.approx(0.9883, abs=5e-4)
 
 
 def test_route_capacities(topo):
-    assert topo.route_to("roomfog").capacity_mbps == 10_000.0
-    assert topo.route_to("buildfog").capacity_mbps == 10_000.0
-    assert topo.route_to("campfog").capacity_mbps == 10_000.0
-    assert topo.route_to("metrofog").capacity_mbps == 200_000.0
-    assert topo.route_to("ccloud").capacity_mbps == 200_000.0
+    assert topo.node("roomfog").route.capacity_mbps == 10_000.0
+    assert topo.node("buildfog").route.capacity_mbps == 10_000.0
+    assert topo.node("campfog").route.capacity_mbps == 10_000.0
+    assert topo.node("metrofog").route.capacity_mbps == 200_000.0
+    assert topo.node("ccloud").route.capacity_mbps == 200_000.0
     for m in topo.mobiles():
-        assert topo.route_to(m.node_id).capacity_mbps == 10_000.0
+        assert m.route.capacity_mbps == 10_000.0
 
 
 def test_mobile_route_capped_by_owc_rate():
     t = build_reference_topology(
         mobile_rates_mbps=[3100.0, 4500.0] + [10_000.0] * 6)
-    assert t.route_to("mobile_0").capacity_mbps == 3100.0
-    assert t.route_to("mobile_1").capacity_mbps == 4500.0
+    assert t.node("mobile_0").route.capacity_mbps == 3100.0
+    assert t.node("mobile_1").route.capacity_mbps == 4500.0
     # rates above the feeding ONU are clamped by it
     t2 = build_reference_topology(mobile_rates_mbps=[12_000.0] * 8)
-    assert t2.route_to("mobile_0").capacity_mbps == 10_000.0
+    assert t2.node("mobile_0").route.capacity_mbps == 10_000.0
 
 
 def test_missing_wavelength_tag_rejected():
@@ -88,7 +90,7 @@ def test_derive_route_efficiency_onu_anchor(topo):
     # the one chain pinned down by the catalogue: a lone ONU feeding the room
     onu = next(d for d in REFERENCE_DEVICES if d.name == "ONU")
     assert onu.efficiency_w_per_mbps == pytest.approx(0.0015)
-    assert topo.route_to("roomfog").efficiency_w_per_mbps == \
+    assert topo.node("roomfog").route.efficiency_w_per_mbps == \
         pytest.approx(onu.efficiency_w_per_mbps)
 
 
@@ -102,20 +104,36 @@ def test_validator_catches_broken_ordering(topo):
         if n.node_id == "ccloud":
             # make the cloud server *less* efficient than the metro one
             nodes.append(ProcessingNode(n.node_id, n.kind, n.capacity_mips,
-                                        0.005))
+                                        0.005, n.route))
         else:
             nodes.append(n)
-    broken = TopologyConfig(tuple(nodes), topo.routes)
+    broken = TopologyConfig(tuple(nodes))
     assert any("processing efficiency" in p for p in validate_topology(broken))
+
+
+def test_validator_reports_unbounded_route_capacity(topo):
+    unbounded = replace(topo.node("metrofog").route,
+                        capacity_mbps=float("inf"))
+    nodes = tuple(replace(n, route=unbounded) if n.node_id == "metrofog"
+                  else n for n in topo.nodes)
+    assert validate_topology(TopologyConfig(nodes)) == [
+        "route to metrofog: capacity not finite and positive"]
 
 
 def test_topology_structural_validation(topo):
     with pytest.raises(ConfigError):
-        TopologyConfig(topo.nodes, topo.routes[:-1])  # a node without a route
-    with pytest.raises(ConfigError):
-        extra = topo.routes + (Route("ghost", ("ONU",), 1.0, 1.0),)
-        TopologyConfig(topo.nodes, extra)
-    with pytest.raises(ConfigError):
         NetworkDevice("x", "y", -1.0, 10.0)
     with pytest.raises(ConfigError):
-        ProcessingNode("roomfog", "RoomFog", 100.0, 0.001, wavelength="red")
+        ProcessingNode("roomfog", "RoomFog", 100.0, 0.001,
+                       topo.node("roomfog").route, wavelength="red")
+    with pytest.raises(ConfigError):
+        TopologyConfig(topo.nodes + topo.nodes[-1:])  # a duplicate node id
+    with pytest.raises(ConfigError):
+        twin = replace(topo.node("roomfog"), node_id="roomfog_2")
+        TopologyConfig(topo.nodes + (twin,))  # two room servers
+    for capacity, efficiency in ((0.0, 0.0015), (-1.0, 0.0015),
+                                 (float("nan"), 0.0015), (10_000.0, 0.0),
+                                 (10_000.0, -0.0015),
+                                 (10_000.0, float("nan"))):
+        with pytest.raises(ConfigError, match="must be > 0"):
+            Route(("ONU",), capacity, efficiency)
