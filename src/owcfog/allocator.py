@@ -32,21 +32,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from owcfog.channel import fec_rate
+from owcfog.channel import ReceiverSpec, fec_rate
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.signal_model import (
     ChannelTable,
-    NoiseParams,
     linearized_gammas,
     photocurrent_powers,
     preamp_noise,
 )
+from owcfog.topology import ONU_CAPACITY_MBPS
 
 #: Assigned slots must reach at least this linear SINR (10^1.4, i.e. 14 dB).
 DEFAULT_SINR_FLOOR = 10.0 ** 1.4
 
-#: Per-AP backhaul capacity, bit/s.
-DEFAULT_ONU_CAPACITY_BPS = 10.0e9
+#: Per-AP backhaul capacity, bit/s: the line rate of the ONU feeding the AP.
+DEFAULT_ONU_CAPACITY_BPS = ONU_CAPACITY_MBPS * 1e6
 
 _TIE_REL = 1e-9
 
@@ -96,22 +96,19 @@ class AllocationProblem:
             raise ConfigError("powers and rates must be non-negative")
 
     @classmethod
-    def from_table(cls, table: ChannelTable, noise: NoiseParams,
-                   sinr_floor: float = DEFAULT_SINR_FLOOR,
-                   onu_capacity_bps: float = DEFAULT_ONU_CAPACITY_BPS
+    def from_table(cls, table: ChannelTable, receiver: ReceiverSpec
                    ) -> "AllocationProblem":
-        """Bake a channel table + noise model into instance arrays.
+        """Bake a channel table + the receiver's noise into instance arrays.
 
         Per-wavelength rates are collapsed to their minimum per (user, AP)
         pair, which is conservative for the backhaul constraint (they are
         identical whenever all wavelengths share a reflectivity map).
         """
-        signal, shot = photocurrent_powers(table.rx_power_w, noise)
+        signal, shot = photocurrent_powers(table.rx_power_w, receiver)
         rate = table.rate_bps.min(axis=2)
         return cls(list(table.users), list(table.ap_ids),
                    list(table.wavelengths), signal, shot, rate,
-                   preamp_a2=preamp_noise(noise),
-                   sinr_floor=sinr_floor, onu_capacity_bps=onu_capacity_bps)
+                   preamp_a2=preamp_noise(receiver))
 
     def slot_label(self, slot: Tuple[int, int]) -> Tuple[int, str]:
         a, w = slot

@@ -50,6 +50,7 @@ from .allocator import (
     _solution_from_indices,
 )
 from .allocator import _tie_tolerance as _allocation_tie_tolerance
+from .channel import ReceiverSpec
 from .errors import ConfigError, InfeasibleError, ResourceLimitError
 from .placement import (
     PlacementProblem,
@@ -62,7 +63,6 @@ from .placement import _tie_tolerance as _placement_tie_tolerance
 from .signal_model import (
     ELECTRON_CHARGE_C,
     ChannelTable,
-    NoiseParams,
     _interferers,
     linearized_gammas,
     photocurrent_powers,
@@ -337,10 +337,9 @@ class PlacementModel(_RowModel):
                     f"flow_demand[k{k},{n}]", "eq27",
                     [(("L", k, n), 1.0),
                      (("delta", k, n), -t.flow_mbps)], "==", 0.0))
-            if p.no_self_processing:
-                self.rows.append(ConstraintRow(
-                    f"no_self[k{k}]", "no_self",
-                    [(("delta", k, t.source), 1.0)], "==", 0.0))
+            self.rows.append(ConstraintRow(
+                f"no_self[k{k}]", "no_self",
+                [(("delta", k, t.source), 1.0)], "==", 0.0))
 
     def point_from_assignment(self, assignment: Mapping[int, str],
                               ) -> Dict[Tuple, float]:
@@ -542,7 +541,7 @@ def _enumerate_placements(problem: PlacementProblem,
                 continue
             if t.flow_mbps > node.route.capacity_mbps:
                 continue
-            if problem.no_self_processing and n_id == t.source:
+            if n_id == t.source:
                 continue
             opts.append(j)
         options.append(opts)
@@ -624,12 +623,12 @@ def electrical_signal_power(rx_power_w: float, responsivity_a_per_w: float) -> f
     return i * i
 
 
-def shot_noise(rx_power_w: float, noise: NoiseParams) -> float:
+def shot_noise(rx_power_w: float, receiver: ReceiverSpec) -> float:
     """Shot noise 2 e (R * P_rx) B contributed by one optical source, A^2."""
     if rx_power_w < 0:
         raise ConfigError("received power must be non-negative")
-    return 2.0 * ELECTRON_CHARGE_C * noise.responsivity_a_per_w * rx_power_w \
-        * noise.bandwidth_hz
+    return 2.0 * ELECTRON_CHARGE_C * receiver.responsivity_a_per_w \
+        * rx_power_w * receiver.bandwidth_hz
 
 
 def sinr_db(sinr_linear: float) -> float:
@@ -673,7 +672,7 @@ class SINRBreakdown:
     sinr_db: float
 
 
-def sinr(assignment: Assignment, table: ChannelTable, noise: NoiseParams,
+def sinr(assignment: Assignment, table: ChannelTable, receiver: ReceiverSpec,
          mode: str = "linearized") -> Dict[int, SINRBreakdown]:
     """SINR of every assigned user under a WDMA assignment.
 
@@ -685,7 +684,7 @@ def sinr(assignment: Assignment, table: ChannelTable, noise: NoiseParams,
         assignment: user -> (ap_id, wavelength); at most one user per slot.
         table: complete channel table (assigned-but-out-of-FOV links simply
             carry zero received power and contribute nothing).
-        noise: receiver noise parameters.
+        receiver: the front end whose noise figures apply.
         mode: "linearized" (sum of squared interferer currents) or "exact"
             (square of summed currents).
 
@@ -698,8 +697,8 @@ def sinr(assignment: Assignment, table: ChannelTable, noise: NoiseParams,
     rows = [table.users.index(u) for u in assignment]
     slots = [(table.ap_ids.index(a), table.wavelengths.index(w))
              for a, w in assignment.values()]
-    signal, shot = photocurrent_powers(table.rx_power_w[rows], noise)
-    preamp = preamp_noise(noise)
+    signal, shot = photocurrent_powers(table.rx_power_w[rows], receiver)
+    preamp = preamp_noise(receiver)
     aps, wls, busy = _interferers(slots, signal.shape)
     n = np.arange(len(rows))
     own, foreign = signal[n, aps, wls], np.where(busy, signal[n, :, wls], 0.0)

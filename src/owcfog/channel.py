@@ -58,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +81,11 @@ FEC_RATE_FACTOR = 0.9
 # order in which partial histograms add into the response, and a different
 # order changes the last bits of fine-mesh traces.
 _CHUNK_TARGET = 2_000_000
+
+# Zero padding of the 3-dB transform: at least this many times the response
+# length, rounded up to a power of two, and never under ``_MIN_FFT`` points.
+_PAD_FACTOR = 8
+_MIN_FFT = 16384
 
 # Bins in the first block of the 3-dB crossing scan; each later block is as
 # long as all the blocks before it.
@@ -121,7 +126,9 @@ class AccessPoint:
 
 @dataclass
 class ReceiverSpec:
-    """Photodetector and front-end parameters shared by all users.
+    """Photodetector and front end shared by all users: the tracer reads
+    its area and field of view, the signal model its bandwidth B,
+    responsivity R and preamplifier noise density N_pr (A^2/Hz).
 
     ``rate_factor`` maps 3-dB channel bandwidth to OOK bit rate (1 bit per Hz
     of usable bandwidth by default).
@@ -132,6 +139,12 @@ class ReceiverSpec:
     bandwidth_hz: float = 5.0e9
     responsivity_a_per_w: float = 0.4
     rate_factor: float = 1.0
+    preamp_a2_per_hz: float = (4.47e-12) ** 2
+
+    def __post_init__(self):
+        if self.bandwidth_hz <= 0 or self.preamp_a2_per_hz < 0 \
+                or self.responsivity_a_per_w <= 0:
+            raise ConfigError("noise parameters must be positive")
 
 
 @dataclass
@@ -180,18 +193,27 @@ class RoomConfig:
         else:
             if wavelength not in table:
                 raise ConfigError(f"no reflectivity entry for wavelength {wavelength!r}")
+            if not isinstance(table[wavelength], Mapping):
+                raise ConfigError(
+                    f"reflectivity entry for {wavelength!r} must be a map")
             out = dict(table[wavelength])
         for key in ("walls", "ceiling", "floor"):
             if key not in out:
                 raise ConfigError(f"reflectivity map missing {key!r}")
-            if not 0.0 <= out[key] < 1.0:
-                raise ConfigError(f"reflectivity[{key}] must be in [0, 1)")
+            value = out[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0.0 <= value < 1.0:
+                raise ConfigError(
+                    f"reflectivity[{key}] must be a number in [0, 1), "
+                    f"got {value!r}")
         return out
 
 
 def default_ap_grid(length_m: float = 8.0, width_m: float = 4.0,
                     height_m: float = 3.0, nx: int = 4, ny: int = 2,
-                    tx_power_w: Optional[Dict[str, float]] = None) -> List[AccessPoint]:
+                    tx_power_w: Optional[Dict[str, float]] = None,
+                    half_power_semiangle_deg: float = 60.0
+                    ) -> List[AccessPoint]:
     """Evenly spaced ceiling AP grid (nx along the length, ny along the width)."""
     aps = []
     ap_id = 0
@@ -202,6 +224,7 @@ def default_ap_grid(length_m: float = 8.0, width_m: float = 4.0,
             aps.append(AccessPoint(
                 ap_id=ap_id,
                 position_m=(x, y, height_m),
+                half_power_semiangle_deg=half_power_semiangle_deg,
                 tx_power_w=dict(tx_power_w) if tx_power_w else {w: 1.8 for w in WAVELENGTHS},
             ))
             ap_id += 1
@@ -611,16 +634,15 @@ def delay_spread(ir: ImpulseResponse) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def bandwidth_3db(ir: ImpulseResponse, pad_factor: int = 8,
-                  min_fft: int = 16384,
+def bandwidth_3db(ir: ImpulseResponse,
                   workspace: Optional[Dict[int, np.ndarray]] = None) -> float:
     """3-dB (half-power-magnitude) bandwidth of the channel, in Hz.
 
-    DFT of the zero-padded bin histogram; the first frequency where
-    |H(f)| / |H(0)| falls below 1/sqrt(2), linearly interpolated between DFT
-    samples. A response that never crosses within the representable band
-    (e.g. a single impulse: perfectly flat |H|) reports the Nyquist limit
-    1 / (2 * bin width). When the largest bin proves that no sample can
+    DFT of the zero-padded bin histogram (``_PAD_FACTOR``, ``_MIN_FFT``);
+    the first frequency where |H(f)| / |H(0)| falls below 1/sqrt(2),
+    linearly interpolated between DFT samples. A response that never
+    crosses within the representable band (e.g. a single impulse: perfectly
+    flat |H|) reports the Nyquist limit 1 / (2 * bin width). When the largest bin proves that no sample can
     cross (``_flat_to_nyquist``), the limit is returned without a transform.
 
     Args:
@@ -636,7 +658,7 @@ def bandwidth_3db(ir: ImpulseResponse, pad_factor: int = 8,
     if total <= 0.0:
         raise InfeasibleError("no received power; 3-dB bandwidth undefined",
                               report={"kind": "empty_impulse_response"})
-    n = max(min_fft, 1 << (int(p.size * max(1, pad_factor)) - 1).bit_length())
+    n = max(_MIN_FFT, 1 << (p.size * _PAD_FACTOR - 1).bit_length())
     target = 1.0 / math.sqrt(2.0)
     nyquist = 1.0 / (2.0 * ir.bin_width_s)
     if _flat_to_nyquist(p, total, n, target):
@@ -757,61 +779,57 @@ class ChannelRecord:
 
 
 def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
-                            positions: Sequence[Tuple[float, float]],
-                            wavelengths: Iterable[str] = WAVELENGTHS,
-                            max_order: int = 2) -> List[ChannelRecord]:
+                            positions: Sequence[Tuple[float, float]]
+                            ) -> List[ChannelRecord]:
     """Trace every (user, AP, wavelength) link and tabulate its metrics.
 
-    Positions are (x, y) on the receiver plane. Each link is traced once per
-    distinct reflectivity map at unit transmit power (the response scales
-    linearly with it), and that trace's gain, delay spread and 3-dB bandwidth
-    are measured once and reused for every wavelength sharing the map. With
-    the default flat map all four wavelengths share one trace; a
-    per-wavelength map traces and measures each distinct map separately.
+    Positions are (x, y) on the receiver plane, all checked before any map
+    is resolved. Each link is traced once per distinct reflectivity map at
+    unit transmit power (the response scales linearly with it), and that
+    trace's gain, delay spread and 3-dB bandwidth are measured once and
+    reused for every wavelength sharing the map. With the default flat map
+    all four wavelengths share one trace; a per-wavelength map traces and
+    measures each distinct map separately.
 
     The tabulated ``rate_bps`` is the raw channel-supported rate
     (``channel_rate``); FEC de-rating happens later once an assignment fixes
     each user's SINR. One spectrum workspace serves every 3-dB measurement
     of the call and is dropped when it returns.
     """
-    wavelengths = list(wavelengths)
-    records: List[ChannelRecord] = []
-    z = room.receiver_plane_m
-    # wavelength -> reflectivity-map key, and (AP index, map key) -> the
-    # unit-power AP, which is always traced at the first wavelength with that
-    # map. Both fill on first use, so a bad map raises where it did before.
-    map_keys: Dict[str, Tuple] = {}
-    unit_aps: Dict[Tuple[int, Tuple], AccessPoint] = {}
-    workspace: Dict[int, np.ndarray] = {}
     for u, (x, y) in enumerate(positions):
         if not (0 <= x <= room.length_m and 0 <= y <= room.width_m):
             raise ConfigError(f"user {u} at ({x}, {y}) lies outside the room")
-        for a, ap in enumerate(room.aps):
+    # wavelength -> reflectivity-map key; each map is traced at its first
+    # wavelength, by a unit-power copy of each AP
+    map_keys = {wl: tuple(sorted(room.reflectivity_for(wl).items()))
+                for wl in WAVELENGTHS}
+    traced_at: Dict[Tuple, str] = {}
+    for wl, key in map_keys.items():
+        traced_at.setdefault(key, wl)
+    unit_aps = [[(key, wl, AccessPoint(
+                    ap_id=ap.ap_id, position_m=ap.position_m,
+                    half_power_semiangle_deg=ap.half_power_semiangle_deg,
+                    tx_power_w={wl: 1.0}))
+                 for key, wl in traced_at.items()] for ap in room.aps]
+    records: List[ChannelRecord] = []
+    z = room.receiver_plane_m
+    workspace: Dict[int, np.ndarray] = {}
+    for u, (x, y) in enumerate(positions):
+        for ap, units in zip(room.aps, unit_aps):
             # reflectivity map -> (h, delay spread, 3-dB bandwidth)
             traced: Dict[Tuple, Tuple[float, float, float]] = {}
-            for wl in wavelengths:
-                key = map_keys.get(wl)
-                if key is None:
-                    key = map_keys[wl] = tuple(
-                        sorted(room.reflectivity_for(wl).items()))
-                if key not in traced:
-                    unit_ap = unit_aps.get((a, key))
-                    if unit_ap is None:
-                        unit_ap = unit_aps[a, key] = AccessPoint(
-                            ap_id=ap.ap_id, position_m=ap.position_m,
-                            half_power_semiangle_deg=ap.half_power_semiangle_deg,
-                            tx_power_w={wl: 1.0},
-                        )
-                    unit_ir = trace_impulse_response(
-                        room, unit_ap, receiver, (x, y, z), wl, max_order)
-                    ds = delay_spread(unit_ir)
-                    try:
-                        bw = bandwidth_3db(unit_ir, workspace=workspace)
-                    except InfeasibleError:
-                        bw = 0.0
-                    # unit transmit power: total power is the gain
-                    traced[key] = (unit_ir.total_power_w, ds, bw)
-                h, ds, bw = traced[key]
+            for key, wl, unit_ap in units:
+                unit_ir = trace_impulse_response(
+                    room, unit_ap, receiver, (x, y, z), wl)
+                ds = delay_spread(unit_ir)
+                try:
+                    bw = bandwidth_3db(unit_ir, workspace=workspace)
+                except InfeasibleError:
+                    bw = 0.0
+                # unit transmit power: total power is the gain
+                traced[key] = (unit_ir.total_power_w, ds, bw)
+            for wl in WAVELENGTHS:
+                h, ds, bw = traced[map_keys[wl]]
                 po = float(ap.tx_power_w.get(wl, 0.0))
                 records.append(ChannelRecord(
                     user=u, user_x=x, user_y=y, ap_id=ap.ap_id, wavelength=wl,

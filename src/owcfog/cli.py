@@ -186,12 +186,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args.override)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
-            cfg["scenario"]["seed"] = args.seed
+        seed = [] if args.seed is None else [f"scenario.seed={args.seed}"]
+        cfg = apply_overrides(load_config(args.config), args.override + seed)
 
         if args.command == "validate":
             return _cmd_validate(cfg)

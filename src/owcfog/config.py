@@ -18,13 +18,12 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from .channel import (
     WAVELENGTHS,
-    AccessPoint,
     ReceiverSpec,
     RoomConfig,
     default_ap_grid,
+    lambertian_order,
 )
 from .errors import ConfigError
-from .signal_model import NoiseParams
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -34,7 +33,6 @@ __all__ = [
     "validate_config",
     "room_from_config",
     "receiver_from_config",
-    "noise_from_config",
     "config_digest",
 ]
 
@@ -150,6 +148,11 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_number(value: Any, label: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             f"{label} must be a number, got {value!r}")
@@ -166,13 +169,16 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
                 f"room.{key} must be positive")
     for key in ("max_elements", "grid_nx", "grid_ny", "ap_grid_nx",
                 "ap_grid_ny"):
-        _expect(isinstance(room[key], int) and room[key] > 0,
+        _expect(_is_int(room[key]) and room[key] > 0,
                 f"room.{key} must be a positive integer")
     _expect(isinstance(room["reflectivity"], Mapping),
             "room.reflectivity must be an object")
-    for surf in ("walls", "ceiling", "floor"):
-        _expect(surf in room["reflectivity"],
-                f"room.reflectivity missing {surf!r}")
+    # the checks the channel stage applies, so validate accepts no room the
+    # stages would reject
+    reflective = RoomConfig(reflectivity=room["reflectivity"])
+    for wl in WAVELENGTHS:
+        reflective.reflectivity_for(wl)
+    lambertian_order(room["ap_half_power_semiangle_deg"])
     _expect(room["receiver_plane_m"] < room["height_m"],
             "room.receiver_plane_m must sit below the ceiling")
 
@@ -193,7 +199,7 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
     _expect(_as_number(sc["intensity_per_m2"],
                        "scenario.intensity_per_m2") > 0,
             "scenario.intensity_per_m2 must be positive")
-    _expect(isinstance(sc["seed"], int) and sc["seed"] >= 0,
+    _expect(_is_int(sc["seed"]) and sc["seed"] >= 0,
             "scenario.seed must be a non-negative integer")
     if sc["positions_m"] is not None:
         _expect(isinstance(sc["positions_m"], list),
@@ -228,7 +234,7 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
                     f"sweep.{key}[{i}] must be positive")
     for v in sw["drr"]:
         _expect(v < 1.0, "sweep.drr entries must be below 1.0")
-    _expect(isinstance(sw["tasks"], int) and sw["tasks"] > 0,
+    _expect(_is_int(sw["tasks"]) and sw["tasks"] > 0,
             "sweep.tasks must be a positive integer")
     return cfg
 
@@ -286,23 +292,15 @@ def apply_overrides(cfg: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]
 
 def room_from_config(cfg: Mapping[str, Any]) -> RoomConfig:
     room = cfg["room"]
-    aps = default_ap_grid(
+    aps = tuple(default_ap_grid(
         length_m=room["length_m"],
         width_m=room["width_m"],
         height_m=room["height_m"],
         nx=room["ap_grid_nx"],
         ny=room["ap_grid_ny"],
         tx_power_w={w: float(room["ap_tx_power_w"]) for w in WAVELENGTHS},
-    )
-    aps = tuple(
-        AccessPoint(
-            ap_id=ap.ap_id,
-            position_m=ap.position_m,
-            half_power_semiangle_deg=room["ap_half_power_semiangle_deg"],
-            tx_power_w=ap.tx_power_w,
-        )
-        for ap in aps
-    )
+        half_power_semiangle_deg=room["ap_half_power_semiangle_deg"],
+    ))
     reflectivity = {k: v for k, v in room["reflectivity"].items()}
     return RoomConfig(
         length_m=room["length_m"],
@@ -327,14 +325,7 @@ def receiver_from_config(cfg: Mapping[str, Any]) -> ReceiverSpec:
         bandwidth_hz=rx["bandwidth_hz"],
         responsivity_a_per_w=rx["responsivity_a_per_w"],
         rate_factor=rx["rate_factor"],
-    )
-
-
-def noise_from_config(cfg: Mapping[str, Any]) -> NoiseParams:
-    return NoiseParams(
-        bandwidth_hz=cfg["receiver"]["bandwidth_hz"],
         preamp_a2_per_hz=cfg["noise"]["preamp_a_per_sqrt_hz"] ** 2,
-        responsivity_a_per_w=cfg["receiver"]["responsivity_a_per_w"],
     )
 
 

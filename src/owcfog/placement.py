@@ -8,8 +8,8 @@ therefore separable:
 
 (W/MIPS processing term plus W/Mbps networking term), and the problem is a
 generalized assignment: node MIPS capacities and route Mbps capacities are
-the only coupling between tasks.  A task's own mobile unit is excluded as a
-destination by default (a device does not process its own offloaded work).
+the only coupling between tasks.  A task's own mobile unit is never its
+destination: the mobile fog serves other users' offloaded work.
 
 ``solve_branch_and_bound`` solves it exactly.  The exhaustive oracle and the
 big-M row form live in :mod:`owcfog.audit`; the oracle breaks objective ties
@@ -98,7 +98,6 @@ class PlacementProblem:
 
     topology: TopologyConfig
     tasks: Sequence[TaskDemand]
-    no_self_processing: bool = True
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -158,10 +157,8 @@ def _prepare(problem: PlacementProblem) -> _Prepared:
     for t in tasks:
         row = []
         for j, n in enumerate(node_ids):
-            ok = t.workload_mips <= caps[j] and t.flow_mbps <= links[j]
-            if problem.no_self_processing and n == t.source:
-                ok = False
-            row.append(ok)
+            row.append(t.workload_mips <= caps[j]
+                       and t.flow_mbps <= links[j] and n != t.source)
         if not any(row):
             raise InfeasibleError(
                 f"task {t.task_id} fits no processing node "

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .allocator import AllocationProblem, AllocationSolution, solve_branch_and_bound
 from .channel import ChannelRecord, RoomConfig, compute_channel_records, grid_positions
-from .config import config_digest, noise_from_config, receiver_from_config, room_from_config
+from .config import config_digest, receiver_from_config, room_from_config
 from .errors import ConfigError, InfeasibleError
 from .placement import PlacementProblem, demands_from_drr, solution_row
 from .placement import solve_branch_and_bound as solve_placement
@@ -336,13 +336,12 @@ def allocate_scenario(cfg: Dict, time_limit_s: Optional[float] = None
     """
     room = room_from_config(cfg)
     receiver = receiver_from_config(cfg)
-    noise = noise_from_config(cfg)
     scenario = scenario_from_config(cfg, room)
     if scenario.n_users == 0:
         return scenario, [], None
     records = compute_channel_records(room, receiver, scenario.positions_m)
     problem = AllocationProblem.from_table(
-        ChannelTable.from_records(records), noise)
+        ChannelTable.from_records(records), receiver)
     try:
         solution = solve_branch_and_bound(problem, time_limit_s=time_limit_s)
     except InfeasibleError as exc:

@@ -9,8 +9,9 @@ access point a, every other AP is either:
 - a source of *shot noise* on w (w unassigned there): the wavelength is still
   emitted for illumination, just unmodulated.
 
-The receiver's own preamplifier noise floor is always present. Interference
-is accounted *linearized*, as the sum of squared interferer currents, which
+The receiver's own preamplifier noise floor is always present. Every noise
+figure comes from the one :class:`owcfog.channel.ReceiverSpec` the tracer
+also reads. Interference is accounted *linearized*, as the sum of squared interferer currents, which
 is what keeps the assignment model linear; :func:`owcfog.audit.sinr` also
 computes the exact square of the summed currents for comparison.
 
@@ -30,45 +31,26 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from owcfog.channel import WAVELENGTHS, ChannelRecord
+from owcfog.channel import WAVELENGTHS, ChannelRecord, ReceiverSpec
 from owcfog.errors import ConfigError
 
 #: Elementary charge, coulombs (2019 SI exact value).
 ELECTRON_CHARGE_C = 1.602176634e-19
 
 
-@dataclass
-class NoiseParams:
-    """Receiver noise model inputs.
-
-    Attributes:
-        bandwidth_hz: receiver electrical bandwidth B.
-        preamp_a2_per_hz: preamplifier noise density N_pr (A^2/Hz).
-        responsivity_a_per_w: detector responsivity R.
-    """
-
-    bandwidth_hz: float = 5.0e9
-    preamp_a2_per_hz: float = (4.47e-12) ** 2
-    responsivity_a_per_w: float = 0.4
-
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0 or self.preamp_a2_per_hz < 0 \
-                or self.responsivity_a_per_w <= 0:
-            raise ConfigError("noise parameters must be positive")
-
-
-def preamp_noise(noise: NoiseParams) -> float:
+def preamp_noise(receiver: ReceiverSpec) -> float:
     """Preamplifier noise power N_pr * B, in A^2."""
-    return noise.preamp_a2_per_hz * noise.bandwidth_hz
+    return receiver.preamp_a2_per_hz * receiver.bandwidth_hz
 
 
-def photocurrent_powers(rx_power_w: np.ndarray, noise: NoiseParams
+def photocurrent_powers(rx_power_w: np.ndarray, receiver: ReceiverSpec
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Signal (R P)^2 and shot noise 2 e (R P) B, in A^2, for each power."""
     if np.any(rx_power_w < 0):
         raise ConfigError("received power must be non-negative")
-    current = noise.responsivity_a_per_w * rx_power_w
-    return current ** 2, 2.0 * ELECTRON_CHARGE_C * current * noise.bandwidth_hz
+    current = receiver.responsivity_a_per_w * rx_power_w
+    shot = 2.0 * ELECTRON_CHARGE_C * current * receiver.bandwidth_hz
+    return current ** 2, shot
 
 
 def _interferers(slots, shape: Tuple[int, int, int]):

@@ -62,6 +62,10 @@ REFERENCE_DEVICES: Tuple[NetworkDevice, ...] = (
     NetworkDevice("Ethernet switch", "Cisco 6880", 3800.0, 160.0),
 )
 
+#: Line rate of the ONU that feeds each access point, Mbit/s.
+ONU_CAPACITY_MBPS = next(d.capacity_gbps for d in REFERENCE_DEVICES
+                         if d.name == "ONU") * 1e3
+
 # server capacity (MIPS) and processing efficiency (W/MIPS) per location
 _NODE_SPECS: Dict[str, Tuple[float, float]] = {
     "CCloud": (144_000.0, 0.000796),
@@ -204,7 +208,7 @@ def build_reference_topology(
     ``mobile_wavelengths[i]`` tags mobile unit ``i``; ``mobile_rates_mbps[i]``
     is its optical wireless downlink rate, which caps the route to that unit.
     Defaults describe the ideal scenario: the four colours cycled over eight
-    units, every downlink at the full 10 Gbit/s the ONU can feed.  Passing
+    units, every downlink at the full rate the ONU can feed.  Passing
     an explicit wavelength list builds the same fixed backbone around any
     number of mobile units (solved scenarios bring however many users the
     point process produced).
@@ -213,7 +217,7 @@ def build_reference_topology(
         mobile_wavelengths = [WAVELENGTHS[i % len(WAVELENGTHS)]
                               for i in range(DEFAULT_MOBILE_COUNT)]
     if mobile_rates_mbps is None:
-        mobile_rates_mbps = [10_000.0] * len(mobile_wavelengths)
+        mobile_rates_mbps = [ONU_CAPACITY_MBPS] * len(mobile_wavelengths)
     if len(mobile_rates_mbps) != len(mobile_wavelengths):
         raise ConfigError("one downlink rate per mobile unit required")
 
@@ -232,14 +236,14 @@ def build_reference_topology(
         nodes.append(ProcessingNode(node_id, kind, cap, eff, route))
 
     cap, eff = _NODE_SPECS[MOBILE_KIND]
-    onu_mbps = catalogue["ONU"].capacity_gbps * 1e3
     for i, (wl, rate) in enumerate(zip(mobile_wavelengths, mobile_rates_mbps)):
         if wl not in WAVELENGTHS:
             raise ConfigError(
                 f"mobile unit {i}: missing or unknown wavelength tag {wl!r}")
         if not rate > 0:
             raise ConfigError(f"mobile unit {i}: downlink rate must be > 0")
-        route = Route(_ROUTE_CHAINS[MOBILE_KIND], min(float(rate), onu_mbps),
+        route = Route(_ROUTE_CHAINS[MOBILE_KIND],
+                      min(float(rate), ONU_CAPACITY_MBPS),
                       MOBILE_ROUTE_EFFICIENCY_W_PER_MBPS[wl])
         nodes.append(ProcessingNode(f"mobile_{i}", MOBILE_KIND, cap, eff,
                                     route, wavelength=wl))

@@ -30,7 +30,7 @@ from owcfog.channel import (
     grid_positions,
     lambertian_order,
 )
-from owcfog.config import load_config, receiver_from_config, room_from_config
+from owcfog.config import load_config, room_from_config
 from owcfog.errors import InfeasibleError
 from owcfog.placement import (
     PlacementProblem,
@@ -39,7 +39,7 @@ from owcfog.placement import (
     sweep,
 )
 from owcfog.scenarios import fraction_at_least
-from owcfog.signal_model import ELECTRON_CHARGE_C, ChannelTable, NoiseParams
+from owcfog.signal_model import ELECTRON_CHARGE_C, ChannelTable
 from owcfog.topology import TopologyConfig, build_reference_topology
 
 SINR_FLOOR = 10 ** 1.4          # linear; 14 dB
@@ -107,7 +107,7 @@ def _random_problem(rng):
                     delay_spread_s=1e-10, bw_3db_hz=rates[u, a],
                     rate_bps=rates[u, a]))
     return AllocationProblem.from_table(ChannelTable.from_records(records),
-                                        NoiseParams())
+                                        ReceiverSpec())
 
 
 def _same_slices(problem):
@@ -330,7 +330,7 @@ def test_acceptance_5_linearization(capsys):
 def test_acceptance_6_sinr_physics(capsys):
     with criterion(capsys, 6, "interference algebra and shot-noise scale",
                    1.0) as note:
-        noise = NoiseParams()
+        receiver = ReceiverSpec()
 
         # one interferer: squaring one current is the same in both forms
         rx = [[6e-6, 5e-7, 0.0],
@@ -339,8 +339,8 @@ def test_acceptance_6_sinr_physics(capsys):
         rates = [[5e9] * 3] * 3
         table = _table(rx, rates, wavelengths=("red",))
         asg = {0: (0, "red"), 1: (1, "red")}
-        exact = sinr(asg, table, noise, mode="exact")
-        lin = sinr(asg, table, noise, mode="linearized")
+        exact = sinr(asg, table, receiver, mode="exact")
+        lin = sinr(asg, table, receiver, mode="linearized")
         assert exact[0].interference_a2 == lin[0].interference_a2
         assert exact[0].sinr == lin[0].sinr
 
@@ -350,8 +350,8 @@ def test_acceptance_6_sinr_physics(capsys):
                [5e-7, 0.0, 6e-6]]
         table2 = _table(rx2, rates, wavelengths=("red",))
         asg2 = {0: (0, "red"), 1: (1, "red"), 2: (2, "red")}
-        exact2 = sinr(asg2, table2, noise, mode="exact")
-        lin2 = sinr(asg2, table2, noise, mode="linearized")
+        exact2 = sinr(asg2, table2, receiver, mode="exact")
+        lin2 = sinr(asg2, table2, receiver, mode="linearized")
         assert exact2[0].interference_a2 == 2.0 * lin2[0].interference_a2
 
         # shot noise a few orders below the signal at 1 uW received:
@@ -393,9 +393,9 @@ def test_acceptance_7_channel_properties(capsys):
         by_fov = {}
         for fov in (40.0, 30.0, 20.0):
             receiver = ReceiverSpec(fov_deg=fov)
-            recs = compute_channel_records(room, receiver, positions,
-                                           wavelengths=("red",))
-            by_fov[fov] = {(r.user, r.ap_id): r for r in recs}
+            recs = compute_channel_records(room, receiver, positions)
+            by_fov[fov] = {(r.user, r.ap_id): r for r in recs
+                           if r.wavelength == "red"}
         for key, wide in by_fov[40.0].items():
             mid, narrow = by_fov[30.0][key], by_fov[20.0][key]
             assert narrow.rx_power_w <= mid.rx_power_w + 1e-18
@@ -420,7 +420,7 @@ def test_acceptance_8_sinr_floor(capsys):
         rx = [[6e-6, 7.6e-7], [7.6e-7, 6e-6]]
         rates = [[5e9, 5e9], [5e9, 5e9]]
         problem = AllocationProblem.from_table(
-            _table(rx, rates, wavelengths=("red",)), NoiseParams())
+            _table(rx, rates, wavelengths=("red",)), ReceiverSpec())
         sol = solve_branch_and_bound(problem)
         for u in sol.assignment:
             assert FEC_WINDOW_DB[0] <= sol.sinr_db[u] < FEC_WINDOW_DB[1]
@@ -429,7 +429,7 @@ def test_acceptance_8_sinr_floor(capsys):
         # clean instance: above the window, no penalty at all
         rx_clean = [[6e-6, 1e-8], [1e-8, 6e-6]]
         problem = AllocationProblem.from_table(
-            _table(rx_clean, rates, wavelengths=("red",)), NoiseParams())
+            _table(rx_clean, rates, wavelengths=("red",)), ReceiverSpec())
         sol = solve_branch_and_bound(problem)
         for u in sol.assignment:
             assert sol.sinr_db[u] >= FEC_WINDOW_DB[1]

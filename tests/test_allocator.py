@@ -22,11 +22,10 @@ from owcfog.audit import (
     shot_noise,
     solve_exhaustive,
 )
-from owcfog.channel import ChannelRecord
+from owcfog.channel import ChannelRecord, ReceiverSpec
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.signal_model import (
     ChannelTable,
-    NoiseParams,
     linearized_gammas,
     preamp_noise,
 )
@@ -38,8 +37,7 @@ def _rec(u, a, w, p, rate=5e9):
                          bw_3db_hz=rate, rate_bps=rate)
 
 
-def _problem(rx, rates=None, wavelengths=("red", "yellow", "green", "blue"),
-             **kw):
+def _problem(rx, rates=None, wavelengths=("red", "yellow", "green", "blue")):
     """rx[u][a] -> optical power used for every wavelength of that pair."""
     n_u, n_a = len(rx), len(rx[0])
     rates = rates or [[5e9] * n_a for _ in range(n_u)]
@@ -49,7 +47,7 @@ def _problem(rx, rates=None, wavelengths=("red", "yellow", "green", "blue"),
             for w in wavelengths:
                 recs.append(_rec(u, a, w, rx[u][a], rates[u][a]))
     table = ChannelTable.from_records(recs)
-    return AllocationProblem.from_table(table, NoiseParams(), **kw)
+    return AllocationProblem.from_table(table, ReceiverSpec())
 
 
 def _random_problem(rng, n_users, n_aps, n_wl=4):
@@ -64,23 +62,23 @@ def _random_problem(rng, n_users, n_aps, n_wl=4):
                 # tiny per-wavelength jitter keeps objectives generic
                 recs.append(_rec(u, a, w, p * (1 + 1e-3 * rng.random()), rate))
     table = ChannelTable.from_records(recs)
-    return AllocationProblem.from_table(table, NoiseParams())
+    return AllocationProblem.from_table(table, ReceiverSpec())
 
 
-def _written_out_sinr(rx, slots, u, noise=NoiseParams()):
+def _written_out_sinr(rx, slots, u, receiver=ReceiverSpec()):
     """User u's linearized SINR from received powers rx[u][a][w], term by
     term; ``slots`` lists every user's (AP, wavelength) index pair."""
     a, w = slots[u]
     busy = {b for v, (b, x) in enumerate(slots) if v != u and x == w}
-    den = preamp_noise(noise)
+    den = preamp_noise(receiver)
     for b in range(len(rx[u])):
         if b == a:
             continue
         p = rx[u][b][w]
-        den += electrical_signal_power(p, noise.responsivity_a_per_w) \
-            if b in busy else shot_noise(p, noise)
+        den += electrical_signal_power(p, receiver.responsivity_a_per_w) \
+            if b in busy else shot_noise(p, receiver)
     return electrical_signal_power(rx[u][a][w],
-                                   noise.responsivity_a_per_w) / den
+                                   receiver.responsivity_a_per_w) / den
 
 
 def _indices(p, sol):
@@ -158,7 +156,7 @@ def test_balance_row_reproduces_signal_model_sinr():
     recs = [_rec(u, a, w, rx[u][a][w_i]) for u in range(3) for a in range(3)
             for w_i, w in enumerate(("red", "yellow", "green", "blue"))]
     table = ChannelTable.from_records(recs)
-    problem = AllocationProblem.from_table(table, NoiseParams())
+    problem = AllocationProblem.from_table(table, ReceiverSpec())
     slots = [(0, 0), (1, 0), (2, 1)]
     m = LinearizedModel(problem)
     point = m.point_from_assignment(dict(enumerate(slots)))
@@ -363,7 +361,7 @@ def test_near_floor_instances_match_exhaustive():
                 for w in ("red", "blue"):
                     recs.append(_rec(u, a, w, p * (1 + 1e-3 * rng.random())))
         p = AllocationProblem.from_table(ChannelTable.from_records(recs),
-                                         NoiseParams())
+                                         ReceiverSpec())
         try:
             ex = solve_exhaustive(p)
         except InfeasibleError:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import owcfog.channel as channel_mod
 from owcfog.channel import (
     AccessPoint,
-    ChannelRecord,
     ImpulseResponse,
     ReceiverSpec,
     RoomConfig,
@@ -487,10 +486,12 @@ def test_bandwidth_requires_power():
         bandwidth_3db(_ir([0.0, 0.0]))
 
 
-def _bandwidth_3db_full(ir, pad_factor=8, min_fft=16384):
-    """``bandwidth_3db`` written longhand over every bin of the spectrum."""
+def _bandwidth_3db_full(ir):
+    """``bandwidth_3db`` written longhand over every bin of the spectrum, at
+    the module's padding."""
     p = ir.powers_w
-    n = max(min_fft, 1 << (int(p.size * max(1, pad_factor)) - 1).bit_length())
+    n = max(channel_mod._MIN_FFT,
+            1 << (p.size * channel_mod._PAD_FACTOR - 1).bit_length())
     mag = np.abs(np.fft.rfft(p, n=n))
     mag /= mag[0]
     freqs = np.fft.rfftfreq(n, d=ir.bin_width_s)
@@ -521,17 +522,23 @@ def _decay_crossing_at(k_want):
     raise AssertionError(f"no decay crosses at bin {k_want}")
 
 
-def test_bandwidth_crossing_matches_full_spectrum_on_synthetic_responses():
+def test_bandwidth_crossing_matches_full_spectrum_on_synthetic_responses(
+        monkeypatch):
     block = channel_mod._FFT_BLOCK
-    cases = [(_decay_crossing_at(k), {}, k)
+    cases = [(_decay_crossing_at(k), k)
              for k in (block - 1, block, block + 1, 2 * block, 3000)]
-    # a boxcar filling its transform is zero at every bin but the first
-    cases.append((_ir(np.ones(1024)), {"pad_factor": 1, "min_fft": 1024}, 1))
-    cases.append((_ir([0, 0, 3e-6]), {}, None))     # flat |H|: Nyquist
-    for ir, kw, k_want in cases:
-        want, k = _bandwidth_3db_full(ir, **kw)
+    cases.append((_ir([0, 0, 3e-6]), None))     # flat |H|: Nyquist
+    for ir, k_want in cases:
+        want, k = _bandwidth_3db_full(ir)
         assert k == k_want
-        assert bandwidth_3db(ir, **kw) == want
+        assert bandwidth_3db(ir) == want
+    # a boxcar filling its transform is zero at every bin but the first
+    monkeypatch.setattr(channel_mod, "_PAD_FACTOR", 1)
+    monkeypatch.setattr(channel_mod, "_MIN_FFT", 1024)
+    ir = _ir(np.ones(1024))
+    want, k = _bandwidth_3db_full(ir)
+    assert k == 1
+    assert bandwidth_3db(ir) == want
 
 
 def test_bandwidth_crossing_matches_full_spectrum_on_default_grid():
@@ -643,9 +650,11 @@ def test_flat_certificate_covers_bounded_transforms(monkeypatch):
     rffts = _count_rffts(monkeypatch)
     ir = _ir([0, 0, 3e-6])
     longest = channel_mod._FLAT_MAX_FFT
-    assert bandwidth_3db(ir, min_fft=longest) == 50e9
+    monkeypatch.setattr(channel_mod, "_MIN_FFT", longest)
+    assert bandwidth_3db(ir) == 50e9
     assert rffts == []
-    assert bandwidth_3db(ir, min_fft=2 * longest) == 50e9
+    monkeypatch.setattr(channel_mod, "_MIN_FFT", 2 * longest)
+    assert bandwidth_3db(ir) == 50e9
     assert [n for n, _ in rffts] == [2 * longest]
 
 
@@ -703,8 +712,8 @@ def test_grid_positions_cover_room():
 def test_records_rate_and_power_consistency():
     room = _coarse_room()
     rec = ReceiverSpec()
-    records = compute_channel_records(room, rec, [(1.0, 1.0)], ["red", "blue"])
-    assert len(records) == 2 * len(room.aps)
+    records = compute_channel_records(room, rec, [(1.0, 1.0)])
+    assert len(records) == len(WAVELENGTHS) * len(room.aps)
     for r in records:
         assert r.rx_power_w == pytest.approx(1.8 * r.h, rel=1e-12)
         assert r.rate_bps == pytest.approx(
@@ -727,6 +736,26 @@ def _count_metric_calls(monkeypatch):
     return calls
 
 
+def _records_longhand(room, rec, positions, wl):
+    """The fields of one wavelength's records, each link traced at unit power
+    and measured on its own."""
+    out = []
+    for u, (x, y) in enumerate(positions):
+        for ap in room.aps:
+            unit = AccessPoint(ap.ap_id, ap.position_m,
+                               ap.half_power_semiangle_deg, {wl: 1.0})
+            ir = trace_impulse_response(room, unit, rec,
+                                        (x, y, room.receiver_plane_m), wl)
+            h, bw = ir.total_power_w, bandwidth_3db(ir)
+            out.append({"user": u, "user_x": x, "user_y": y,
+                        "ap_id": ap.ap_id, "wavelength": wl, "h": h,
+                        "rx_power_w": ap.tx_power_w[wl] * h,
+                        "delay_spread_s": delay_spread(ir), "bw_3db_hz": bw,
+                        "rate_bps": channel_rate(bw, rec.bandwidth_hz,
+                                                 rec.rate_factor)})
+    return out
+
+
 @pytest.mark.parametrize("red_differs", [False, True])
 def test_records_measure_each_distinct_trace_once(monkeypatch, red_differs):
     flat = {"walls": 0.8, "ceiling": 0.8, "floor": 0.3}
@@ -737,7 +766,7 @@ def test_records_measure_each_distinct_trace_once(monkeypatch, red_differs):
     room = RoomConfig(element_edge_m=0.5, reflectivity=refl)
     rec = ReceiverSpec()
     positions = [(1.0, 1.0), (6.0, 3.0)]
-    alone = {wl: compute_channel_records(room, rec, positions, (wl,))
+    alone = {wl: _records_longhand(room, rec, positions, wl)
              for wl in WAVELENGTHS}
 
     calls = _count_metric_calls(monkeypatch)
@@ -748,7 +777,7 @@ def test_records_measure_each_distinct_trace_once(monkeypatch, red_differs):
 
     by_wl = {wl: [r for r in records if r.wavelength == wl] for wl in WAVELENGTHS}
     for wl in WAVELENGTHS:
-        assert by_wl[wl] == alone[wl]
+        assert [vars(r) for r in by_wl[wl]] == alone[wl]
 
     def metrics(r):
         return r.h, r.delay_spread_s, r.bw_3db_hz
@@ -768,7 +797,7 @@ def test_records_measure_each_distinct_trace_once(monkeypatch, red_differs):
 def test_records_reject_outside_room():
     room = _coarse_room()
     with pytest.raises(ConfigError):
-        compute_channel_records(room, ReceiverSpec(), [(9.0, 1.0)], ["red"])
+        compute_channel_records(room, ReceiverSpec(), [(9.0, 1.0)])
 
 
 def test_records_reject_bad_maps_where_the_link_loop_meets_them():

@@ -55,6 +55,20 @@ def test_infeasible_model_exits_two(tmp_path, capsys):
     assert "constraint" in record["report"]
 
 
+@pytest.mark.parametrize("command,override", [
+    ("validate", 'room.reflectivity={"walls":1.5,"ceiling":0.8,"floor":0.3}'),
+    ("validate", "room.ap_half_power_semiangle_deg=95"),
+    ("channel", 'room.reflectivity={"walls":"x","ceiling":0.8,"floor":0.3}'),
+])
+def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
+                                              capsys):
+    code, out, err = _run([command, "--out", str(tmp_path / "out"),
+                           "--override", override], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
 def test_negative_seed_rejected(capsys):
     code, _, err = _run(["place", "--seed", "-3"], capsys)
     assert code == 1

@@ -10,7 +10,6 @@ from owcfog.config import (
     config_digest,
     load_config,
     merge_config,
-    noise_from_config,
     receiver_from_config,
     room_from_config,
 )
@@ -101,6 +100,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sweep.tasks"):
             merge_config({"sweep": {"tasks": 2.5}})
 
+    @pytest.mark.parametrize("key", ["room.grid_nx", "room.max_elements",
+                                     "sweep.tasks", "scenario.seed"])
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_booleans_are_not_integers(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            apply_overrides(load_config(), [f"{key}={value}"])
+
 
 class TestOverrides:
     def test_dotted_path(self):
@@ -167,10 +173,10 @@ class TestBuilders:
         assert rx.bandwidth_hz == 5e9
 
     def test_noise_density_is_squared(self):
-        noise = noise_from_config(load_config())
-        assert noise.preamp_a2_per_hz == pytest.approx((4.47e-12) ** 2,
-                                                       rel=1e-12)
-        assert noise.bandwidth_hz == 5e9
+        rx = receiver_from_config(load_config())
+        assert rx.preamp_a2_per_hz == pytest.approx((4.47e-12) ** 2,
+                                                    rel=1e-12)
+        assert rx.bandwidth_hz == 5e9
 
 
 def test_digest_tracks_content():

@@ -171,18 +171,13 @@ def test_no_self_processing_respected(topo):
         PlacementProblem(mtopo, demands_from_drr(800.0, 0.6, 8)))
     for t in sol.problem.tasks:
         assert sol.assignment[t.task_id] != t.source
-
-
-def test_self_processing_allowed_when_flag_off(topo):
-    mtopo = _mobiles_only(topo)
-    # single task: with the exclusion off, the cheapest mobile wins even if
-    # it is the task's own source
+    # a lone task leaves its source even where the source costs least
     task = TaskDemand(0, "mobile_2", 500.0, 300.0)
-    sol = solve_branch_and_bound(
-        PlacementProblem(mtopo, [task], no_self_processing=False))
-    assert sol.assignment[0] == "mobile_2"
-    sol2 = solve_branch_and_bound(PlacementProblem(mtopo, [task]))
-    assert sol2.assignment[0] != "mobile_2"
+    problem = PlacementProblem(mtopo, [task])
+    sol = solve_branch_and_bound(problem)
+    assert sol.assignment[0] != "mobile_2"
+    assert problem.cost(task, "mobile_2") <= problem.cost(task,
+                                                          sol.assignment[0])
 
 
 # =====================================================================

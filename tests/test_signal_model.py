@@ -2,18 +2,16 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owcfog.audit import electrical_signal_power, shot_noise, sinr, sinr_db
-from owcfog.channel import ChannelRecord
+from owcfog.channel import ChannelRecord, ReceiverSpec
 from owcfog.errors import ConfigError
 from owcfog.signal_model import (
     ELECTRON_CHARGE_C,
     ChannelTable,
-    NoiseParams,
     preamp_noise,
 )
 
@@ -36,18 +34,25 @@ def test_electrical_signal_power_frozen():
 
 
 def test_preamp_noise_default_near_1e_13():
-    got = preamp_noise(NoiseParams())
+    got = preamp_noise(ReceiverSpec())
     assert got == pytest.approx(PREAMP_DEFAULT, rel=1e-12)
     assert got == pytest.approx(1.0e-13, rel=0.01)
 
 
 def test_shot_noise_frozen():
-    got = shot_noise(1e-6, NoiseParams())
+    got = shot_noise(1e-6, ReceiverSpec())
     assert got == pytest.approx(SHOT_1UW, rel=1e-12)
     # scales linearly in both power and bandwidth
-    assert shot_noise(2e-6, NoiseParams()) == pytest.approx(2 * SHOT_1UW, rel=1e-12)
-    assert shot_noise(1e-6, NoiseParams(bandwidth_hz=2.5e9)) == pytest.approx(
+    assert shot_noise(2e-6, ReceiverSpec()) == pytest.approx(2 * SHOT_1UW, rel=1e-12)
+    assert shot_noise(1e-6, ReceiverSpec(bandwidth_hz=2.5e9)) == pytest.approx(
         SHOT_1UW / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["bandwidth_hz", "responsivity_a_per_w",
+                                   "preamp_a2_per_hz"])
+def test_receiver_rejects_negative_noise_figures(field):
+    with pytest.raises(ConfigError, match="noise parameters"):
+        ReceiverSpec(**{field: -1.0})
 
 
 def test_sinr_db_round_trip():
@@ -98,9 +103,9 @@ def test_table_rejects_duplicates():
 def test_sinr_no_interferers_reduces_to_snr():
     # one user, two APs: the unassigned AP contributes shot noise only
     t = _table([[{"red": 1e-6}, {"red": 2e-6}]])
-    noise = NoiseParams()
-    got = sinr({0: (0, "red")}, t, noise)[0]
-    want = SIGNAL_1UW / (shot_noise(2e-6, noise) + preamp_noise(noise))
+    receiver = ReceiverSpec()
+    got = sinr({0: (0, "red")}, t, receiver)[0]
+    want = SIGNAL_1UW / (shot_noise(2e-6, receiver) + preamp_noise(receiver))
     assert got.sinr == pytest.approx(want, rel=1e-12)
     assert got.interference_a2 == 0.0
     assert got.sinr_db == pytest.approx(10 * math.log10(want), rel=1e-12)
@@ -113,8 +118,8 @@ def test_sinr_single_interferer_modes_agree():
         [{"red": 5e-7}, {"red": 1e-6}],
     ])
     asg = {0: (0, "red"), 1: (1, "red")}
-    lin = sinr(asg, t, NoiseParams(), "linearized")
-    ex = sinr(asg, t, NoiseParams(), "exact")
+    lin = sinr(asg, t, ReceiverSpec(), "linearized")
+    ex = sinr(asg, t, ReceiverSpec(), "exact")
     for u in (0, 1):
         assert lin[u].sinr == pytest.approx(ex[u].sinr, rel=1e-12)
         assert lin[u].interference_a2 > 0.0
@@ -128,28 +133,28 @@ def test_sinr_two_equal_interferers_ratio_two():
         [{"red": 1e-7}, {"red": 1e-7}, {"red": 1e-6}],
     ])
     asg = {0: (0, "red"), 1: (1, "red"), 2: (2, "red")}
-    lin = sinr(asg, t, NoiseParams(), "linearized")[0]
-    ex = sinr(asg, t, NoiseParams(), "exact")[0]
+    lin = sinr(asg, t, ReceiverSpec(), "linearized")[0]
+    ex = sinr(asg, t, ReceiverSpec(), "exact")[0]
     assert ex.interference_a2 == pytest.approx(2.0 * lin.interference_a2,
                                                rel=1e-12)
     assert ex.sinr < lin.sinr
 
 
 def test_assigned_wavelength_swaps_shot_for_interference():
-    noise = NoiseParams()
+    receiver = ReceiverSpec()
     t = _table([
         [{"red": 1e-6, "blue": 1e-6}, {"red": 3e-7, "blue": 3e-7}],
         [{"red": 2e-7, "blue": 2e-7}, {"red": 8e-7, "blue": 8e-7}],
     ])
     # other user on a different colour: AP 1 is pure shot noise for user 0
-    quiet = sinr({0: (0, "red"), 1: (1, "blue")}, t, noise)[0]
+    quiet = sinr({0: (0, "red"), 1: (1, "blue")}, t, receiver)[0]
     assert quiet.interference_a2 == 0.0
-    assert quiet.shot_a2 == pytest.approx(shot_noise(3e-7, noise), rel=1e-12)
+    assert quiet.shot_a2 == pytest.approx(shot_noise(3e-7, receiver), rel=1e-12)
     # same colour: the 3e-7 W from AP 1 becomes interference, shot term drops
-    loud = sinr({0: (0, "red"), 1: (1, "red")}, t, noise)[0]
+    loud = sinr({0: (0, "red"), 1: (1, "red")}, t, receiver)[0]
     assert loud.shot_a2 == 0.0
     assert loud.interference_a2 == pytest.approx(
-        electrical_signal_power(3e-7, noise.responsivity_a_per_w), rel=1e-12)
+        electrical_signal_power(3e-7, receiver.responsivity_a_per_w), rel=1e-12)
     assert loud.sinr < quiet.sinr
 
 
@@ -160,16 +165,16 @@ def test_out_of_fov_interferer_contributes_nothing():
         [{"red": 1e-6}, {"red": 0.0}],
         [{"red": 1e-7}, {"red": 9e-7}],
     ])
-    noise = NoiseParams()
-    alone = sinr({0: (0, "red")}, t, noise)[0]
-    crowded = sinr({0: (0, "red"), 1: (1, "red")}, t, noise)[0]
+    receiver = ReceiverSpec()
+    alone = sinr({0: (0, "red")}, t, receiver)[0]
+    crowded = sinr({0: (0, "red"), 1: (1, "red")}, t, receiver)[0]
     assert crowded.sinr == pytest.approx(alone.sinr, rel=1e-12)
 
 
 def test_sinr_matches_longhand_expansion():
     # fully written-out denominator for a 3-AP, 2-colour case
-    noise = NoiseParams(bandwidth_hz=4e9, preamp_a2_per_hz=3e-23,
-                        responsivity_a_per_w=0.5)
+    receiver = ReceiverSpec(bandwidth_hz=4e9, preamp_a2_per_hz=3e-23,
+                            responsivity_a_per_w=0.5)
     p = [
         [{"red": 9e-7, "blue": 6e-7}, {"red": 2e-7, "blue": 1e-7},
          {"red": 3e-7, "blue": 2e-7}],
@@ -180,7 +185,7 @@ def test_sinr_matches_longhand_expansion():
     ]
     t = _table(p)
     asg = {0: (0, "red"), 1: (1, "red"), 2: (2, "blue")}
-    got = sinr(asg, t, noise, "linearized")
+    got = sinr(asg, t, receiver, "linearized")
     R, B = 0.5, 4e9
     e = ELECTRON_CHARGE_C
     # user 0 on red: AP1 interferes (user 1 on red), AP2 is unmodulated red
@@ -197,7 +202,7 @@ def test_sinr_rejects_double_booked_slot():
         [{"red": 1e-7}, {"red": 1e-6}],
     ])
     with pytest.raises(ConfigError):
-        sinr({0: (0, "red"), 1: (0, "red")}, t, NoiseParams())
+        sinr({0: (0, "red"), 1: (0, "red")}, t, ReceiverSpec())
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e-4),
@@ -213,7 +218,7 @@ def test_linearized_sinr_never_below_exact(vals):
     ]
     t = _table(p)
     asg = {0: (0, "red"), 1: (1, "red"), 2: (2, "red")}
-    lin = sinr(asg, t, NoiseParams(), "linearized")
-    ex = sinr(asg, t, NoiseParams(), "exact")
+    lin = sinr(asg, t, ReceiverSpec(), "linearized")
+    ex = sinr(asg, t, ReceiverSpec(), "exact")
     for u in (0, 1, 2):
         assert lin[u].sinr >= ex[u].sinr * (1 - 1e-12)

@@ -6,7 +6,6 @@ import pytest
 
 from owcfog.errors import ConfigError
 from owcfog.topology import (
-    MOBILE_ROUTE_EFFICIENCY_W_PER_MBPS,
     REFERENCE_DEVICES,
     NetworkDevice,
     ProcessingNode,
