@@ -66,8 +66,9 @@ class AllocationProblem:
             wavelength is left unmodulated.
         rate_bps: (U, A) channel-supported data rate of each user-AP pair.
         preamp_a2: receiver noise floor.
-        sinr_floor: minimum linear SINR an assigned slot must reach.
-        onu_capacity_bps: per-AP backhaul capacity.
+
+    Every assigned slot must reach ``DEFAULT_SINR_FLOOR``, and every AP's
+    backhaul carries at most ``DEFAULT_ONU_CAPACITY_BPS``.
     """
 
     users: List[int]
@@ -77,8 +78,6 @@ class AllocationProblem:
     shot_a2: np.ndarray
     rate_bps: np.ndarray
     preamp_a2: float
-    sinr_floor: float = DEFAULT_SINR_FLOOR
-    onu_capacity_bps: float = DEFAULT_ONU_CAPACITY_BPS
 
     def __post_init__(self):
         u, a, w = len(self.users), len(self.ap_ids), len(self.wavelengths)
@@ -265,7 +264,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
             report={"constraint": "slot_once", "users": n_users,
                     "slots": len(slots)})
 
-    floor = problem.sinr_floor * (1 - 1e-12)
+    floor = DEFAULT_SINR_FLOOR * (1 - 1e-12)
     ub = _gamma_upper_bounds(problem)          # the root node's bound
     for u in range(n_users):
         if not (ub[u] >= floor).any():
@@ -274,7 +273,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
                 f"slot",
                 report={"constraint": "sinr_floor",
                         "user": problem.users[u],
-                        "floor": problem.sinr_floor,
+                        "floor": DEFAULT_SINR_FLOOR,
                         "best_possible_sinr": float(ub[u].max())})
     root_bound = sum(float(ub[u].max()) for u in range(n_users))
     tol = _tie_tolerance(problem)
@@ -289,7 +288,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
     shot = problem.shot_a2
     preamp = problem.preamp_a2
     rate = problem.rate_bps.tolist()
-    onu_cap = problem.onu_capacity_bps * (1 + 1e-12)
+    onu_cap = DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12)
     # denominator charge of slot (b, w) to user u, and its sum over b
     contrib = np.minimum(signal, shot)
     total = contrib.sum(axis=1)                # (U, W)
@@ -414,7 +413,7 @@ def _raise_infeasible(problem: AllocationProblem, counters: Dict[str, int]):
         f"no feasible assignment: binding constraint {binding}",
         report={
             "constraint": binding,
-            "floor": problem.sinr_floor,
+            "floor": DEFAULT_SINR_FLOOR,
             "floor_rejections": counters["floor_rejects"],
             "onu_rejections": counters["onu_rejects"],
             "best_possible_sinr_per_user": per_user,

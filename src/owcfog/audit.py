@@ -42,6 +42,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .allocator import (
+    DEFAULT_ONU_CAPACITY_BPS,
+    DEFAULT_SINR_FLOOR,
     AllocationProblem,
     AllocationSolution,
     _better,
@@ -211,13 +213,13 @@ class LinearizedModel(_RowModel):
                     self.rows.append(ConstraintRow(
                         f"sinr_floor[u{u},a{a},w{w}]", "eq16",
                         [(("gamma", u, a, w), 1.0),
-                         (("S", u, a, w), -p.sinr_floor)], ">=", 0.0))
+                         (("S", u, a, w), -DEFAULT_SINR_FLOOR)], ">=", 0.0))
 
         for a in A:
             self.rows.append(ConstraintRow(
                 f"onu_cap[a{a}]", "eq17",
                 [(("S", u, a, w), float(p.rate_bps[u, a]))
-                 for u in U for w in W], "<=", float(p.onu_capacity_bps)))
+                 for u in U for w in W], "<=", DEFAULT_ONU_CAPACITY_BPS))
 
     def point_from_assignment(self, assignment: Dict[int, Tuple[int, int]]
                               ) -> Dict[Tuple, float]:
@@ -397,18 +399,18 @@ def check_feasibility(problem: AllocationProblem,
         gammas = linearized_gammas(problem.signal_a2, problem.shot_a2,
                                    problem.preamp_a2, slots).tolist()
         for u, g in enumerate(gammas):
-            if g < problem.sinr_floor * (1 - 1e-12):
+            if g < DEFAULT_SINR_FLOOR * (1 - 1e-12):
                 violations.append({
                     "constraint": "sinr_floor", "user": problem.users[u],
-                    "sinr": g, "floor": problem.sinr_floor})
+                    "sinr": g, "floor": DEFAULT_SINR_FLOOR})
         for a in range(len(problem.ap_ids)):
             load = sum(float(problem.rate_bps[u, a])
                        for u, (ai, _) in assignment.items() if ai == a)
-            if load > problem.onu_capacity_bps * (1 + 1e-12):
+            if load > DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12):
                 violations.append({
                     "constraint": "onu_capacity", "ap_id": problem.ap_ids[a],
                     "rate_sum_bps": load,
-                    "capacity_bps": problem.onu_capacity_bps})
+                    "capacity_bps": DEFAULT_ONU_CAPACITY_BPS})
     return {"feasible": not violations, "violations": violations}
 
 
@@ -452,8 +454,8 @@ def _enumerate_allocations(problem: AllocationProblem,
 
     sig = problem.signal_a2
     shot = problem.shot_a2
-    floor = problem.sinr_floor * (1 - 1e-12)
-    onu = problem.onu_capacity_bps * (1 + 1e-12)
+    floor = DEFAULT_SINR_FLOOR * (1 - 1e-12)
+    onu = DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12)
     n_aps = len(problem.ap_ids)
 
     best_obj = None

@@ -71,7 +71,7 @@ WAVELENGTHS = ("red", "yellow", "green", "blue")
 
 # OOK rate adjustment: links whose electrical SINR sits inside the coding
 # window carry a 10% forward-error-correction overhead; below the window
-# (the allocator's 14 dB ``sinr_floor``) the link cannot run at all.
+# (the allocator's 14 dB ``DEFAULT_SINR_FLOOR``) the link cannot run at all.
 FEC_FREE_SINR_DB = 15.6
 FEC_RATE_FACTOR = 0.9
 

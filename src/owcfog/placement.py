@@ -15,6 +15,13 @@ destination: the mobile fog serves other users' offloaded work.
 big-M row form live in :mod:`owcfog.audit`; the oracle breaks objective ties
 identically (first leaf in preference-ordered enumeration), so both return
 the same assignment on the same instance.
+
+The solver's cost and eligibility tables are built once per demand class,
+not once per task: a sweep cell's 50 identical tasks share one cost row and
+one eligibility row per source.  Each entry is ``PlacementProblem.cost``'s
+expression, and the sums over tasks still add one term per task in task
+order, so costs, bounds, tie tolerances and the oracle's comparisons are
+bitwise those of a per-task build, and the chosen assignment with them.
 """
 
 from __future__ import annotations
@@ -105,7 +112,11 @@ class PlacementProblem:
         ids = [t.task_id for t in self.tasks]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate task ids")
+        checked = set()
         for t in self.tasks:
+            if t.source in checked:
+                continue
+            checked.add(t.source)
             src = self.topology.node(t.source)  # raises if unknown
             if not src.is_mobile:
                 raise ConfigError(
@@ -127,13 +138,25 @@ def _preference_order(topology: TopologyConfig) -> List[ProcessingNode]:
 
 @dataclass
 class _Prepared:
-    """Solver-facing view: preference-ordered nodes, costs, eligibility."""
+    """Solver-facing view: preference-ordered nodes, costs, eligibility.
 
+    Rows are per demand class, not per task.  Tasks with one (workload,
+    flow) share one cost row, and tasks that also share a source share one
+    eligibility row with its cheapest and dearest eligible cost; each
+    task's entry points at its class's row, a read-only tuple.  Sums over
+    tasks (``worst_w``, the cheapest suffix) still add one term per task in
+    task order: the tie tolerance and rounding slack scale with ``worst_w``
+    and the cutoff probe compares against bound sums to the ulp, so a
+    regrouped sum could change which near-tie leaf is kept.
+    """
+
+    nodes: List[ProcessingNode]
     node_ids: List[str]
     node_cap_mips: List[float]
     route_cap_mbps: List[float]
-    cost: List[List[float]]        # [task][node]
-    eligible: List[List[bool]]     # [task][node]
+    cost: List[Tuple[float, ...]]      # [task] -> its class's [node] row
+    eligible: List[Tuple[bool, ...]]   # [task] -> its class's [node] row
+    cheapest: List[float]              # [task] cheapest eligible cost
     group_prev: List[Optional[int]]  # index of previous identical task
     task_w: List[float]
     task_f: List[float]
@@ -150,25 +173,46 @@ def _prepare(problem: PlacementProblem) -> _Prepared:
     effs = [node.efficiency_w_per_mips for node in nodes]
     psis = [node.route.efficiency_w_per_mbps for node in nodes]
     tasks = list(problem.tasks)
-    # the expression of PlacementProblem.cost, so every entry is bitwise equal
-    cost = [[t.workload_mips * e + t.flow_mbps * psi
-             for e, psi in zip(effs, psis)] for t in tasks]
-    eligible = []
-    for t in tasks:
-        row = []
-        for j, n in enumerate(node_ids):
-            row.append(t.workload_mips <= caps[j]
-                       and t.flow_mbps <= links[j] and n != t.source)
-        if not any(row):
-            raise InfeasibleError(
-                f"task {t.task_id} fits no processing node "
-                f"(workload {t.workload_mips} MIPS, flow {t.flow_mbps} "
-                f"Mbit/s)",
-                report={"constraint": "per_task_fit",
-                        "task_id": t.task_id,
-                        "workload_mips": t.workload_mips,
-                        "flow_mbps": t.flow_mbps})
-        eligible.append(row)
+    cost_rows: Dict[Tuple[float, float], Tuple[float, ...]] = {}
+    # identical tasks (same workload, flow and source) are interchangeable:
+    # they share an eligibility row with its cheapest and dearest eligible
+    # cost, and each remembers its predecessor for symmetry breaking
+    fit_rows: Dict[Tuple[float, float, str],
+                   Tuple[Tuple[bool, ...], float, float]] = {}
+    last_of_group: Dict[Tuple[float, float, str], int] = {}
+    cost: List[Tuple[float, ...]] = []
+    eligible: List[Tuple[bool, ...]] = []
+    cheapest: List[float] = []
+    dearest: List[float] = []
+    group_prev: List[Optional[int]] = []
+    for i, t in enumerate(tasks):
+        w, f = t.workload_mips, t.flow_mbps
+        row = cost_rows.get((w, f))
+        if row is None:
+            # the expression of PlacementProblem.cost: bitwise equal entries
+            row = cost_rows[w, f] = tuple(
+                w * e + f * psi for e, psi in zip(effs, psis))
+        sig = (w, f, t.source)
+        fit_row = fit_rows.get(sig)
+        if fit_row is None:
+            ok = tuple(w <= caps[j] and f <= links[j] and n != t.source
+                       for j, n in enumerate(node_ids))
+            if not any(ok):
+                raise InfeasibleError(
+                    f"task {t.task_id} fits no processing node "
+                    f"(workload {w} MIPS, flow {f} Mbit/s)",
+                    report={"constraint": "per_task_fit",
+                            "task_id": t.task_id,
+                            "workload_mips": w,
+                            "flow_mbps": f})
+            fits = [c for c, fit in zip(row, ok) if fit]
+            fit_row = fit_rows[sig] = (ok, min(fits), max(fits))
+        cost.append(row)
+        eligible.append(fit_row[0])
+        cheapest.append(fit_row[1])
+        dearest.append(fit_row[2])
+        group_prev.append(last_of_group.get(sig))
+        last_of_group[sig] = i
     total_w = sum(t.workload_mips for t in tasks)
     if total_w > sum(caps) + 1e-9:
         raise InfeasibleError(
@@ -177,18 +221,9 @@ def _prepare(problem: PlacementProblem) -> _Prepared:
             report={"constraint": "total_capacity",
                     "total_workload_mips": total_w,
                     "total_capacity_mips": sum(caps)})
-    # identical tasks (same workload, flow and source) are interchangeable;
-    # remember each task's predecessor in its group for symmetry breaking
-    last_of_group: Dict[Tuple[float, float, str], int] = {}
-    group_prev: List[Optional[int]] = []
-    for i, t in enumerate(tasks):
-        sig = (t.workload_mips, t.flow_mbps, t.source)
-        group_prev.append(last_of_group.get(sig))
-        last_of_group[sig] = i
-    worst = sum(max(c for c, ok in zip(row, okrow) if ok)
-                for row, okrow in zip(cost, eligible))
-    return _Prepared(node_ids, caps, links, cost, eligible, group_prev,
-                     [t.workload_mips for t in tasks],
+    worst = sum(dearest)
+    return _Prepared(nodes, node_ids, caps, links, cost, eligible, cheapest,
+                     group_prev, [t.workload_mips for t in tasks],
                      [t.flow_mbps for t in tasks], max(1.0, worst))
 
 
@@ -254,9 +289,9 @@ def _finish(problem: PlacementProblem, prep: _Prepared,
     named: Dict[int, str] = {}
     total = 0.0
     for i, t in enumerate(problem.tasks):
-        n_id = prep.node_ids[assignment_idx[i]]
+        node = prep.nodes[assignment_idx[i]]
+        n_id = node.node_id
         named[t.task_id] = n_id
-        node = topo.node(n_id)
         proc[n_id] += t.workload_mips * node.efficiency_w_per_mips
         net[n_id] += t.flow_mbps * node.route.efficiency_w_per_mbps
         mips[n_id] += t.workload_mips
@@ -297,11 +332,10 @@ def _fill_order(prep: _Prepared, first: int) -> List[Tuple[float, int]]:
 
 def _cheapest_suffix(prep: _Prepared) -> List[float]:
     """cheapest_suffix[d] = capacity-ignoring bound for tasks d..end."""
-    n = len(prep.cost)
+    n = len(prep.cheapest)
     out = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        best = min(c for c, ok in zip(prep.cost[i], prep.eligible[i]) if ok)
-        out[i] = out[i + 1] + best
+        out[i] = out[i + 1] + prep.cheapest[i]
     return out
 
 

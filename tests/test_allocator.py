@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from owcfog.allocator import (
+    DEFAULT_SINR_FLOOR,
     AllocationProblem,
     _solution_from_indices,
     solve_branch_and_bound,
@@ -255,8 +256,7 @@ def test_fec_derating_covers_users_admitted_under_the_floor(scale):
     # just under 14 dB is de-rated like one at 14.04 dB.
     floor = 10.0 ** 1.4
     p = AllocationProblem([0], [0], ["red"], signal_a2=[[[floor * scale]]],
-                          shot_a2=[[[0.0]]], rate_bps=[[1e9]], preamp_a2=1.0,
-                          sinr_floor=floor)
+                          shot_a2=[[[0.0]]], rate_bps=[[1e9]], preamp_a2=1.0)
     for sol in (solve_branch_and_bound(p), solve_exhaustive(p)):
         assert (sol.sinr_db[0] < 14.0) == (scale < 1)
         assert 14.0 - 1e-9 < sol.sinr_db[0] < 14.05
@@ -369,7 +369,7 @@ def test_near_floor_instances_match_exhaustive():
                 solve_branch_and_bound(p)
             continue
         assert solve_branch_and_bound(p).assignment == ex.assignment
-        near += min(ex.sinr.values()) < 1.02 * p.sinr_floor
+        near += min(ex.sinr.values()) < 1.02 * DEFAULT_SINR_FLOOR
     assert near >= 10
 
 

@@ -181,7 +181,7 @@ README_EXAMPLE_DIGESTS = {
 
 @pytest.mark.parametrize("example", [
     "place",
-    pytest.param("sweep", marks=pytest.mark.slow),
+    "sweep",
     "chain",
 ])
 def test_readme_example_bundle_pinned(example, tmp_path, capsys):

@@ -20,6 +20,7 @@ from owcfog.placement import (
     _cheapest_suffix,
     _fill_order,
     _finish,
+    _preference_order,
     _prepare,
     _rounding_slack,
     _tie_tolerance,
@@ -533,6 +534,112 @@ def _mixed_family(seed, count):
             TaskDemand(k, rng.choice(srcs), rng.choice([300, 700, 1400]),
                        rng.choice([0, 60, 400, 900]))
             for k in range(rng.randint(2, 9))])
+
+
+def _longhand_rows(problem):
+    """The solver's per-task tables built one task at a time: a cost row and
+    an eligibility row per task, M as the sum of each task's dearest
+    eligible cost, the cheapest-node suffix sums and each task's
+    predecessor among identical tasks.  Raises as ``_prepare`` does."""
+    nodes = _preference_order(problem.topology)
+    tasks = list(problem.tasks)
+    cost = [[t.workload_mips * n.efficiency_w_per_mips
+             + t.flow_mbps * n.route.efficiency_w_per_mbps for n in nodes]
+            for t in tasks]
+    eligible = []
+    for t in tasks:
+        row = [t.workload_mips <= n.capacity_mips
+               and t.flow_mbps <= n.route.capacity_mbps
+               and n.node_id != t.source for n in nodes]
+        if not any(row):
+            raise InfeasibleError(
+                "fits no node", report={"constraint": "per_task_fit",
+                                        "task_id": t.task_id,
+                                        "workload_mips": t.workload_mips,
+                                        "flow_mbps": t.flow_mbps})
+        eligible.append(row)
+    total_w = sum(t.workload_mips for t in tasks)
+    total_cap = sum(n.capacity_mips for n in nodes)
+    if total_w > total_cap + 1e-9:
+        raise InfeasibleError(
+            "over capacity", report={"constraint": "total_capacity",
+                                     "total_workload_mips": total_w,
+                                     "total_capacity_mips": total_cap})
+    worst = max(1.0, sum(max(c for c, ok in zip(row, okrow) if ok)
+                         for row, okrow in zip(cost, eligible)))
+    cheap = [0.0] * (len(tasks) + 1)
+    for i in range(len(tasks) - 1, -1, -1):
+        cheap[i] = cheap[i + 1] + min(
+            c for c, ok in zip(cost[i], eligible[i]) if ok)
+    group_prev = []
+    for i, t in enumerate(tasks):
+        prev = [k for k in range(i) if (tasks[k].workload_mips,
+                                         tasks[k].flow_mbps, tasks[k].source)
+                == (t.workload_mips, t.flow_mbps, t.source)]
+        group_prev.append(prev[-1] if prev else None)
+    return cost, eligible, worst, cheap, group_prev
+
+
+def _assert_rows_match_longhand(problem):
+    """``_prepare`` against the longhand build, floats compared with ==;
+    an instance one rejects the other rejects with the same report.
+    Returns the prepared view, or None when infeasible."""
+    try:
+        cost, eligible, worst, cheap, group_prev = _longhand_rows(problem)
+    except InfeasibleError as e:
+        with pytest.raises(InfeasibleError) as got:
+            _prepare(problem)
+        assert got.value.report == e.report
+        return None
+    prep = _prepare(problem)
+    assert [list(row) for row in prep.cost] == cost
+    assert [list(row) for row in prep.eligible] == eligible
+    assert all(type(row) is tuple for row in prep.cost + prep.eligible)
+    assert prep.worst_w == worst
+    assert _cheapest_suffix(prep) == cheap
+    assert prep.group_prev == group_prev
+    assert [n.node_id for n in prep.nodes] == prep.node_ids
+    # one shared row per demand class, not one per task
+    classes = {(t.workload_mips, t.flow_mbps) for t in problem.tasks}
+    assert len({id(row) for row in prep.cost}) == len(classes)
+    sigs = {(t.workload_mips, t.flow_mbps, t.source) for t in problem.tasks}
+    assert len({id(row) for row in prep.eligible}) == len(sigs)
+    return prep
+
+
+@pytest.mark.parametrize("family", [_uniform_family, _mixed_family])
+def test_class_rows_match_longhand_on_random_families(family):
+    prepared = sum(_assert_rows_match_longhand(problem) is not None
+                   for problem in family(21, 300))
+    assert 200 <= prepared < 300
+
+
+def test_class_rows_match_longhand_on_sweep_cells(topo):
+    sweep_cfg = load_config()["sweep"]
+    sources = [m.node_id for m in topo.mobiles()]
+    for drr in sweep_cfg["drr"]:
+        for w in sweep_cfg["workload_mips"]:
+            prep = _assert_rows_match_longhand(PlacementProblem(
+                topo, demands_from_drr(w, drr, 50, sources)))
+            assert len(set(map(id, prep.eligible))) == len(sources)
+
+
+def test_unfit_second_class_names_its_first_task(topo):
+    # the first class fits; the second carries 300 Gbit/s, more than any
+    # route, and its first task in task order (not the lowest id) is named
+    tasks = [TaskDemand(5, "mobile_0", 500.0, 1.0),
+             TaskDemand(3, "mobile_1", 500.0, 1.0),
+             TaskDemand(9, "mobile_0", 1000.0, 300_000.0),
+             TaskDemand(1, "mobile_1", 1000.0, 300_000.0)]
+    problem = PlacementProblem(topo, tasks)
+    with pytest.raises(InfeasibleError) as e:
+        _longhand_rows(problem)
+    assert e.value.report["task_id"] == 9
+    assert _assert_rows_match_longhand(problem) is None
+    with pytest.raises(InfeasibleError) as e_bb:
+        solve_branch_and_bound(problem)
+    assert e_bb.value.report["constraint"] == "per_task_fit"
+    assert e_bb.value.report["task_id"] == 9
 
 
 def test_cutoff_probe_matches_incumbent_chain_on_sweep_cells(topo):
