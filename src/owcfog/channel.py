@@ -5,7 +5,9 @@ and a photodetector on the user plane: the direct line-of-sight ray plus first-
 and second-order diffuse reflections off discretized wall/ceiling/floor
 elements. From the binned response it derives the channel metrics the rest of
 the pipeline consumes: DC gain, RMS delay spread, 3-dB bandwidth, and the
-OOK data rate the link can support.
+OOK data rate the link can support. ``compute_channel_records`` hands them
+over as one ``ChannelRecords``: a dense (user, AP, wavelength) array per
+metric, which the signal model and the bundle tables read directly.
 
 The tracer does only work that can reach the receiver. The surface mesh
 depends on the room alone, so every link shares one. The second bounce is
@@ -763,24 +765,27 @@ def fec_rate(rate_bps: float, sinr_db: float) -> float:
 # =====================================================================
 
 @dataclass
-class ChannelRecord:
-    """Channel metrics for one (user position, AP, wavelength) triple."""
+class ChannelRecords:
+    """Channel metrics of every (user position, AP, wavelength) link.
 
-    user: int
-    user_x: float
-    user_y: float
-    ap_id: int
-    wavelength: str
-    h: float
-    rx_power_w: float
-    delay_spread_s: float
-    bw_3db_hz: float
-    rate_bps: float
+    Each metric is a dense (U, A, W) array: axis 0 follows ``positions_m``
+    (as given), axis 1 ``ap_ids`` (the room's AP order) and axis 2
+    ``wavelengths`` (canonical order).
+    """
+
+    positions_m: List[Tuple[float, float]]
+    ap_ids: List[int]
+    wavelengths: List[str]
+    h: np.ndarray
+    rx_power_w: np.ndarray
+    delay_spread_s: np.ndarray
+    bw_3db_hz: np.ndarray
+    rate_bps: np.ndarray
 
 
 def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
                             positions: Sequence[Tuple[float, float]]
-                            ) -> List[ChannelRecord]:
+                            ) -> ChannelRecords:
     """Trace every (user, AP, wavelength) link and tabulate its metrics.
 
     Positions are (x, y) on the receiver plane, all checked before any map
@@ -811,11 +816,12 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
                     half_power_semiangle_deg=ap.half_power_semiangle_deg,
                     tx_power_w={wl: 1.0}))
                  for key, wl in traced_at.items()] for ap in room.aps]
-    records: List[ChannelRecord] = []
+    # one row per ChannelRecords metric, in field order
+    metrics = np.empty((5, len(positions), len(room.aps), len(WAVELENGTHS)))
     z = room.receiver_plane_m
     workspace: Dict[int, np.ndarray] = {}
     for u, (x, y) in enumerate(positions):
-        for ap, units in zip(room.aps, unit_aps):
+        for a, (ap, units) in enumerate(zip(room.aps, unit_aps)):
             # reflectivity map -> (h, delay spread, 3-dB bandwidth)
             traced: Dict[Tuple, Tuple[float, float, float]] = {}
             for key, wl, unit_ap in units:
@@ -828,12 +834,10 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
                     bw = 0.0
                 # unit transmit power: total power is the gain
                 traced[key] = (unit_ir.total_power_w, ds, bw)
-            for wl in WAVELENGTHS:
+            for w, wl in enumerate(WAVELENGTHS):
                 h, ds, bw = traced[map_keys[wl]]
                 po = float(ap.tx_power_w.get(wl, 0.0))
-                records.append(ChannelRecord(
-                    user=u, user_x=x, user_y=y, ap_id=ap.ap_id, wavelength=wl,
-                    h=h, rx_power_w=po * h, delay_spread_s=ds, bw_3db_hz=bw,
-                    rate_bps=channel_rate(bw, receiver.bandwidth_hz,
-                                          receiver.rate_factor)))
-    return records
+                metrics[:, u, a, w] = (h, po * h, ds, bw, channel_rate(
+                    bw, receiver.bandwidth_hz, receiver.rate_factor))
+    return ChannelRecords(list(positions), [ap.ap_id for ap in room.aps],
+                          list(WAVELENGTHS), *metrics)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
@@ -154,8 +155,10 @@ def _is_int(value: Any) -> bool:
 
 
 def _as_number(value: Any, label: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{label} must be a number, got {value!r}")
+    # JSON parses Infinity and NaN, and float() overflows on a huge integer
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max,
+            f"{label} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -63,10 +63,12 @@ class TaskDemand:
     flow_mbps: float
 
     def __post_init__(self) -> None:
-        if not self.workload_mips > 0:
-            raise ConfigError(f"task {self.task_id}: workload must be > 0")
-        if self.flow_mbps < 0:
-            raise ConfigError(f"task {self.task_id}: flow must be >= 0")
+        if not 0 < self.workload_mips < math.inf:
+            raise ConfigError(
+                f"task {self.task_id}: workload must be finite and > 0")
+        if not 0 <= self.flow_mbps < math.inf:
+            raise ConfigError(
+                f"task {self.task_id}: flow must be finite and >= 0")
 
 
 def demands_from_drr(workload_mips: float, drr: float, count: int,

@@ -10,6 +10,7 @@ reproduced byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import platform
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .allocator import AllocationProblem, AllocationSolution, solve_branch_and_bound
-from .channel import ChannelRecord, RoomConfig, compute_channel_records, grid_positions
+from .channel import ChannelRecords, RoomConfig, compute_channel_records, grid_positions
 from .config import config_digest, receiver_from_config, room_from_config
 from .errors import ConfigError, InfeasibleError
 from .placement import PlacementProblem, demands_from_drr, solution_row
@@ -141,17 +142,15 @@ def scenario_from_config(cfg: Dict, room: Optional[RoomConfig] = None) -> Scenar
 # bandwidth coverage
 # ---------------------------------------------------------------------
 
-def _per_location_bandwidth(records: Sequence[ChannelRecord]) -> List[float]:
-    # A location "supports" the best bandwidth any AP/wavelength offers there.
-    best: Dict[Tuple[float, float], float] = {}
-    for r in records:
-        key = (r.user_x, r.user_y)
-        if r.bw_3db_hz > best.get(key, -1.0):
-            best[key] = r.bw_3db_hz
+def _per_location_bandwidth(records: ChannelRecords) -> List[float]:
+    # A location "supports" the best bandwidth any AP/wavelength offers there;
+    # users at one (x, y) share their traces, so they are one location.
+    best = dict(zip(map(tuple, records.positions_m),
+                    records.bw_3db_hz.max(axis=(1, 2)).tolist()))
     return [best[k] for k in sorted(best)]
 
 
-def bandwidth_cdf(records: Sequence[ChannelRecord]) -> List[Tuple[float, float]]:
+def bandwidth_cdf(records: ChannelRecords) -> List[Tuple[float, float]]:
     """Empirical CDF of per-location supported bandwidth.
 
     Returns sorted ``(bandwidth_hz, cumulative fraction)`` pairs, one per
@@ -170,7 +169,7 @@ def bandwidth_cdf(records: Sequence[ChannelRecord]) -> List[Tuple[float, float]]
     return out
 
 
-def fraction_at_least(records: Sequence[ChannelRecord],
+def fraction_at_least(records: ChannelRecords,
                       threshold_hz: float) -> float:
     """Fraction of locations whose supported bandwidth is ≥ the threshold."""
     values = _per_location_bandwidth(records)
@@ -279,9 +278,18 @@ def placement_table(rows: Sequence[Dict[str, object]],
     return (header, [[row.get(col) for col in header] for row in rows])
 
 
-def channel_table(records: Sequence[ChannelRecord]) -> Table:
-    rows = [[r.user_x, r.user_y, r.ap_id, r.wavelength, r.h, r.rx_power_w,
-             r.delay_spread_s, r.bw_3db_hz, r.rate_bps] for r in records]
+def channel_table(records: ChannelRecords) -> Table:
+    """One row per link, in (user, AP, wavelength) order; ``tolist`` gives
+    Python floats, whose ``repr`` the CSV keeps."""
+    links = itertools.product(records.positions_m, records.ap_ids,
+                              records.wavelengths)
+    metrics = zip(*(values.ravel().tolist() for values in (
+        records.h, records.rx_power_w, records.delay_spread_s,
+        records.bw_3db_hz, records.rate_bps)))
+    # a list display sized exactly: [..., *m] would over-allocate each row
+    rows = [[x, y, ap_id, wl, h, rx, ds, bw, rate]
+            for ((x, y), ap_id, wl), (h, rx, ds, bw, rate)
+            in zip(links, metrics)]
     return (list(CHANNEL_HEADER), rows)
 
 
@@ -303,10 +311,10 @@ def allocation_tables(solution: Optional[AllocationSolution]
     }
 
 
-def cdf_table(records: Sequence[ChannelRecord]) -> Table:
-    """The bandwidth CDF as a table; empty when there are no records."""
+def cdf_table(records: ChannelRecords) -> Table:
+    """The bandwidth CDF as a table; empty when there are no users."""
     rows = [[bw, frac] for bw, frac in bandwidth_cdf(records)] \
-        if records else []
+        if records.positions_m else []
     return (list(CDF_HEADER), rows)
 
 
@@ -327,19 +335,19 @@ def channel_bundle(cfg: Dict) -> ResultBundle:
 
 
 def allocate_scenario(cfg: Dict, time_limit_s: Optional[float] = None
-                      ) -> Tuple[Scenario, List[ChannelRecord],
+                      ) -> Tuple[Scenario, ChannelRecords,
                                  Optional[AllocationSolution]]:
     """Scenario positions → channel records → solved WDMA assignment.
 
-    Returns the solution as ``None`` for an empty scenario.  Infeasibility
-    is re-raised with the stage recorded in the report.
+    Returns no solution for an empty scenario (its records hold no users).
+    Infeasibility is re-raised with the stage recorded in the report.
     """
     room = room_from_config(cfg)
     receiver = receiver_from_config(cfg)
     scenario = scenario_from_config(cfg, room)
-    if scenario.n_users == 0:
-        return scenario, [], None
     records = compute_channel_records(room, receiver, scenario.positions_m)
+    if scenario.n_users == 0:
+        return scenario, records, None
     problem = AllocationProblem.from_table(
         ChannelTable.from_records(records), receiver)
     try:

@@ -27,11 +27,11 @@ their tie-breaks agree. ``np.sum`` reorders the additions and breaks this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from owcfog.channel import WAVELENGTHS, ChannelRecord, ReceiverSpec
+from owcfog.channel import ChannelRecords, ReceiverSpec
 from owcfog.errors import ConfigError
 
 #: Elementary charge, coulombs (2019 SI exact value).
@@ -90,11 +90,11 @@ def linearized_gammas(signal_a2: np.ndarray, shot_a2: np.ndarray,
 
 @dataclass
 class ChannelTable:
-    """Dense (user, AP, wavelength) view over a list of channel records.
+    """Dense (user, AP, wavelength) view of the received power and rate.
 
     Axes are ordered: users ascending, AP ids ascending, wavelengths in
-    canonical order. Built via :meth:`from_records`, which requires the
-    record list to cover the full cartesian product exactly once.
+    canonical order. :meth:`from_records` projects the tracer's
+    :class:`owcfog.channel.ChannelRecords` onto that order.
     """
 
     users: List[int]
@@ -104,29 +104,11 @@ class ChannelTable:
     rate_bps: np.ndarray        # (U, A, W)
 
     @classmethod
-    def from_records(cls, records: Sequence[ChannelRecord]) -> "ChannelTable":
-        users = sorted({r.user for r in records})
-        ap_ids = sorted({r.ap_id for r in records})
-        wavelengths = [w for w in WAVELENGTHS
-                       if any(r.wavelength == w for r in records)]
-        extra = {r.wavelength for r in records} - set(wavelengths)
-        if extra:
-            raise ConfigError(f"unknown wavelengths in records: {sorted(extra)}")
-        shape = (len(users), len(ap_ids), len(wavelengths))
-        rx = np.full(shape, np.nan)
-        rate = np.full(shape, np.nan)
-        uix = {u: i for i, u in enumerate(users)}
-        aix = {a: i for i, a in enumerate(ap_ids)}
-        wix = {w: i for i, w in enumerate(wavelengths)}
-        for r in records:
-            key = (uix[r.user], aix[r.ap_id], wix[r.wavelength])
-            if not np.isnan(rx[key]):
-                raise ConfigError(
-                    f"duplicate record for user {r.user}, ap {r.ap_id}, "
-                    f"{r.wavelength}")
-            rx[key] = r.rx_power_w
-            rate[key] = r.rate_bps
-        if np.isnan(rx).any():
-            raise ConfigError("records do not cover every (user, AP, wavelength)")
-        return cls(users, ap_ids, wavelengths, rx, rate)
-
+    def from_records(cls, records: ChannelRecords) -> "ChannelTable":
+        # a room may list its APs out of id order
+        order = np.argsort(records.ap_ids, kind="stable")
+        return cls(list(range(len(records.positions_m))),
+                   [records.ap_ids[a] for a in order],
+                   list(records.wavelengths),
+                   np.take(records.rx_power_w, order, axis=1),
+                   np.take(records.rate_bps, order, axis=1))

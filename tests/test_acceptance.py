@@ -21,7 +21,6 @@ from owcfog.audit import (
     solve_exhaustive,
 )
 from owcfog.channel import (
-    ChannelRecord,
     ImpulseResponse,
     ReceiverSpec,
     bandwidth_3db,
@@ -70,17 +69,15 @@ def criterion(capsys, number, label, budget_s):
 # ---------------------------------------------------------------------
 
 def _table(rx_w, rates, wavelengths=("red", "yellow", "green", "blue")):
-    """Channel table from a (users x APs) received-power matrix."""
-    records = []
-    for u, row in enumerate(rx_w):
-        for a, p in enumerate(row):
-            for wl in wavelengths:
-                records.append(ChannelRecord(
-                    user=u, user_x=float(u), user_y=0.0, ap_id=a,
-                    wavelength=wl, h=p / 1.8, rx_power_w=p,
-                    delay_spread_s=1e-10, bw_3db_hz=rates[u][a],
-                    rate_bps=rates[u][a]))
-    return ChannelTable.from_records(records)
+    """Channel table from (users x APs) received-power and rate matrices,
+    each copied to every wavelength; a third axis gives one per wavelength."""
+    rx = np.array(rx_w, dtype=float)
+    if rx.ndim == 2:
+        rx = np.repeat(rx[..., None], len(wavelengths), axis=2)
+    rate = np.repeat(np.array(rates, dtype=float)[..., None],
+                     len(wavelengths), axis=2)
+    return ChannelTable(list(range(rx.shape[0])), list(range(rx.shape[1])),
+                        list(wavelengths), rx, rate)
 
 
 def _random_problem(rng):
@@ -96,18 +93,8 @@ def _random_problem(rng):
                         else rng.uniform(0.0, 2e-7))
             rates[u, a] = rng.choice([3e9, 4e9, 5e9])
     jitter = 1 + rng.uniform(-1e-3, 1e-3, size=4)
-    records = []
-    for u in range(n_users):
-        for a in range(n_aps):
-            for w, wl in enumerate(("red", "yellow", "green", "blue")):
-                records.append(ChannelRecord(
-                    user=u, user_x=float(u), user_y=0.0, ap_id=a,
-                    wavelength=wl, h=rx[u, a] / 1.8,
-                    rx_power_w=rx[u, a] * jitter[w],
-                    delay_spread_s=1e-10, bw_3db_hz=rates[u, a],
-                    rate_bps=rates[u, a]))
-    return AllocationProblem.from_table(ChannelTable.from_records(records),
-                                        ReceiverSpec())
+    return AllocationProblem.from_table(
+        _table(rx[..., None] * jitter, rates), ReceiverSpec())
 
 
 def _same_slices(problem):
@@ -390,21 +377,19 @@ def test_acceptance_7_channel_properties(capsys):
         room = room_from_config(cfg)
         positions = grid_positions(room)
         assert len(positions) == 128
-        by_fov = {}
-        for fov in (40.0, 30.0, 20.0):
-            receiver = ReceiverSpec(fov_deg=fov)
-            recs = compute_channel_records(room, receiver, positions)
-            by_fov[fov] = {(r.user, r.ap_id): r for r in recs
-                           if r.wavelength == "red"}
-        for key, wide in by_fov[40.0].items():
-            mid, narrow = by_fov[30.0][key], by_fov[20.0][key]
-            assert narrow.rx_power_w <= mid.rx_power_w + 1e-18
-            assert mid.rx_power_w <= wide.rx_power_w + 1e-18
+        by_fov = {fov: compute_channel_records(
+                      room, ReceiverSpec(fov_deg=fov), positions)
+                  for fov in (40.0, 30.0, 20.0)}
+        wide, mid, narrow = (by_fov[fov].rx_power_w[..., 0]   # red
+                             for fov in (40.0, 30.0, 20.0))
+        assert wide.shape == (128, 8)
+        assert np.all(narrow <= mid + 1e-18)
+        assert np.all(mid <= wide + 1e-18)
 
         # coverage is reported against the published ~60% figure as a
         # qualitative statement only (the parameters behind that figure are
         # not published); both say a majority of the floor clears 4 GHz.
-        frac = fraction_at_least(list(by_fov[40.0].values()), 4e9)
+        frac = fraction_at_least(by_fov[40.0], 4e9)
         assert 0.5 <= frac <= 1.0
         note["text"] = f"{frac:.1%} of locations support >= 4 GHz"
 

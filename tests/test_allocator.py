@@ -23,7 +23,7 @@ from owcfog.audit import (
     shot_noise,
     solve_exhaustive,
 )
-from owcfog.channel import ChannelRecord, ReceiverSpec
+from owcfog.channel import ReceiverSpec
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.signal_model import (
     ChannelTable,
@@ -32,38 +32,36 @@ from owcfog.signal_model import (
 )
 
 
-def _rec(u, a, w, p, rate=5e9):
-    return ChannelRecord(user=u, user_x=float(u), user_y=0.0, ap_id=a,
-                         wavelength=w, h=p, rx_power_w=p, delay_spread_s=0.0,
-                         bw_3db_hz=rate, rate_bps=rate)
+def _table(rx, rate, wavelengths):
+    """(U, A, W) received powers and rates -> ChannelTable."""
+    rx = np.array(rx, dtype=float)
+    return ChannelTable(list(range(rx.shape[0])), list(range(rx.shape[1])),
+                        list(wavelengths), rx,
+                        np.broadcast_to(rate, rx.shape).astype(float))
 
 
 def _problem(rx, rates=None, wavelengths=("red", "yellow", "green", "blue")):
     """rx[u][a] -> optical power used for every wavelength of that pair."""
     n_u, n_a = len(rx), len(rx[0])
     rates = rates or [[5e9] * n_a for _ in range(n_u)]
-    recs = []
-    for u in range(n_u):
-        for a in range(n_a):
-            for w in wavelengths:
-                recs.append(_rec(u, a, w, rx[u][a], rates[u][a]))
-    table = ChannelTable.from_records(recs)
+    rx = np.repeat(np.array(rx, dtype=float)[..., None], len(wavelengths), 2)
+    table = _table(rx, np.array(rates, dtype=float)[..., None], wavelengths)
     return AllocationProblem.from_table(table, ReceiverSpec())
 
 
 def _random_problem(rng, n_users, n_aps, n_wl=4):
     wl = ("red", "yellow", "green", "blue")[:n_wl]
-    recs = []
+    rx = np.empty((n_users, n_aps, n_wl))
+    rates = np.empty((n_users, n_aps, 1))
     for u in range(n_users):
         own = u % n_aps
         for a in range(n_aps):
             p = rng.uniform(6e-6, 1e-5) if a == own else rng.uniform(0, 2e-7)
-            rate = rng.choice([3e9, 4e9, 5e9])
-            for w in wl:
+            rates[u, a] = rng.choice([3e9, 4e9, 5e9])
+            for w in range(n_wl):
                 # tiny per-wavelength jitter keeps objectives generic
-                recs.append(_rec(u, a, w, p * (1 + 1e-3 * rng.random()), rate))
-    table = ChannelTable.from_records(recs)
-    return AllocationProblem.from_table(table, ReceiverSpec())
+                rx[u, a, w] = p * (1 + 1e-3 * rng.random())
+    return AllocationProblem.from_table(_table(rx, rates, wl), ReceiverSpec())
 
 
 def _written_out_sinr(rx, slots, u, receiver=ReceiverSpec()):
@@ -154,9 +152,7 @@ def test_balance_row_reproduces_signal_model_sinr():
     rng = np.random.default_rng(3)
     rx = [[[rng.uniform(5e-6, 1e-5) if a == u else rng.uniform(1e-8, 3e-7)
             for _ in range(4)] for a in range(3)] for u in range(3)]
-    recs = [_rec(u, a, w, rx[u][a][w_i]) for u in range(3) for a in range(3)
-            for w_i, w in enumerate(("red", "yellow", "green", "blue"))]
-    table = ChannelTable.from_records(recs)
+    table = _table(rx, 5e9, ("red", "yellow", "green", "blue"))
     problem = AllocationProblem.from_table(table, ReceiverSpec())
     slots = [(0, 0), (1, 0), (2, 1)]
     m = LinearizedModel(problem)
@@ -353,14 +349,14 @@ def test_near_floor_instances_match_exhaustive():
     rng = np.random.default_rng(1)
     near = 0
     for _ in range(1000):
-        recs = []
+        rx = np.empty((4, 2, 2))
         for u in range(4):
             for a in range(2):
                 p = rng.uniform(6e-6, 1e-5) if a == u % 2 \
                     else rng.uniform(0, 1.5e-6)
-                for w in ("red", "blue"):
-                    recs.append(_rec(u, a, w, p * (1 + 1e-3 * rng.random())))
-        p = AllocationProblem.from_table(ChannelTable.from_records(recs),
+                for w in range(2):
+                    rx[u, a, w] = p * (1 + 1e-3 * rng.random())
+        p = AllocationProblem.from_table(_table(rx, 5e9, ("red", "blue")),
                                          ReceiverSpec())
         try:
             ex = solve_exhaustive(p)

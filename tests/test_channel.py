@@ -348,7 +348,7 @@ def test_cached_views_equal_fresh_traces(monkeypatch):
     # the 3 x 3 grid under four maps and 16 positions: one view per AP
     _clear_tracer_caches()
     records = compute_channel_records(nine_aps, rec, grid_positions(nine_aps))
-    assert len(records) == 16 * 9 * 4
+    assert records.h.shape == (16, 9, 4)
     assert len(_room_mesh(nine_aps).ap_views) == 9
     got = counts()
     assert (got["lookups"], got["ap"], got["rx"]) == (576, 9, 16)
@@ -610,8 +610,8 @@ def test_records_share_one_workspace_and_skip_flat_transforms(monkeypatch):
     assert len(rffts) == 856
     assert all(out is workspaces[0][65536] for _, out in rffts)
     nyquist = 1.0 / (2.0 * room.time_bin_s)
-    red = [r for r in records if r.wavelength == "red"]
-    assert sum(r.bw_3db_hz == nyquist for r in red) == 204
+    red = records.bw_3db_hz[..., WAVELENGTHS.index("red")]
+    assert np.count_nonzero(red == nyquist) == 204
 
 
 def test_flat_certificate_line_matches_full_spectrum(monkeypatch):
@@ -713,16 +713,30 @@ def test_records_rate_and_power_consistency():
     room = _coarse_room()
     rec = ReceiverSpec()
     records = compute_channel_records(room, rec, [(1.0, 1.0)])
-    assert len(records) == len(WAVELENGTHS) * len(room.aps)
-    for r in records:
-        assert r.rx_power_w == pytest.approx(1.8 * r.h, rel=1e-12)
-        assert r.rate_bps == pytest.approx(
-            rec.rate_factor * min(r.bw_3db_hz, rec.bandwidth_hz), rel=1e-12)
+    assert records.positions_m == [(1.0, 1.0)]
+    assert records.ap_ids == [ap.ap_id for ap in room.aps]
+    assert records.wavelengths == list(WAVELENGTHS)
+    assert records.h.shape == (1, len(room.aps), len(WAVELENGTHS))
+    np.testing.assert_allclose(records.rx_power_w, 1.8 * records.h,
+                               rtol=1e-12)
+    np.testing.assert_allclose(
+        records.rate_bps,
+        rec.rate_factor * np.minimum(records.bw_3db_hz, rec.bandwidth_hz),
+        rtol=1e-12)
     # same reflectivity for red/blue -> identical geometry metrics
-    red = [r for r in records if r.wavelength == "red"]
-    blue = [r for r in records if r.wavelength == "blue"]
-    for a, b in zip(red, blue):
-        assert a.h == b.h and a.bw_3db_hz == b.bw_3db_hz
+    red, blue = WAVELENGTHS.index("red"), WAVELENGTHS.index("blue")
+    for metric in (records.h, records.bw_3db_hz):
+        assert np.array_equal(metric[..., red], metric[..., blue])
+
+
+def test_records_of_no_positions_are_empty_arrays():
+    room = _coarse_room()
+    records = compute_channel_records(room, ReceiverSpec(), [])
+    assert records.positions_m == []
+    assert records.ap_ids == list(range(8))
+    for metric in (records.h, records.rx_power_w, records.delay_spread_s,
+                   records.bw_3db_hz, records.rate_bps):
+        assert metric.shape == (0, 8, 4)
 
 
 def _count_metric_calls(monkeypatch):
@@ -775,19 +789,25 @@ def test_records_measure_each_distinct_trace_once(monkeypatch, red_differs):
     traces = 2 * links if red_differs else links
     assert calls == {"delay_spread": traces, "bandwidth_3db": traces}
 
-    by_wl = {wl: [r for r in records if r.wavelength == wl] for wl in WAVELENGTHS}
+    fields = ("h", "rx_power_w", "delay_spread_s", "bw_3db_hz", "rate_bps")
+    by_wl = {wl: [{"user": u, "user_x": x, "user_y": y, "ap_id": ap_id,
+                   "wavelength": wl,
+                   **{f: getattr(records, f)[u, a, w] for f in fields}}
+                  for u, (x, y) in enumerate(records.positions_m)
+                  for a, ap_id in enumerate(records.ap_ids)]
+             for w, wl in enumerate(records.wavelengths)}
     for wl in WAVELENGTHS:
-        assert [vars(r) for r in by_wl[wl]] == alone[wl]
+        assert by_wl[wl] == alone[wl]
 
     def metrics(r):
-        return r.h, r.delay_spread_s, r.bw_3db_hz
+        return r["h"], r["delay_spread_s"], r["bw_3db_hz"]
 
     bw_differs = False
     for red, yellow, green, blue in zip(*(by_wl[wl] for wl in WAVELENGTHS)):
         assert metrics(yellow) == metrics(green) == metrics(blue)
         if red_differs:
-            assert red.h != yellow.h
-            bw_differs |= red.bw_3db_hz != yellow.bw_3db_hz
+            assert red["h"] != yellow["h"]
+            bw_differs |= red["bw_3db_hz"] != yellow["bw_3db_hz"]
         else:
             assert metrics(red) == metrics(yellow)
     # links under a strong LOS ray read the Nyquist limit on every map

@@ -59,6 +59,14 @@ def test_infeasible_model_exits_two(tmp_path, capsys):
     ("validate", 'room.reflectivity={"walls":1.5,"ceiling":0.8,"floor":0.3}'),
     ("validate", "room.ap_half_power_semiangle_deg=95"),
     ("channel", 'room.reflectivity={"walls":"x","ceiling":0.8,"floor":0.3}'),
+    # JSON parses Infinity; the stages would fail on it or print it bare
+    ("validate", "room.length_m=Infinity"),
+    ("validate", "scenario.intensity_per_m2=Infinity"),
+    ("chain", "scenario.intensity_per_m2=Infinity"),
+    ("place", "workload=Infinity"),
+    ("validate", "room.length_m=NaN"),
+    pytest.param("validate", "room.width_m=1" + "0" * 400,
+                 id="validate-room.width_m=1e400-as-an-integer"),
 ])
 def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
                                               capsys):

@@ -97,6 +97,13 @@ def test_demand_validation():
         demands_from_drr(400.0, 1.5, 1)
     with pytest.warns(UserWarning):
         demands_from_drr(50.0, 0.5, 1)
+    # NaN fails every comparison, so it must not slip past the range checks
+    for workload, flow in ((math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
+                           (100.0, math.nan), (100.0, math.inf),
+                           (100.0, -1.0)):
+        with pytest.raises(ConfigError, match="task 0: "):
+            TaskDemand(0, "mobile_0", workload, flow)
+    TaskDemand(0, "mobile_0", 100.0, 0.0)   # a flow of zero is allowed
 
 
 # =====================================================================

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from owcfog.channel import ChannelRecord
+from owcfog.channel import ChannelRecords
 from owcfog.config import apply_overrides, load_config, merge_config
 from owcfog.errors import ConfigError, InfeasibleError
 from owcfog.scenarios import (
@@ -84,41 +84,54 @@ def test_named_analogue_scenarios_pin_their_seed(room):
 # bandwidth CDF
 # ---------------------------------------------------------------------
 
-def _rec(x, y, bw, ap=0, wl="red"):
-    return ChannelRecord(user=0, user_x=x, user_y=y, ap_id=ap, wavelength=wl,
-                         h=1e-6, rx_power_w=1e-6, delay_spread_s=1e-10,
-                         bw_3db_hz=bw, rate_bps=bw)
+def _records(positions, bw):
+    """ChannelRecords of one wavelength whose 3-dB bandwidths are
+    ``bw[u][a]``, at ``positions[u]``."""
+    bw = np.array(bw, dtype=float)[..., None]
+    return ChannelRecords(list(positions), list(range(bw.shape[1])), ["red"],
+                          np.full(bw.shape, 1e-6), np.full(bw.shape, 1e-6),
+                          np.full(bw.shape, 1e-10), bw, bw)
+
+
+def _line(bws):
+    """One AP per user, the users along y = 0."""
+    return _records([(float(i), 0.0) for i in range(len(bws))],
+                    [[bw] for bw in bws])
 
 
 def test_cdf_monotone_ends_at_one():
-    recs = [_rec(i, 0.0, bw) for i, bw in enumerate([3e9, 1e9, 5e9, 1e9])]
-    cdf = bandwidth_cdf(recs)
+    cdf = bandwidth_cdf(_line([3e9, 1e9, 5e9, 1e9]))
     assert cdf[-1][1] == 1.0
     assert all(a[0] < b[0] and a[1] <= b[1] for a, b in zip(cdf, cdf[1:]))
     assert cdf == [(1e9, 0.5), (3e9, 0.75), (5e9, 1.0)]
 
 
 def test_cdf_all_equal_is_single_step():
-    recs = [_rec(i, 0.0, 2e9) for i in range(5)]
-    assert bandwidth_cdf(recs) == [(2e9, 1.0)]
+    assert bandwidth_cdf(_line([2e9] * 5)) == [(2e9, 1.0)]
 
 
 def test_cdf_uses_best_link_per_location():
     # one location, two links: the 4 GHz one determines support there
-    recs = [_rec(1.0, 1.0, 1e9, ap=0), _rec(1.0, 1.0, 4e9, ap=1)]
+    recs = _records([(1.0, 1.0)], [[1e9, 4e9]])
     assert bandwidth_cdf(recs) == [(4e9, 1.0)]
     assert fraction_at_least(recs, 4e9) == 1.0
+    # two users at (1, 1) are one location, so it counts once against
+    # the 1 GHz location at (2, 1)
+    recs = _records([(1.0, 1.0), (2.0, 1.0), (1.0, 1.0)],
+                    [[1e9, 4e9], [1e9, 1e9], [1e9, 4e9]])
+    assert bandwidth_cdf(recs) == [(1e9, 0.5), (4e9, 1.0)]
+    assert fraction_at_least(recs, 4e9) == 0.5
 
 
 def test_fraction_at_least():
-    recs = [_rec(i, 0.0, bw) for i, bw in enumerate([1e9, 3e9, 4e9, 5e9])]
+    recs = _line([1e9, 3e9, 4e9, 5e9])
     assert fraction_at_least(recs, 4e9) == 0.5
     assert fraction_at_least(recs, 6e9) == 0.0
 
 
 def test_cdf_needs_records():
     with pytest.raises(ConfigError):
-        bandwidth_cdf([])
+        bandwidth_cdf(_records([], np.empty((0, 1))))
 
 
 # ---------------------------------------------------------------------

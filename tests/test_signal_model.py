@@ -2,12 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owcfog.audit import electrical_signal_power, shot_noise, sinr, sinr_db
-from owcfog.channel import ChannelRecord, ReceiverSpec
+from owcfog.channel import (
+    WAVELENGTHS,
+    ReceiverSpec,
+    RoomConfig,
+    compute_channel_records,
+    default_ap_grid,
+)
 from owcfog.errors import ConfigError
 from owcfog.signal_model import (
     ELECTRON_CHARGE_C,
@@ -67,33 +74,34 @@ def test_sinr_db_round_trip():
 # table plumbing
 # =====================================================================
 
-def _rec(u, a, w, p, rate=5e9, x=0.0, y=0.0):
-    return ChannelRecord(user=u, user_x=x, user_y=y, ap_id=a, wavelength=w,
-                         h=p / 1.8, rx_power_w=p, delay_spread_s=0.0,
-                         bw_3db_hz=5e9, rate_bps=rate)
-
-
 def _table(powers):
-    """powers[u][a][w] -> ChannelTable via records."""
-    recs = []
-    for u, per_ap in enumerate(powers):
-        for a, per_w in enumerate(per_ap):
-            for w, p in per_w.items():
-                recs.append(_rec(u, a, w, p))
-    return ChannelTable.from_records(recs)
+    """powers[u][a] = {wavelength: W} -> ChannelTable; every pair lists the
+    same wavelengths, in canonical order."""
+    wavelengths = list(powers[0][0])
+    rx = np.array([[[per_w[w] for w in wavelengths] for per_w in per_ap]
+                   for per_ap in powers])
+    return ChannelTable(list(range(rx.shape[0])), list(range(rx.shape[1])),
+                        wavelengths, rx, np.full(rx.shape, 5e9))
 
 
-def test_table_requires_full_coverage():
-    recs = [_rec(0, 0, "red", 1e-6), _rec(0, 1, "red", 1e-6),
-            _rec(1, 0, "red", 1e-6)]
-    with pytest.raises(ConfigError):
-        ChannelTable.from_records(recs)
-
-
-def test_table_rejects_duplicates():
-    recs = [_rec(0, 0, "red", 1e-6), _rec(0, 0, "red", 2e-6)]
-    with pytest.raises(ConfigError):
-        ChannelTable.from_records(recs)
+def test_table_orders_aps_by_id():
+    # a room may list its APs out of id order; the table's AP axis is by id
+    aps = default_ap_grid(nx=3, ny=1)
+    for ap, ap_id in zip(aps, (7, 3, 5)):
+        ap.ap_id = ap_id
+    rooms = [RoomConfig(element_edge_m=0.5, aps=order)
+             for order in (aps, sorted(aps, key=lambda ap: ap.ap_id))]
+    positions = [(1.0, 1.0), (6.0, 3.0)]
+    listed, by_id = (compute_channel_records(room, ReceiverSpec(), positions)
+                     for room in rooms)
+    assert listed.ap_ids == [7, 3, 5] and by_id.ap_ids == [3, 5, 7]
+    t = ChannelTable.from_records(listed)
+    assert (t.users, t.ap_ids, t.wavelengths) == ([0, 1], [3, 5, 7],
+                                                  list(WAVELENGTHS))
+    assert np.array_equal(t.rx_power_w, listed.rx_power_w[:, [1, 2, 0]])
+    assert np.array_equal(t.rate_bps, listed.rate_bps[:, [1, 2, 0]])
+    assert np.array_equal(t.rx_power_w, by_id.rx_power_w)
+    assert np.array_equal(t.rate_bps, by_id.rate_bps)
 
 
 # =====================================================================
