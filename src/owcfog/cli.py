@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes are the process contract: 0 success, 2 a solver proved the model
 infeasible (a machine-readable report goes to stderr), 1 usage or config
-errors.  Identical invocations write identical artifacts.
+errors or an output directory that cannot be written.  Identical invocations
+write identical artifacts.
 """
 
 from __future__ import annotations
@@ -203,7 +204,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:  # chain
             bundle = chain_scenario(cfg, time_limit_s=args.time_limit)
 
-        written = bundle.write(Path(args.out))
+        try:
+            written = bundle.write(Path(args.out))
+        except OSError as exc:  # e.g. --out names a file, or sits under one
+            _diagnostic("output", 1, str(exc))
+            return 1
         for path in written:
             print(path)
         return 0

@@ -185,6 +185,16 @@ def fraction_at_least(records: ChannelRecords,
 Table = Tuple[List[str], List[List[object]]]
 
 
+#: Rows formatted into one string per ``write`` call when a bundle is
+#: written: enough to keep the call count low, few enough that no table's
+#: whole text is ever in memory.
+WRITE_BATCH_ROWS = 1024
+
+
+def _open_text(path: Path):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _cell(value: object) -> str:
     if isinstance(value, bool):
         return str(value).lower()
@@ -207,18 +217,23 @@ class ResultBundle:
     manifest: Dict[str, object]
 
     def write(self, out_dir) -> List[Path]:
+        """Write every table, then the manifest, as UTF-8 with ``\\n``
+        line ends whatever the platform and locale; returns their paths."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         written: List[Path] = []
         for stage, (header, rows) in self.tables.items():
             path = out / f"{stage}.csv"
-            lines = [",".join(header)]
-            lines += [",".join(_cell(v) for v in row) for row in rows]
-            path.write_text("\n".join(lines) + "\n")
+            with _open_text(path) as f:
+                f.write(",".join(header) + "\n")
+                for start in range(0, len(rows), WRITE_BATCH_ROWS):
+                    f.write("".join(
+                        ",".join(_cell(v) for v in row) + "\n"
+                        for row in rows[start:start + WRITE_BATCH_ROWS]))
             written.append(path)
         manifest_path = out / "manifest"
-        manifest_path.write_text(
-            json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
+        with _open_text(manifest_path) as f:
+            f.write(json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
         written.append(manifest_path)
         return written
 

@@ -77,6 +77,22 @@ def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
     assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.parametrize("under", [False, True],
+                         ids=["out-is-a-file", "out-under-a-file"])
+def test_unwritable_out_is_output_error(under, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under else blocker
+    code, stdout, err = _run(["place", "--override", "tasks=1",
+                              "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    record = json.loads(err)
+    assert record["error"] == "output"
+    assert record["exit"] == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_negative_seed_rejected(capsys):
     code, _, err = _run(["place", "--seed", "-3"], capsys)
     assert code == 1
@@ -291,6 +307,26 @@ def test_import_leaves_module_unloaded(module, absent):
     # independent of each other
     code = (f"import sys, {module}; "
             f"sys.exit({absent!r} in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--override", "drr=[0.002,0.2]",
+     "--override", "workload=[100,1000]"],
+    ["channel", "--override", "room.grid_nx=2", "--override", "room.grid_ny=2"],
+    ["place", "--override", "tasks=1"],
+    ["chain", "--override", "scenario.mode=fixed",
+     "--override", "scenario.positions_m=[[2,1],[6,3],[4,2]]"],
+], ids=["sweep", "channel", "place", "chain-fixed"])
+def test_stage_leaves_openssl_unloaded(argv, tmp_path):
+    # the manifest digest uses the interpreter's built-in SHA-256: loading
+    # OpenSSL's libcrypto through hashlib adds about 3.5 MB to a run's peak
+    # memory. (A PPP scenario loads it anyway, through numpy.random.)
+    code = ("import sys; from owcfog.cli import main; "
+            f"code = main({argv + ['--out', str(tmp_path)]!r}); "
+            "sys.exit(code or 10 * ('_hashlib' in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr

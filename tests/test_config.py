@@ -1,5 +1,6 @@
 """Config document loading, validation, overrides, and object builders."""
 
+import hashlib
 import json
 
 import pytest
@@ -185,3 +186,18 @@ def test_digest_tracks_content():
     assert config_digest(a) == config_digest(load_config())
     assert config_digest(a) != config_digest(b)
     assert len(config_digest(a)) == 64
+
+
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["seed=1"],
+    ["drr=[0.002,0.2]", "workload=[100,1000]", "tasks=3"],
+    ["scenario.mode=fixed", "scenario.positions_m=[[2,1],[6,3]]",
+     "scenario.name=caf\u00e9"],
+])
+def test_digest_is_sha256_of_canonical_json(overrides):
+    # the manifest's config_sha256 is plain SHA-256, whichever built-in
+    # module computes it
+    cfg = apply_overrides(load_config(), overrides)
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    assert config_digest(cfg) == hashlib.sha256(blob.encode()).hexdigest()

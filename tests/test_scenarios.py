@@ -12,6 +12,7 @@ from owcfog.config import apply_overrides, load_config, merge_config
 from owcfog.errors import ConfigError, InfeasibleError
 from owcfog.scenarios import (
     ANALOGUE_SEEDS,
+    WRITE_BATCH_ROWS,
     ResultBundle,
     allocate_scenario,
     allocation_tables,
@@ -231,6 +232,36 @@ def test_csv_floats_round_trip(tmp_path):
     cells = text[1].split(",")
     assert float(cells[0]) == 1 / 3  # repr() keeps full precision
     assert float(cells[1]) == 1e10
+
+
+def _one_shot_csv(header, rows):
+    """The whole table as one string, the layout the bundle promises."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return repr(v)
+        return "" if v is None else str(v)
+    lines = [",".join(header)] + [",".join(map(cell, r)) for r in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_batched_writer_matches_one_shot_text(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [[float(rng.standard_normal()) * 10.0 ** int(rng.integers(-12, 12)),
+             int(rng.integers(-5, 10**6)), bool(i % 3),
+             "µ-link" if i % 7 == 0 else None, i / 3] for i in range(2500)]
+    assert len(rows) > 2 * WRITE_BATCH_ROWS  # two full batches and a part
+    tables = {"mixed": (["scaled", "count", "flag", "label", "third"], rows),
+              "empty": (["only", "header"], [])}
+    manifest = {"stage": "test", "users": 2500}
+    paths = ResultBundle(tables=tables, manifest=manifest).write(tmp_path)
+    assert paths == [tmp_path / "mixed.csv", tmp_path / "empty.csv",
+                     tmp_path / "manifest"]
+    for path, (header, table_rows) in zip(paths, tables.values()):
+        assert path.read_bytes() == _one_shot_csv(header, table_rows)
+    assert paths[-1].read_bytes() == (json.dumps(
+        manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_manifest_contents():
