@@ -221,6 +221,9 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
         _expect(isinstance(topo["mobile_wavelengths"], list)
                 and all(isinstance(w, str) for w in topo["mobile_wavelengths"]),
                 "topology.mobile_wavelengths must be a list of colour names")
+        # every placed task is sourced at a mobile unit
+        _expect(len(topo["mobile_wavelengths"]) > 0,
+                "topology.mobile_wavelengths must not be empty")
     if topo["mobile_rates_mbps"] is not None:
         _expect(isinstance(topo["mobile_rates_mbps"], list),
                 "topology.mobile_rates_mbps must be a list of numbers")

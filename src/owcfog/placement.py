@@ -80,6 +80,10 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
     mobiles).  The flow unit is Mbit/s: a 400 MIPS task at ratio 0.6 carries
     240 Mbit/s.
     """
+    if sources is None:
+        sources = [f"mobile_{i}" for i in range(8)]
+    if not sources:
+        raise ConfigError("no mobile unit to source the tasks")
     if count <= 0:
         raise ConfigError("task count must be positive")
     if not 0 < drr <= 1:
@@ -90,8 +94,6 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
         warnings.warn(
             f"workload {workload_mips} MIPS is outside the studied "
             f"100..1500 range", stacklevel=2)
-    if sources is None:
-        sources = [f"mobile_{i}" for i in range(8)]
     flow = drr * workload_mips
     return [TaskDemand(k, sources[k % len(sources)], workload_mips, flow)
             for k in range(count)]
@@ -590,8 +592,6 @@ def sweep(drr_values: Sequence[float], workload_values: Sequence[float],
     if topology is None:
         topology = build_reference_topology()
     sources = [m.node_id for m in topology.mobiles()]
-    if not sources:
-        raise ConfigError("sweep topology has no mobile units")
     rows: List[Dict[str, object]] = []
     for drr in drr_values:
         for w in workload_values:

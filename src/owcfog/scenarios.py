@@ -396,8 +396,13 @@ def topology_from_allocation(cfg: Dict, sol: AllocationSolution
     """Fog topology whose mobile units mirror a solved allocation.
 
     Mobile unit *i* is user *i*: it inherits the user's assigned wavelength,
-    and its route is capped by the solved downlink rate (in Mbit/s).  Config
-    overrides win over solved values when given.
+    and its route is capped by the solved downlink rate (in Mbit/s).
+
+    A ``topology.mobile_wavelengths`` override replaces the solved mobile
+    layer entirely: the mobile count and wavelengths come from the config,
+    and the routes are capped only by the feeding ONU unless
+    ``topology.mobile_rates_mbps`` is also set.  A ``mobile_rates_mbps``
+    override alone replaces the solved rates, one per solved user.
     """
     topo_cfg = cfg["topology"]
     if topo_cfg["mobile_wavelengths"] is not None:

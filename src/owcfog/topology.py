@@ -14,6 +14,7 @@ All types here are frozen: a topology is built once and then shared freely
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -124,12 +125,12 @@ class Route:
     efficiency_w_per_mbps: float
 
     def __post_init__(self) -> None:
-        if not self.capacity_mbps > 0:
+        if not 0 < self.capacity_mbps < math.inf:
             raise ConfigError(
-                f"route via {self.devices}: capacity must be > 0")
-        if not self.efficiency_w_per_mbps > 0:
+                f"route via {self.devices}: capacity must be finite and > 0")
+        if not 0 < self.efficiency_w_per_mbps < math.inf:
             raise ConfigError(
-                f"route via {self.devices}: efficiency must be > 0")
+                f"route via {self.devices}: efficiency must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,12 @@ class ProcessingNode:
     def __post_init__(self) -> None:
         if self.kind not in NODE_KINDS:
             raise ConfigError(f"unknown node kind {self.kind!r}")
-        if not self.capacity_mips > 0:
-            raise ConfigError(f"node {self.node_id}: capacity must be > 0")
-        if not self.efficiency_w_per_mips > 0:
-            raise ConfigError(f"node {self.node_id}: efficiency must be > 0")
+        if not 0 < self.capacity_mips < math.inf:
+            raise ConfigError(
+                f"node {self.node_id}: capacity must be finite and > 0")
+        if not 0 < self.efficiency_w_per_mips < math.inf:
+            raise ConfigError(
+                f"node {self.node_id}: efficiency must be finite and > 0")
         if self.kind == MOBILE_KIND:
             if self.wavelength not in WAVELENGTHS:
                 raise ConfigError(
@@ -249,72 +252,3 @@ def build_reference_topology(
                                     route, wavelength=wl))
 
     return TopologyConfig(tuple(nodes))
-
-
-# ---------------------------------------------------------------------------
-# consistency checks
-# ---------------------------------------------------------------------------
-
-
-def validate_topology(topology: TopologyConfig) -> List[str]:
-    """Re-derive the consistency claims; returns a list of violations.
-
-    An empty list means the topology is internally consistent: processing
-    efficiency strictly improves towards the core (CCloud best, mobiles
-    worst) while route efficiency strictly improves towards the room, with
-    the green and blue mobile routes tied.
-    """
-    problems: List[str] = []
-    by_kind: Dict[str, List[ProcessingNode]] = {}
-    for n in topology.nodes:
-        by_kind.setdefault(n.kind, []).append(n)
-
-    def eff(kind: str) -> Optional[float]:
-        entries = by_kind.get(kind)
-        return entries[0].efficiency_w_per_mips if entries else None
-
-    order = ("CCloud", "MetroFog", "CampFog", "BuildFog", "RoomFog",
-             MOBILE_KIND)
-    effs = list(zip(order, [eff(k) for k in order]))
-    if all(e is not None for _, e in effs):
-        for (ka, ea), (kb, eb) in zip(effs, effs[1:]):
-            if not ea < eb:
-                problems.append(
-                    f"processing efficiency ordering violated: "
-                    f"E[{ka}]={ea} !< E[{kb}]={eb}")
-
-    def psi(kind: str) -> Optional[float]:
-        entries = by_kind.get(kind)
-        if not entries:
-            return None
-        return entries[0].route.efficiency_w_per_mbps
-
-    mobile_psis = [m.route.efficiency_w_per_mbps for m in topology.mobiles()]
-    if mobile_psis and all(psi(k) is not None for k in FOG_KINDS):
-        room, build, camp, metro, cloud = (psi(k) for k in FOG_KINDS)
-        if not room < min(mobile_psis):
-            problems.append("route efficiency: room route must beat every "
-                            "mobile route")
-        if not max(mobile_psis) < build:
-            problems.append("route efficiency: every mobile route must beat "
-                            "the building route")
-        for name, lo, hi in (("building<campus", build, camp),
-                             ("campus<metro", camp, metro),
-                             ("metro<cloud", metro, cloud)):
-            if not lo < hi:
-                problems.append(f"route efficiency ordering violated: {name}")
-
-    greens = [m.route.efficiency_w_per_mbps
-              for m in topology.mobiles() if m.wavelength == "green"]
-    blues = [m.route.efficiency_w_per_mbps
-             for m in topology.mobiles() if m.wavelength == "blue"]
-    if greens and blues and set(greens) != set(blues):
-        problems.append("green and blue mobile routes must share one "
-                        "efficiency")
-
-    for n in topology.nodes:
-        if not (n.route.capacity_mbps > 0
-                and n.route.capacity_mbps < float("inf")):
-            problems.append(f"route to {n.node_id}: capacity not finite "
-                            f"and positive")
-    return problems

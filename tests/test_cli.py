@@ -67,6 +67,11 @@ def test_infeasible_model_exits_two(tmp_path, capsys):
     ("validate", "room.length_m=NaN"),
     pytest.param("validate", "room.width_m=1" + "0" * 400,
                  id="validate-room.width_m=1e400-as-an-integer"),
+    # every task is sourced at a mobile unit, so none could be placed
+    ("validate", "topology.mobile_wavelengths=[]"),
+    ("place", "topology.mobile_wavelengths=[]"),
+    ("sweep", "topology.mobile_wavelengths=[]"),
+    ("chain", "topology.mobile_wavelengths=[]"),
 ])
 def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
                                               capsys):

@@ -95,6 +95,8 @@ def test_demand_validation():
         demands_from_drr(400.0, 0.0, 1)
     with pytest.raises(ConfigError):
         demands_from_drr(400.0, 1.5, 1)
+    with pytest.raises(ConfigError, match="no mobile unit"):
+        demands_from_drr(400.0, 0.6, 1, sources=[])
     with pytest.warns(UserWarning):
         demands_from_drr(50.0, 0.5, 1)
     # NaN fails every comparison, so it must not slip past the range checks
@@ -778,6 +780,12 @@ def test_sweep_flags_infeasible_cells():
     )
     rows = sweep([0.1], [1400.0], TopologyConfig(nodes), task_count=10)
     assert rows[0]["status"] == "infeasible"
+
+
+def test_sweep_refuses_topology_without_mobiles(topo):
+    fixed = TopologyConfig(tuple(n for n in topo.nodes if not n.is_mobile))
+    with pytest.raises(ConfigError, match="no mobile unit"):
+        sweep([0.1], [400.0], fixed, task_count=10)
 
 
 # =====================================================================

@@ -4,15 +4,19 @@ from dataclasses import replace
 
 import pytest
 
+from owcfog.channel import WAVELENGTHS
 from owcfog.errors import ConfigError
+from owcfog.placement import (
+    PlacementProblem,
+    demands_from_drr,
+    solve_branch_and_bound,
+)
 from owcfog.topology import (
     REFERENCE_DEVICES,
     NetworkDevice,
     ProcessingNode,
-    Route,
     TopologyConfig,
     build_reference_topology,
-    validate_topology,
 )
 
 
@@ -93,30 +97,36 @@ def test_derive_route_efficiency_onu_anchor(topo):
         pytest.approx(onu.efficiency_w_per_mbps)
 
 
+def _strictly_increasing(values):
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 def test_orderings_hold(topo):
-    assert validate_topology(topo) == []
-
-
-def test_validator_catches_broken_ordering(topo):
-    nodes = []
+    # the catalogue's claims the placement model trades against each other:
+    # processing efficiency improves towards the cloud, networking
+    # efficiency towards the room
+    fixed = {n.kind: n for n in topo.nodes if not n.is_mobile}
+    mobiles = topo.mobiles()
+    assert {m.wavelength for m in mobiles} == set(WAVELENGTHS)
+    w_per_mips = [fixed[k].efficiency_w_per_mips for k in
+                  ("CCloud", "MetroFog", "CampFog", "BuildFog", "RoomFog")]
+    assert _strictly_increasing(
+        w_per_mips + [min(m.efficiency_w_per_mips for m in mobiles)])
+    mobile_w_per_mbps = [m.route.efficiency_w_per_mbps for m in mobiles]
+    assert _strictly_increasing(
+        [fixed["RoomFog"].route.efficiency_w_per_mbps,
+         min(mobile_w_per_mbps)])
+    assert _strictly_increasing(
+        [max(mobile_w_per_mbps)]
+        + [fixed[k].route.efficiency_w_per_mbps for k in
+           ("BuildFog", "CampFog", "MetroFog", "CCloud")])
+    by_colour = {}
+    for m in mobiles:
+        by_colour.setdefault(m.wavelength, set()).add(
+            m.route.efficiency_w_per_mbps)
+    assert by_colour["green"] == by_colour["blue"]
     for n in topo.nodes:
-        if n.node_id == "ccloud":
-            # make the cloud server *less* efficient than the metro one
-            nodes.append(ProcessingNode(n.node_id, n.kind, n.capacity_mips,
-                                        0.005, n.route))
-        else:
-            nodes.append(n)
-    broken = TopologyConfig(tuple(nodes))
-    assert any("processing efficiency" in p for p in validate_topology(broken))
-
-
-def test_validator_reports_unbounded_route_capacity(topo):
-    unbounded = replace(topo.node("metrofog").route,
-                        capacity_mbps=float("inf"))
-    nodes = tuple(replace(n, route=unbounded) if n.node_id == "metrofog"
-                  else n for n in topo.nodes)
-    assert validate_topology(TopologyConfig(nodes)) == [
-        "route to metrofog: capacity not finite and positive"]
+        assert 0 < n.route.capacity_mbps < float("inf"), n.node_id
 
 
 def test_topology_structural_validation(topo):
@@ -130,9 +140,31 @@ def test_topology_structural_validation(topo):
     with pytest.raises(ConfigError):
         twin = replace(topo.node("roomfog"), node_id="roomfog_2")
         TopologyConfig(topo.nodes + (twin,))  # two room servers
-    for capacity, efficiency in ((0.0, 0.0015), (-1.0, 0.0015),
-                                 (float("nan"), 0.0015), (10_000.0, 0.0),
-                                 (10_000.0, -0.0015),
-                                 (10_000.0, float("nan"))):
-        with pytest.raises(ConfigError, match="must be > 0"):
-            Route(("ONU",), capacity, efficiency)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("field", ["capacity_mbps", "efficiency_w_per_mbps",
+                                   "capacity_mips", "efficiency_w_per_mips"])
+def test_capacity_and_efficiency_must_be_finite_and_positive(topo, field,
+                                                             value):
+    room = topo.node("roomfog")
+    built = room.route if field.endswith("_mbps") else room
+    with pytest.raises(ConfigError, match="must be finite and > 0"):
+        replace(built, **{field: value})
+
+
+@pytest.mark.parametrize("node_id,field", [
+    # an unbounded room server made the search die in an OverflowError
+    ("roomfog", "capacity_mips"),
+    # an infinitely costly cloud server made every bound infinite, and the
+    # search ran without end
+    ("ccloud", "efficiency_w_per_mips"),
+])
+def test_unbounded_node_never_reaches_the_solver(topo, node_id, field):
+    tasks = demands_from_drr(500.0, 0.2, 10,
+                             [m.node_id for m in topo.mobiles()])
+    with pytest.raises(ConfigError, match="must be finite and > 0"):
+        nodes = tuple(replace(n, **{field: float("inf")})
+                      if n.node_id == node_id else n for n in topo.nodes)
+        solve_branch_and_bound(PlacementProblem(TopologyConfig(nodes), tasks),
+                               time_limit_s=5.0)
