@@ -9,10 +9,12 @@ in :mod:`owcfog.audit`.
 
 Each user's SINR is fully determined once the assignment is fixed, so the
 search is combinatorial over assignments. ``solve_branch_and_bound`` explores
-users in index order. Its bound works on the partial assignment: a busy
-foreign slot charges its full signal to a user's denominator and a free one
+users in index order. Its bound is a function of the free-slot mask alone,
+recomputed at each node with no state carried between nodes: a busy foreign
+slot charges its full signal to a user's denominator and a free one
 min(signal, shot), since it may still go either way, so every assigned user
-has an SINR ceiling that only falls as the search deepens. Wavelengths whose signal and shot slices are
+has an SINR ceiling that only falls as the search deepens. With every slot
+free it is the root bound. Wavelengths whose signal and shot slices are
 bitwise equal are interchangeable, and a member of such a class may be opened
 only after every lower-indexed member is in use. The exhaustive oracle in
 :mod:`owcfog.audit` applies the same deterministic tie-break (first
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -167,22 +169,19 @@ def _slot_list(problem: AllocationProblem) -> List[Tuple[int, int]]:
             for w in range(len(problem.wavelengths))]
 
 
-def _slot_bounds(signal: np.ndarray, preamp: float, contrib: np.ndarray,
-                 total: np.ndarray) -> np.ndarray:
-    """SINR ceiling of every slot when slot (b, w) charges contrib[u, b, w]
-    to user u's denominator; ``total`` is contrib summed over b."""
-    return signal / (preamp + (total[:, None, :] - contrib))
+def _slot_bounds(problem: AllocationProblem,
+                 free: Union[np.ndarray, bool] = True) -> np.ndarray:
+    """SINR ceiling of every slot (u, a, w) given the (A, W) free-slot mask.
 
-
-def _gamma_upper_bounds(problem: AllocationProblem) -> np.ndarray:
-    """Admissible per-slot SINR bound, independent of everyone else's choice.
-
-    Each foreign AP contributes at least min(interference, shot) to the
-    denominator whichever way its wavelength ends up being used.
+    Each foreign slot (b, w) charges a user on wavelength w its full signal
+    once it is busy, and min(signal, shot) while it is free, since it may
+    still go either way, so the ceiling only falls as slots are taken.  The
+    default, every slot free, is the root bound, independent of any choice.
     """
-    floor_contrib = np.minimum(problem.signal_a2, problem.shot_a2)
-    return _slot_bounds(problem.signal_a2, problem.preamp_a2, floor_contrib,
-                        floor_contrib.sum(axis=1))
+    signal = problem.signal_a2
+    charge = np.where(free, np.minimum(signal, problem.shot_a2), signal)
+    return signal / (problem.preamp_a2
+                     + (charge.sum(axis=1)[:, None, :] - charge))
 
 
 def _tie_tolerance(problem: AllocationProblem) -> float:
@@ -190,7 +189,7 @@ def _tie_tolerance(problem: AllocationProblem) -> float:
 
     Shared by both solvers so their tie handling is bit-identical.
     """
-    ub = _gamma_upper_bounds(problem)
+    ub = _slot_bounds(problem)
     if ub.size == 0:
         return _TIE_REL
     return _TIE_REL * max(1.0, float(ub.max(axis=(1, 2)).sum()))
@@ -227,11 +226,13 @@ def solve_branch_and_bound(problem: AllocationProblem,
     """Exact depth-first branch and bound over user assignments.
 
     Users are branched in index order; children enumerate free slots in
-    (AP, wavelength) order. Each node charges every foreign slot (b, w) to
-    the denominator of a user on wavelength w: its full signal once it is
-    busy, min(signal, shot) while it is free, since it may still go either
-    way. That gives every user an admissible SINR bound on the partial
-    assignment. A node is cut when an assigned user's bound is below the
+    (AP, wavelength) order. Each node recomputes its bound from the
+    free-slot mask alone (``_slot_bounds``): every foreign slot (b, w) is
+    charged to the denominator of a user on wavelength w, its full signal
+    once it is busy and min(signal, shot) while it is free, since it may
+    still go either way. That gives every user an admissible SINR bound on
+    the partial assignment, and backtracking restores it by freeing the
+    slot. A node is cut when an assigned user's bound is below the
     floor, when an unassigned user has no free slot whose bound meets it,
     when the sum of those bounds cannot beat the incumbent, or when an AP's
     backhaul would be exceeded.
@@ -265,7 +266,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
                     "slots": len(slots)})
 
     floor = DEFAULT_SINR_FLOOR * (1 - 1e-12)
-    ub = _gamma_upper_bounds(problem)          # the root node's bound
+    ub = _slot_bounds(problem)                 # the root node's bound
     for u in range(n_users):
         if not (ub[u] >= floor).any():
             raise InfeasibleError(
@@ -289,57 +290,51 @@ def solve_branch_and_bound(problem: AllocationProblem,
     preamp = problem.preamp_a2
     rate = problem.rate_bps.tolist()
     onu_cap = DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12)
-    # denominator charge of slot (b, w) to user u, and its sum over b
-    contrib = np.minimum(signal, shot)
-    total = contrib.sum(axis=1)                # (U, W)
 
-    best: Dict[str, object] = {"obj": None, "key": None, "asg": None}
-    counters = {"nodes": 0, "leaves": 0, "floor_rejects": 0,
-                "onu_rejects": 0, "bound_prunes": 0}
+    best_obj: Optional[float] = None
+    best_key: Optional[Tuple[Tuple[int, int], ...]] = None
+    nodes = leaves = floor_rejects = onu_rejects = bound_prunes = 0
     deadline = None if time_limit_s is None else t0 + time_limit_s
-    timed_out = {"flag": False}
+    timed_out = False
 
-    assignment: Dict[int, Tuple[int, int]] = {}
+    assignment: List[Tuple[int, int]] = []     # slot of user 0, 1, ...
     free = np.ones((n_aps, n_wl), dtype=bool)
     wl_busy = [0] * n_wl
     ap_load = [0.0] * n_aps
 
-    def leaf():
-        counters["leaves"] += 1
-        key = tuple(assignment[u] for u in range(n_users))
-        gammas = linearized_gammas(signal, shot, preamp, key).tolist()
-        if min(gammas) < floor:
-            counters["floor_rejects"] += 1
-            return
-        obj = _objective(gammas)
-        if _better(obj, key, best["obj"], best["key"], tol):
-            best["obj"] = obj
-            best["key"] = key
-            best["asg"] = dict(assignment)
-
     def descend(depth):
-        counters["nodes"] += 1
-        if deadline is not None and counters["nodes"] % 256 == 0 \
+        nonlocal nodes, leaves, floor_rejects, onu_rejects, bound_prunes
+        nonlocal best_obj, best_key, timed_out
+        nodes += 1
+        if deadline is not None and nodes % 256 == 0 \
                 and time.monotonic() > deadline:
-            timed_out["flag"] = True
+            timed_out = True
             return
         if depth == n_users:
-            leaf()
+            leaves += 1
+            key = tuple(assignment)
+            gammas = linearized_gammas(signal, shot, preamp, key).tolist()
+            if min(gammas) < floor:
+                floor_rejects += 1
+                return
+            obj = _objective(gammas)
+            if _better(obj, key, best_obj, best_key, tol):
+                best_obj, best_key = obj, key
             return
-        bound = _slot_bounds(signal, preamp, contrib, total)
-        assigned = [bound[u, a, w] for u, (a, w) in assignment.items()]
+        bound = _slot_bounds(problem, free)
+        assigned = [bound[u, a, w] for u, (a, w) in enumerate(assignment)]
         if assigned and min(assigned) < floor:
-            counters["floor_rejects"] += 1
+            floor_rejects += 1
             return
         rest = bound[depth:]
         best_free = np.where(free & (rest >= floor), rest, -1.0) \
             .reshape(n_users - depth, -1).max(axis=1)
         if best_free.min() < 0:
-            counters["floor_rejects"] += 1
+            floor_rejects += 1
             return
-        if best["obj"] is not None \
-                and sum(assigned) + best_free.sum() < best["obj"] - tol:
-            counters["bound_prunes"] += 1
+        if best_obj is not None \
+                and sum(assigned) + best_free.sum() < best_obj - tol:
+            bound_prunes += 1
             return
         u = depth
         open_slots = (free & (bound[u] >= floor)).ravel()
@@ -353,13 +348,9 @@ def solve_branch_and_bound(problem: AllocationProblem,
             load = ap_load[a]
             new_load = load + rate[u][a]
             if new_load > onu_cap:
-                counters["onu_rejects"] += 1
+                onu_rejects += 1
                 continue
-            saved_contrib = contrib[:, a, w].copy()
-            saved_total = total[:, w].copy()
-            contrib[:, a, w] = signal[:, a, w]
-            total[:, w] = contrib[:, :, w].sum(axis=1)
-            assignment[u] = (a, w)
+            assignment.append((a, w))
             free[a, w] = False
             wl_busy[w] += 1
             ap_load[a] = new_load
@@ -367,46 +358,44 @@ def solve_branch_and_bound(problem: AllocationProblem,
             ap_load[a] = load
             wl_busy[w] -= 1
             free[a, w] = True
-            del assignment[u]
-            contrib[:, a, w] = saved_contrib
-            total[:, w] = saved_total
-            if timed_out["flag"]:
+            assignment.pop()
+            if timed_out:
                 break
 
     descend(0)
     elapsed = time.monotonic() - t0
 
-    if best["asg"] is None:
-        if timed_out["flag"]:
+    if best_key is None:
+        if timed_out:
             raise ResourceLimitError(
                 f"time limit {time_limit_s}s expired before any feasible "
                 f"assignment was found")
-        _raise_infeasible(problem, counters)
-    if timed_out["flag"]:
+        _raise_infeasible(problem, floor_rejects, onu_rejects)
+    if timed_out:
         # conservative: measure the incumbent against the root relaxation
-        gap = max(0.0, (root_bound - best["obj"]) / max(1.0, abs(best["obj"])))
+        gap = max(0.0, (root_bound - best_obj) / max(1.0, abs(best_obj)))
     else:
         gap = 0.0
     stats = {
         "method": "branch_and_bound",
-        "nodes": counters["nodes"],
-        "leaves": counters["leaves"],
-        "bound_prunes": counters["bound_prunes"],
-        "floor_rejects": counters["floor_rejects"],
-        "onu_rejects": counters["onu_rejects"],
+        "nodes": nodes,
+        "leaves": leaves,
+        "bound_prunes": bound_prunes,
+        "floor_rejects": floor_rejects,
+        "onu_rejects": onu_rejects,
         "symmetry_classes": [[problem.wavelengths[w] for w in members]
                              for members in classes],
         "gap": gap,
-        "complete": not timed_out["flag"],
+        "complete": not timed_out,
         "elapsed_s": elapsed,
     }
-    return _solution_from_indices(problem, best["asg"], stats)
+    return _solution_from_indices(problem, dict(enumerate(best_key)), stats)
 
 
-def _raise_infeasible(problem: AllocationProblem, counters: Dict[str, int]):
-    binding = "sinr_floor" if counters["floor_rejects"] >= counters["onu_rejects"] \
-        else "onu_capacity"
-    ub = _gamma_upper_bounds(problem)
+def _raise_infeasible(problem: AllocationProblem, floor_rejects: int,
+                      onu_rejects: int):
+    binding = "sinr_floor" if floor_rejects >= onu_rejects else "onu_capacity"
+    ub = _slot_bounds(problem)
     per_user = {problem.users[u]: float(ub[u].max())
                 for u in range(len(problem.users))}
     raise InfeasibleError(
@@ -414,8 +403,8 @@ def _raise_infeasible(problem: AllocationProblem, counters: Dict[str, int]):
         report={
             "constraint": binding,
             "floor": DEFAULT_SINR_FLOOR,
-            "floor_rejections": counters["floor_rejects"],
-            "onu_rejections": counters["onu_rejects"],
+            "floor_rejections": floor_rejects,
+            "onu_rejections": onu_rejects,
             "best_possible_sinr_per_user": per_user,
         })
 

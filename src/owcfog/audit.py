@@ -503,8 +503,8 @@ def _enumerate_allocations(problem: AllocationProblem,
             best_asg = {u: chosen[u] for u in range(n_users)}
 
     if best_asg is None:
-        _raise_infeasible(problem, {"floor_rejects": counters["floor_rejects"],
-                                    "onu_rejects": counters["onu_rejects"]})
+        _raise_infeasible(problem, counters["floor_rejects"],
+                          counters["onu_rejects"])
     stats = {"method": "exhaustive", "nodes": counters["leaves"],
              "leaves": counters["leaves"], "gap": 0.0, "complete": True,
              "elapsed_s": None}

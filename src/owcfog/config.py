@@ -210,26 +210,38 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
         for i, pos in enumerate(sc["positions_m"]):
             _expect(isinstance(pos, (list, tuple)) and len(pos) == 2,
                     f"scenario.positions_m[{i}] must be an [x, y] pair")
-            for v in pos:
-                _as_number(v, f"scenario.positions_m[{i}]")
+            x, y = (_as_number(v, f"scenario.positions_m[{i}]") for v in pos)
+            # the check fixed_scenario and compute_channel_records make
+            _expect(0 <= x <= room["length_m"] and 0 <= y <= room["width_m"],
+                    f"scenario.positions_m[{i}] at ({x}, {y}) lies outside "
+                    f"the room")
     if sc["mode"] == "fixed":
         _expect(sc["positions_m"] is not None,
                 "scenario.mode 'fixed' requires scenario.positions_m")
 
     topo = cfg["topology"]
-    if topo["mobile_wavelengths"] is not None:
-        _expect(isinstance(topo["mobile_wavelengths"], list)
-                and all(isinstance(w, str) for w in topo["mobile_wavelengths"]),
+    colours, rates = topo["mobile_wavelengths"], topo["mobile_rates_mbps"]
+    if colours is not None:
+        _expect(isinstance(colours, list)
+                and all(isinstance(w, str) for w in colours),
                 "topology.mobile_wavelengths must be a list of colour names")
         # every placed task is sourced at a mobile unit
-        _expect(len(topo["mobile_wavelengths"]) > 0,
+        _expect(len(colours) > 0,
                 "topology.mobile_wavelengths must not be empty")
-    if topo["mobile_rates_mbps"] is not None:
-        _expect(isinstance(topo["mobile_rates_mbps"], list),
+        for i, w in enumerate(colours):
+            _expect(w in WAVELENGTHS,
+                    f"topology.mobile_wavelengths[{i}] must be one of "
+                    f"{list(WAVELENGTHS)}, got {w!r}")
+    if rates is not None:
+        _expect(isinstance(rates, list),
                 "topology.mobile_rates_mbps must be a list of numbers")
-        for i, r in enumerate(topo["mobile_rates_mbps"]):
+        for i, r in enumerate(rates):
             _expect(_as_number(r, f"topology.mobile_rates_mbps[{i}]") > 0,
                     f"topology.mobile_rates_mbps[{i}] must be positive")
+        # alone, the rates list is sized by the solved users instead
+        _expect(colours is None or len(rates) == len(colours),
+                "topology.mobile_rates_mbps must give one rate per entry of "
+                "topology.mobile_wavelengths")
 
     sw = cfg["sweep"]
     for key in ("drr", "workload_mips"):

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,7 +77,9 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
 
     Sources are assigned round-robin (defaults to the eight reference
     mobiles).  The flow unit is Mbit/s: a 400 MIPS task at ratio 0.6 carries
-    240 Mbit/s.
+    240 Mbit/s.  The paper studies workloads of 100 to 1500 MIPS; any
+    finite positive workload is accepted, and one no node can hold ends in
+    an infeasibility report.
     """
     if sources is None:
         sources = [f"mobile_{i}" for i in range(8)]
@@ -90,10 +91,6 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
         raise ConfigError(f"data rate ratio must be in (0, 1], got {drr}")
     if not workload_mips > 0:
         raise ConfigError("workload must be positive")
-    if not 100 <= workload_mips <= 1500:
-        warnings.warn(
-            f"workload {workload_mips} MIPS is outside the studied "
-            f"100..1500 range", stacklevel=2)
     flow = drr * workload_mips
     return [TaskDemand(k, sources[k % len(sources)], workload_mips, flow)
             for k in range(count)]

@@ -5,6 +5,7 @@ and weak cross links, so most draws are feasible at the 14 dB floor; draws
 that turn out infeasible must be reported infeasible by *both* solvers.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from owcfog.allocator import (
     DEFAULT_SINR_FLOOR,
     AllocationProblem,
+    _slot_bounds,
     _solution_from_indices,
     solve_branch_and_bound,
 )
@@ -413,6 +415,43 @@ def test_expired_time_limit_stops_at_first_check():
     assert full.objective >= sol.objective
     assert (full.objective - sol.objective) / full.objective \
         <= sol.stats["gap"]
+
+
+def test_node_bound_holds_at_partial_states():
+    # Every cut rests on the node bound being admissible: once users
+    # 0..d-1 hold their slots, no completion gives any user on slot (a, w)
+    # a gamma above that slot's bound.  Cross links span four decades, so
+    # some foreign slots charge their signal and some their shot noise.
+    # The solver's floor check carries the same 1e-12 margin.
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(150):
+        n_users = int(rng.integers(2, 5))
+        n_aps = int(rng.integers(1, 4))
+        n_wl = int(rng.integers(max(1, -(-n_users // n_aps)), 5))
+        rx = 10.0 ** rng.uniform(-10, -6, size=(n_users, n_aps, n_wl))
+        for u in range(n_users):
+            rx[u, u % n_aps] = rng.uniform(6e-6, 1e-5) \
+                * (1 + 1e-3 * rng.random(n_wl))
+        p = AllocationProblem.from_table(
+            _table(rx, 5e9, ("red", "yellow", "green", "blue")[:n_wl]),
+            ReceiverSpec())
+        slots = [(a, w) for a in range(n_aps) for w in range(n_wl)]
+        depth = int(rng.integers(0, n_users))
+        taken = [slots[i] for i in rng.permutation(len(slots))[:depth]]
+        free = np.ones((n_aps, n_wl), dtype=bool)
+        for a, w in taken:
+            free[a, w] = False
+        bound = _slot_bounds(p, free)
+        rest = [s for s in slots if free[s]]
+        for tail in itertools.permutations(rest, n_users - depth):
+            chosen = taken + list(tail)
+            gammas = linearized_gammas(p.signal_a2, p.shot_a2, p.preamp_a2,
+                                       chosen)
+            for u, (a, w) in enumerate(chosen):
+                assert bound[u, a, w] >= gammas[u] * (1 - 1e-12)
+            checked += 1
+    assert checked >= 1000
 
 
 # =====================================================================

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -43,16 +42,27 @@ def test_bad_override_is_config_error(capsys):
 
 
 def test_infeasible_model_exits_two(tmp_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # out-of-range workload advisory
-        code, _, err = _run(
-            ["place", "--out", str(tmp_path), "--override", "workload=90000",
-             "--override", "tasks=4"], capsys)
+    code, _, err = _run(
+        ["place", "--out", str(tmp_path), "--override", "workload=90000",
+         "--override", "tasks=4"], capsys)
     assert code == 2
     record = json.loads(err)
     assert record["error"] == "infeasible"
     assert record["report"]["stage"] == "place"
     assert "constraint" in record["report"]
+
+
+def test_infeasible_run_writes_one_stderr_line(tmp_path):
+    # a workload far outside the paper's 100..1500 MIPS range is refused by
+    # the solver alone: stderr holds the JSON diagnostic and nothing else
+    proc = subprocess.run(
+        [sys.executable, "-m", "owcfog.cli", "place", "--out", str(tmp_path),
+         "--override", "workload=[1e300]"],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "infeasible"
 
 
 @pytest.mark.parametrize("command,override", [
@@ -72,6 +82,11 @@ def test_infeasible_model_exits_two(tmp_path, capsys):
     ("place", "topology.mobile_wavelengths=[]"),
     ("sweep", "topology.mobile_wavelengths=[]"),
     ("chain", "topology.mobile_wavelengths=[]"),
+    # stages that never build the topology refuse an unknown colour too
+    ("channel", 'topology.mobile_wavelengths=["uv"]'),
+    ("allocate", 'topology.mobile_wavelengths=["uv"]'),
+    # x = 100 m lies outside the default 8 m x 4 m room
+    ("validate", "scenario.positions_m=[[100,1]]"),
 ])
 def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
                                               capsys):
@@ -80,6 +95,16 @@ def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "config"
+
+
+def test_rates_must_match_wavelengths_at_load(tmp_path, capsys):
+    code, out, err = _run(["allocate", "--out", str(tmp_path / "out"),
+                           "--override", 'topology.mobile_wavelengths=["red"]',
+                           "--override", "topology.mobile_rates_mbps=[1,2]"],
+                          capsys)
+    assert code == 1
+    assert out == ""
+    assert "one rate per entry" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("under", [False, True],

@@ -200,9 +200,8 @@ def test_chain_topology_config_override_wins():
 
 def test_chain_labels_placement_stage_on_infeasibility():
     cfg = _one_user_cfg(workload_mips=500_000.0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(InfeasibleError) as err:
-            chain_scenario(cfg)
+    with pytest.raises(InfeasibleError) as err:
+        chain_scenario(cfg)
     assert err.value.report["stage"] == "place"
 
 
