@@ -16,13 +16,13 @@ min(signal, shot), since it may still go either way, so every assigned user
 has an SINR ceiling that only falls as the search deepens. With every slot
 free it is the root bound. Wavelengths whose signal and shot slices are
 bitwise equal are interchangeable, and a member of such a class may be opened
-only after every lower-indexed member is in use. The exhaustive oracle in
-:mod:`owcfog.audit` applies the same deterministic tie-break (first
-incumbent in lexicographic slot order wins among objective ties), so both
-return identical assignments on the same instance: permuting a class changes
-no gamma and maps any assignment to a lexicographically smaller one, so the
-winner is never skipped, and the bound cuts only leaves the tie-break would
-reject.
+only after every lower-indexed member is in use. The search and the
+exhaustive oracle in :mod:`owcfog.audit` share one tie rule: both visit leaves
+in lexicographic slot order and keep a leaf only when it beats the incumbent
+by more than tol. A skipped symmetric permutation scores bitwise like the
+earlier leaf it mirrors, so it cannot beat that incumbent by more than tol,
+and a bound cut drops only leaves scoring below the incumbent minus tol, so
+both return the same assignment on the same instance.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ DEFAULT_SINR_FLOOR = 10.0 ** 1.4
 
 #: Per-AP backhaul capacity, bit/s: the line rate of the ONU feeding the AP.
 DEFAULT_ONU_CAPACITY_BPS = ONU_CAPACITY_MBPS * 1e6
+
+#: The floor and the cap with a rounding margin; :mod:`owcfog.audit` admits by
+#: them too, so the search and its oracle admit the same leaves.
+_FLOOR = DEFAULT_SINR_FLOOR * (1 - 1e-12)
+_ONU_CAP = DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12)
 
 _TIE_REL = 1e-9
 
@@ -195,16 +200,6 @@ def _tie_tolerance(problem: AllocationProblem) -> float:
     return _TIE_REL * max(1.0, float(ub.max(axis=(1, 2)).sum()))
 
 
-def _better(obj, key, inc_obj, inc_key, tol):
-    if inc_obj is None:
-        return True
-    if obj > inc_obj + tol:
-        return True
-    if obj >= inc_obj - tol and key < inc_key:
-        return True
-    return False
-
-
 def _symmetry_classes(problem: AllocationProblem) -> List[List[int]]:
     """Group wavelengths whose signal and shot slices are bitwise equal.
 
@@ -239,11 +234,11 @@ def solve_branch_and_bound(problem: AllocationProblem,
 
     Wavelengths whose signal and shot slices are bitwise equal form a
     symmetry class, and a class member may be opened only once every
-    lower-indexed member is in use (Margot 2010). Permuting a class leaves
-    every gamma bitwise unchanged and maps each assignment to a
-    lexicographically smaller one, so the tie-break winner is never skipped;
-    a bound cut drops only leaves scoring below incumbent - tol, which the
-    tie-break would reject anyway. The result is the oracle's assignment.
+    lower-indexed member is in use (Margot 2010). Leaves come in
+    lexicographic slot order and replace the incumbent only when they beat
+    it by more than tol. A skipped symmetric permutation scores bitwise like
+    the earlier leaf it mirrors, so it never would, and a bound cut drops
+    only leaves below incumbent - tol. The result is the oracle's assignment.
 
     Raises:
         InfeasibleError: the full search proves no assignment satisfies the
@@ -265,10 +260,9 @@ def solve_branch_and_bound(problem: AllocationProblem,
             report={"constraint": "slot_once", "users": n_users,
                     "slots": len(slots)})
 
-    floor = DEFAULT_SINR_FLOOR * (1 - 1e-12)
     ub = _slot_bounds(problem)                 # the root node's bound
     for u in range(n_users):
-        if not (ub[u] >= floor).any():
+        if not (ub[u] >= _FLOOR).any():
             raise InfeasibleError(
                 f"user {problem.users[u]} cannot reach the SINR floor on any "
                 f"slot",
@@ -289,7 +283,6 @@ def solve_branch_and_bound(problem: AllocationProblem,
     shot = problem.shot_a2
     preamp = problem.preamp_a2
     rate = problem.rate_bps.tolist()
-    onu_cap = DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12)
 
     best_obj: Optional[float] = None
     best_key: Optional[Tuple[Tuple[int, int], ...]] = None
@@ -312,22 +305,22 @@ def solve_branch_and_bound(problem: AllocationProblem,
             return
         if depth == n_users:
             leaves += 1
-            key = tuple(assignment)
-            gammas = linearized_gammas(signal, shot, preamp, key).tolist()
-            if min(gammas) < floor:
+            gammas = linearized_gammas(signal, shot, preamp,
+                                       assignment).tolist()
+            if min(gammas) < _FLOOR:
                 floor_rejects += 1
                 return
             obj = _objective(gammas)
-            if _better(obj, key, best_obj, best_key, tol):
-                best_obj, best_key = obj, key
+            if best_obj is None or obj > best_obj + tol:
+                best_obj, best_key = obj, tuple(assignment)
             return
         bound = _slot_bounds(problem, free)
         assigned = [bound[u, a, w] for u, (a, w) in enumerate(assignment)]
-        if assigned and min(assigned) < floor:
+        if assigned and min(assigned) < _FLOOR:
             floor_rejects += 1
             return
         rest = bound[depth:]
-        best_free = np.where(free & (rest >= floor), rest, -1.0) \
+        best_free = np.where(free & (rest >= _FLOOR), rest, -1.0) \
             .reshape(n_users - depth, -1).max(axis=1)
         if best_free.min() < 0:
             floor_rejects += 1
@@ -337,7 +330,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
             bound_prunes += 1
             return
         u = depth
-        open_slots = (free & (bound[u] >= floor)).ravel()
+        open_slots = (free & (bound[u] >= _FLOOR)).ravel()
         for s in np.flatnonzero(open_slots).tolist():
             a, w = slots[s]
             # open a wavelength only after the lower members of its class;
@@ -347,7 +340,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
                 continue
             load = ap_load[a]
             new_load = load + rate[u][a]
-            if new_load > onu_cap:
+            if new_load > _ONU_CAP:
                 onu_rejects += 1
                 continue
             assignment.append((a, w))

@@ -26,8 +26,10 @@ dominate every feasible gamma and ``alpha`` every workload. Both models
 share one row format (:class:`ConstraintRow`) and one audit interface.
 
 :func:`solve_exhaustive` enumerates either problem with its own longhand
-arithmetic. It borrows only each solver's tie tolerance and tie rule, so it
-returns the solver's assignment, ties included.
+arithmetic. It borrows only each solver's tie tolerance and tie rule, and the
+allocator's admission thresholds, so it returns the solver's assignment. The
+allocation rule visits leaves in lexicographic slot order and keeps a leaf
+only when it beats the incumbent by more than tol.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ import numpy as np
 from .allocator import (
     DEFAULT_ONU_CAPACITY_BPS,
     DEFAULT_SINR_FLOOR,
+    _FLOOR,
+    _ONU_CAP,
     AllocationProblem,
     AllocationSolution,
-    _better,
     _raise_infeasible,
     _slot_list,
     _solution_from_indices,
@@ -399,14 +402,14 @@ def check_feasibility(problem: AllocationProblem,
         gammas = linearized_gammas(problem.signal_a2, problem.shot_a2,
                                    problem.preamp_a2, slots).tolist()
         for u, g in enumerate(gammas):
-            if g < DEFAULT_SINR_FLOOR * (1 - 1e-12):
+            if g < _FLOOR:
                 violations.append({
                     "constraint": "sinr_floor", "user": problem.users[u],
                     "sinr": g, "floor": DEFAULT_SINR_FLOOR})
         for a in range(len(problem.ap_ids)):
             load = sum(float(problem.rate_bps[u, a])
                        for u, (ai, _) in assignment.items() if ai == a)
-            if load > DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12):
+            if load > _ONU_CAP:
                 violations.append({
                     "constraint": "onu_capacity", "ap_id": problem.ap_ids[a],
                     "rate_sum_bps": load,
@@ -423,7 +426,8 @@ def solve_exhaustive(problem, enumeration_cap: int = DEFAULT_ENUMERATION_CAP):
     """Enumerate every solution of an allocation or placement problem.
 
     The ground-truth oracle for both branch-and-bound solvers; it shares
-    only their tie tolerance and tie rule, so it returns their assignment.
+    only their tie tolerance and tie rule (and the allocator's admission
+    thresholds), so it returns their assignment.
 
     Raises:
         ResourceLimitError: when the enumeration would exceed the cap.
@@ -454,12 +458,9 @@ def _enumerate_allocations(problem: AllocationProblem,
 
     sig = problem.signal_a2
     shot = problem.shot_a2
-    floor = DEFAULT_SINR_FLOOR * (1 - 1e-12)
-    onu = DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12)
     n_aps = len(problem.ap_ids)
 
     best_obj = None
-    best_key = None
     best_asg = None
     tol = _allocation_tie_tolerance(problem)
     counters = {"leaves": 0, "floor_rejects": 0, "onu_rejects": 0}
@@ -472,7 +473,7 @@ def _enumerate_allocations(problem: AllocationProblem,
         ok = True
         for u, (a, _) in enumerate(chosen):
             load[a] = load.get(a, 0.0) + float(problem.rate_bps[u, a])
-            if load[a] > onu:
+            if load[a] > _ONU_CAP:
                 ok = False
                 break
         if not ok:
@@ -490,16 +491,15 @@ def _enumerate_allocations(problem: AllocationProblem,
                     continue
                 denom += sig[u, b, w] if b in busy else shot[u, b, w]
             g = sig[u, a, w] / denom
-            if g < floor:
+            if g < _FLOOR:
                 ok = False
                 break
             obj += g
         if not ok:
             counters["floor_rejects"] += 1
             continue
-        key = tuple(chosen)
-        if _better(obj, key, best_obj, best_key, tol):
-            best_obj, best_key = obj, key
+        if best_obj is None or obj > best_obj + tol:
+            best_obj = obj
             best_asg = {u: chosen[u] for u in range(n_users)}
 
     if best_asg is None:

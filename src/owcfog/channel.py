@@ -144,7 +144,7 @@ class ReceiverSpec:
     preamp_a2_per_hz: float = (4.47e-12) ** 2
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0 or self.preamp_a2_per_hz < 0 \
+        if self.bandwidth_hz <= 0 or self.preamp_a2_per_hz <= 0 \
                 or self.responsivity_a_per_w <= 0:
             raise ConfigError("noise parameters must be positive")
 
@@ -674,15 +674,12 @@ def bandwidth_3db(ir: ImpulseResponse,
     crossing = _first_bin_below(spec, target)
     if crossing is None:
         return nyquist
+    # mag[0] is |H0| / |H0| = 1, so k >= 1, and m0 >= target > m1
     k, m0, m1 = crossing
-    if k == 0:  # numerically impossible (mag[0] == 1) but stay safe
-        return 0.0
     # linear interpolation of the crossing between samples k-1 and k;
     # val is rfftfreq's sample spacing, so f0 and f1 are its samples
     val = 1.0 / (n * ir.bin_width_s)
     f0, f1 = (k - 1) * val, k * val
-    if m1 == m0:
-        return float(f1)
     f_cross = f0 + (m0 - target) / (m0 - m1) * (f1 - f0)
     return float(min(f_cross, nyquist))
 

@@ -204,6 +204,10 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
             "scenario.intensity_per_m2 must be positive")
     _expect(_is_int(sc["seed"]) and sc["seed"] >= 0,
             "scenario.seed must be a non-negative integer")
+    # only a fixed scenario reads the points; a PPP draw would drop them
+    _expect((sc["mode"] == "fixed") == (sc["positions_m"] is not None),
+            "scenario.mode 'fixed' requires scenario.positions_m, and no "
+            "other mode accepts them")
     if sc["positions_m"] is not None:
         _expect(isinstance(sc["positions_m"], list),
                 "scenario.positions_m must be a list of [x, y] pairs")
@@ -215,9 +219,6 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
             _expect(0 <= x <= room["length_m"] and 0 <= y <= room["width_m"],
                     f"scenario.positions_m[{i}] at ({x}, {y}) lies outside "
                     f"the room")
-    if sc["mode"] == "fixed":
-        _expect(sc["positions_m"] is not None,
-                "scenario.mode 'fixed' requires scenario.positions_m")
 
     topo = cfg["topology"]
     colours, rates = topo["mobile_wavelengths"], topo["mobile_rates_mbps"]

@@ -73,7 +73,7 @@ class TaskDemand:
 def demands_from_drr(workload_mips: float, drr: float, count: int,
                      sources: Optional[Sequence[str]] = None,
                      ) -> List[TaskDemand]:
-    """Generate ``count`` identical tasks with flow = drr * workload.
+    """``count`` identical tasks with flow = drr * workload, drr in (0, 1).
 
     Sources are assigned round-robin (defaults to the eight reference
     mobiles).  The flow unit is Mbit/s: a 400 MIPS task at ratio 0.6 carries
@@ -87,8 +87,8 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
         raise ConfigError("no mobile unit to source the tasks")
     if count <= 0:
         raise ConfigError("task count must be positive")
-    if not 0 < drr <= 1:
-        raise ConfigError(f"data rate ratio must be in (0, 1], got {drr}")
+    if not 0 < drr < 1:
+        raise ConfigError(f"data rate ratio must be in (0, 1), got {drr}")
     if not workload_mips > 0:
         raise ConfigError("workload must be positive")
     flow = drr * workload_mips

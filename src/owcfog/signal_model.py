@@ -20,8 +20,9 @@ One kernel serves the allocator and the audit references:
 :func:`linearized_gammas` each assigned user's linearized SINR. It adds a
 denominator as preamp noise first, then the foreign APs in ascending order;
 callers sum gammas left to right in user order. That is the exhaustive
-oracle's order, so branch and bound scores leaves bit for bit like it and
-their tie-breaks agree. ``np.sum`` reorders the additions and breaks this.
+oracle's order, so branch and bound scores every leaf bit for bit like it;
+both keep a leaf only when it beats the incumbent by more than tol, so they
+return the same assignment. ``np.sum`` reorders the additions and breaks it.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from owcfog.allocator import (
     AllocationProblem,
     _slot_bounds,
     _solution_from_indices,
+    _tie_tolerance,
     solve_branch_and_bound,
 )
 from owcfog.audit import (
@@ -386,6 +387,26 @@ def test_user_permutation_permutes_solution():
     assert swapped.assignment[0] == base.assignment[2]
     assert swapped.assignment[2] == base.assignment[0]
     assert swapped.objective == pytest.approx(base.objective, rel=1e-12)
+
+
+def test_near_tie_chain_matches_exhaustive():
+    # one user, three slots scoring G, G + 0.9 tol and G + 1.8 tol: each
+    # step is within tol of the last, the chain spans more than tol
+    def problem(signals):
+        return AllocationProblem([0], [0, 1, 2], ["red"],
+                                 np.array(signals, dtype=float)[None, :, None],
+                                 np.zeros((1, 3, 1)), np.ones((1, 3)), 1.0)
+
+    g = 100.0
+    tol = _tie_tolerance(problem([g, g, g]))
+    p = problem([g, g + 0.9 * tol, g + 1.8 * tol])
+    tol = _tie_tolerance(p)
+    gammas = p.signal_a2[0, :, 0]
+    assert gammas[1] - gammas[0] < tol and gammas[2] - gammas[1] < tol
+    assert gammas[2] - gammas[0] > tol
+    bb, ex = solve_branch_and_bound(p), solve_exhaustive(p)
+    assert bb.assignment == ex.assignment
+    assert bb.objective == ex.objective
 
 
 def test_time_limit_returns_incumbent_with_gap():

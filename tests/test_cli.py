@@ -86,12 +86,18 @@ def test_infeasible_run_writes_one_stderr_line(tmp_path):
     ("channel", 'topology.mobile_wavelengths=["uv"]'),
     ("allocate", 'topology.mobile_wavelengths=["uv"]'),
     # x = 100 m lies outside the default 8 m x 4 m room
-    ("validate", "scenario.positions_m=[[100,1]]"),
+    pytest.param("validate",
+                 ["scenario.mode=fixed", "scenario.positions_m=[[100,1]]"],
+                 id="validate-fixed-scenario.positions_m=[[100,1]]"),
+    # a PPP draw would drop the given point without saying so
+    ("allocate", "scenario.positions_m=[[1,1]]"),
 ])
 def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
                                               capsys):
-    code, out, err = _run([command, "--out", str(tmp_path / "out"),
-                           "--override", override], capsys)
+    overrides = [override] if isinstance(override, str) else override
+    code, out, err = _run([command, "--out", str(tmp_path / "out")]
+                          + [a for o in overrides for a in ("--override", o)],
+                          capsys)
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "config"

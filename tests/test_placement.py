@@ -95,6 +95,9 @@ def test_demand_validation():
         demands_from_drr(400.0, 0.0, 1)
     with pytest.raises(ConfigError):
         demands_from_drr(400.0, 1.5, 1)
+    # the loader refuses sweep.drr = 1.0 too
+    with pytest.raises(ConfigError, match=r"\(0, 1\)"):
+        demands_from_drr(100.0, 1.0, 1)
     with pytest.raises(ConfigError, match="no mobile unit"):
         demands_from_drr(400.0, 0.6, 1, sources=[])
     # outside the paper's 100..1500 MIPS range, but a valid demand

@@ -60,6 +60,9 @@ def test_shot_noise_frozen():
 def test_receiver_rejects_negative_noise_figures(field):
     with pytest.raises(ConfigError, match="noise parameters"):
         ReceiverSpec(**{field: -1.0})
+    # a zero figure is refused too, before any channel is traced
+    with pytest.raises(ConfigError, match="noise parameters"):
+        ReceiverSpec(**{field: 0.0})
 
 
 def test_sinr_db_round_trip():
