@@ -37,9 +37,9 @@ import numpy as np
 from owcfog.channel import ReceiverSpec, fec_rate
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.signal_model import (
+    ELECTRON_CHARGE_C,
     ChannelTable,
     linearized_gammas,
-    photocurrent_powers,
     preamp_noise,
 )
 from owcfog.topology import ONU_CAPACITY_MBPS
@@ -66,8 +66,11 @@ _TIE_REL = 1e-9
 class AllocationProblem:
     """Dense instance data for the assignment problem.
 
+    Users are the rows 0..U-1 of ``signal_a2``; every user-indexed result
+    (assignments, SINRs, reports) is keyed by that row.
+
     Attributes:
-        users / ap_ids / wavelengths: axis labels.
+        ap_ids / wavelengths: labels of the AP and wavelength axes.
         signal_a2: (U, A, W) electrical signal power of each candidate slot.
         shot_a2: (U, A, W) shot-noise power each AP contributes when its
             wavelength is left unmodulated.
@@ -78,7 +81,6 @@ class AllocationProblem:
     backhaul carries at most ``DEFAULT_ONU_CAPACITY_BPS``.
     """
 
-    users: List[int]
     ap_ids: List[int]
     wavelengths: List[str]
     signal_a2: np.ndarray
@@ -87,33 +89,37 @@ class AllocationProblem:
     preamp_a2: float
 
     def __post_init__(self):
-        u, a, w = len(self.users), len(self.ap_ids), len(self.wavelengths)
+        a, w = len(self.ap_ids), len(self.wavelengths)
         self.signal_a2 = np.asarray(self.signal_a2, dtype=float)
         self.shot_a2 = np.asarray(self.shot_a2, dtype=float)
         self.rate_bps = np.asarray(self.rate_bps, dtype=float)
-        if self.signal_a2.shape != (u, a, w) or self.shot_a2.shape != (u, a, w):
+        shape = self.signal_a2.shape[:1] + (a, w)     # U is signal's rows
+        if self.signal_a2.shape != shape or self.shot_a2.shape != shape:
             raise ConfigError("signal/shot arrays must have shape (U, A, W)")
-        if self.rate_bps.shape != (u, a):
+        if self.rate_bps.shape != shape[:2]:
             raise ConfigError("rate array must have shape (U, A)")
-        if self.preamp_a2 <= 0:
-            raise ConfigError("preamp noise must be positive")
-        if np.any(self.signal_a2 < 0) or np.any(self.shot_a2 < 0) \
-                or np.any(self.rate_bps < 0):
-            raise ConfigError("powers and rates must be non-negative")
+        if not 0 < self.preamp_a2 < math.inf:
+            raise ConfigError("preamp noise must be positive and finite")
+        for array in (self.signal_a2, self.shot_a2, self.rate_bps):
+            if not ((0 <= array) & (array < math.inf)).all():
+                raise ConfigError(
+                    "powers and rates must be non-negative and finite")
 
     @classmethod
     def from_table(cls, table: ChannelTable, receiver: ReceiverSpec
                    ) -> "AllocationProblem":
-        """Bake a channel table + the receiver's noise into instance arrays.
+        """Bake a channel table + the receiver's noise into instance arrays:
+        signal (R P)^2 and shot noise 2 e (R P) B, in A^2, for each received
+        power P. A negative P gives negative shot noise and is refused.
 
         Per-wavelength rates are collapsed to their minimum per (user, AP)
         pair, which is conservative for the backhaul constraint (they are
         identical whenever all wavelengths share a reflectivity map).
         """
-        signal, shot = photocurrent_powers(table.rx_power_w, receiver)
-        rate = table.rate_bps.min(axis=2)
-        return cls(list(table.users), list(table.ap_ids),
-                   list(table.wavelengths), signal, shot, rate,
+        current = receiver.responsivity_a_per_w * table.rx_power_w
+        shot = 2.0 * ELECTRON_CHARGE_C * current * receiver.bandwidth_hz
+        return cls(list(table.ap_ids), list(table.wavelengths), current ** 2,
+                   shot, table.rate_bps.min(axis=2),
                    preamp_a2=preamp_noise(receiver))
 
     def slot_label(self, slot: Tuple[int, int]) -> Tuple[int, str]:
@@ -148,16 +154,14 @@ class AllocationSolution:
 def _solution_from_indices(problem: AllocationProblem,
                            assignment: Dict[int, Tuple[int, int]],
                            stats: Dict[str, object]) -> AllocationSolution:
-    slots = [assignment[u] for u in range(len(problem.users))]
+    slots = [assignment[u] for u in range(len(problem.signal_a2))]
     gammas = linearized_gammas(problem.signal_a2, problem.shot_a2,
                                problem.preamp_a2, slots).tolist()
-    named = {problem.users[u]: problem.slot_label(slot)
-             for u, slot in enumerate(slots)}
-    sinr_lin = {problem.users[u]: g for u, g in enumerate(gammas)}
+    named = {u: problem.slot_label(slot) for u, slot in enumerate(slots)}
+    sinr_lin = dict(enumerate(gammas))
     sinr_dbs = {u: 10.0 * math.log10(g) if g > 0 else -math.inf
                 for u, g in sinr_lin.items()}
-    rates = {problem.users[u]: fec_rate(float(problem.rate_bps[u, a]),
-                                        sinr_dbs[problem.users[u]])
+    rates = {u: fec_rate(float(problem.rate_bps[u, a]), sinr_dbs[u])
              for u, (a, w) in enumerate(slots)}
     return AllocationSolution(
         assignment=named, sinr=sinr_lin, sinr_db=sinr_dbs,
@@ -246,7 +250,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
         ResourceLimitError: time limit expired before any feasible leaf.
     """
     t0 = time.monotonic()
-    n_users = len(problem.users)
+    n_users = len(problem.signal_a2)
     n_aps = len(problem.ap_ids)
     n_wl = len(problem.wavelengths)
     slots = _slot_list(problem)
@@ -264,10 +268,9 @@ def solve_branch_and_bound(problem: AllocationProblem,
     for u in range(n_users):
         if not (ub[u] >= _FLOOR).any():
             raise InfeasibleError(
-                f"user {problem.users[u]} cannot reach the SINR floor on any "
-                f"slot",
+                f"user {u} cannot reach the SINR floor on any slot",
                 report={"constraint": "sinr_floor",
-                        "user": problem.users[u],
+                        "user": u,
                         "floor": DEFAULT_SINR_FLOOR,
                         "best_possible_sinr": float(ub[u].max())})
     root_bound = sum(float(ub[u].max()) for u in range(n_users))
@@ -389,8 +392,7 @@ def _raise_infeasible(problem: AllocationProblem, floor_rejects: int,
                       onu_rejects: int):
     binding = "sinr_floor" if floor_rejects >= onu_rejects else "onu_capacity"
     ub = _slot_bounds(problem)
-    per_user = {problem.users[u]: float(ub[u].max())
-                for u in range(len(problem.users))}
+    per_user = {u: float(bounds.max()) for u, bounds in enumerate(ub)}
     raise InfeasibleError(
         f"no feasible assignment: binding constraint {binding}",
         report={

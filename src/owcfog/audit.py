@@ -65,14 +65,7 @@ from .placement import (
     _prepare,
 )
 from .placement import _tie_tolerance as _placement_tie_tolerance
-from .signal_model import (
-    ELECTRON_CHARGE_C,
-    ChannelTable,
-    _interferers,
-    linearized_gammas,
-    photocurrent_powers,
-    preamp_noise,
-)
+from .signal_model import ELECTRON_CHARGE_C, _interferers, linearized_gammas
 
 #: Refuse exhaustive enumerations larger than this many assignments.
 DEFAULT_ENUMERATION_CAP = 10 ** 8
@@ -152,7 +145,7 @@ class LinearizedModel(_RowModel):
 
     def _build(self):
         p = self.problem
-        U = range(len(p.users))
+        U = range(len(p.signal_a2))
         A = range(len(p.ap_ids))
         W = range(len(p.wavelengths))
         beta = self.beta
@@ -237,7 +230,7 @@ class LinearizedModel(_RowModel):
             p.signal_a2[users], p.shot_a2[users], p.preamp_a2,
             list(assignment.values())).tolist()))
         point: Dict[Tuple, float] = {}
-        for u in range(len(p.users)):
+        for u in range(len(p.signal_a2)):
             for a in range(len(p.ap_ids)):
                 for w in range(len(p.wavelengths)):
                     s = 1.0 if assignment.get(u) == (a, w) else 0.0
@@ -390,21 +383,21 @@ def check_feasibility(problem: AllocationProblem,
         dup = [s for s in set(slots) if slots.count(s) > 1]
         violations.append({"constraint": "slot_once",
                            "slots": [problem.slot_label(s) for s in dup]})
-    missing = [problem.users[u] for u in range(len(problem.users))
-               if u not in assignment]
+    n_users = len(problem.signal_a2)
+    missing = [u for u in range(n_users) if u not in assignment]
     if missing:
         violations.append({"constraint": "user_once", "users": missing})
-    extra = [u for u in assignment if not 0 <= u < len(problem.users)]
+    extra = [u for u in assignment if not 0 <= u < n_users]
     if extra:
         violations.append({"constraint": "user_once", "unknown_users": extra})
     if not violations:
-        slots = [assignment[u] for u in range(len(problem.users))]
+        slots = [assignment[u] for u in range(n_users)]
         gammas = linearized_gammas(problem.signal_a2, problem.shot_a2,
                                    problem.preamp_a2, slots).tolist()
         for u, g in enumerate(gammas):
             if g < _FLOOR:
                 violations.append({
-                    "constraint": "sinr_floor", "user": problem.users[u],
+                    "constraint": "sinr_floor", "user": u,
                     "sinr": g, "floor": DEFAULT_SINR_FLOOR})
         for a in range(len(problem.ap_ids)):
             load = sum(float(problem.rate_bps[u, a])
@@ -442,7 +435,7 @@ def _enumerate_allocations(problem: AllocationProblem,
                            ) -> AllocationSolution:
     """Every complete assignment, each leaf's SINR accumulated longhand,
     independent of :func:`owcfog.signal_model.linearized_gammas`."""
-    n_users = len(problem.users)
+    n_users = len(problem.signal_a2)
     slots = _slot_list(problem)
     size = 1
     for i in range(n_users):
@@ -648,18 +641,14 @@ Assignment = Mapping[int, Tuple[int, str]]
 """user -> (ap_id, wavelength)."""
 
 
-def _validate_assignment(assignment: Assignment, table: ChannelTable):
-    slots = set()
+def _validate_assignment(assignment: Assignment, problem: AllocationProblem):
     for u, (a, w) in assignment.items():
-        if u not in table.users:
+        if u not in range(len(problem.signal_a2)):
             raise ConfigError(f"assignment names unknown user {u}")
-        if a not in table.ap_ids:
+        if a not in problem.ap_ids:
             raise ConfigError(f"assignment names unknown AP {a}")
-        if w not in table.wavelengths:
+        if w not in problem.wavelengths:
             raise ConfigError(f"assignment names unknown wavelength {w!r}")
-        if (a, w) in slots:
-            raise ConfigError(f"slot (ap {a}, {w}) assigned twice")
-        slots.add((a, w))
 
 
 @dataclass
@@ -674,7 +663,7 @@ class SINRBreakdown:
     sinr_db: float
 
 
-def sinr(assignment: Assignment, table: ChannelTable, receiver: ReceiverSpec,
+def sinr(assignment: Assignment, problem: AllocationProblem,
          mode: str = "linearized") -> Dict[int, SINRBreakdown]:
     """SINR of every assigned user under a WDMA assignment.
 
@@ -683,24 +672,29 @@ def sinr(assignment: Assignment, table: ChannelTable, receiver: ReceiverSpec,
     physics it approximates, and it never reports a higher SINR.
 
     Args:
-        assignment: user -> (ap_id, wavelength); at most one user per slot.
-        table: complete channel table (assigned-but-out-of-FOV links simply
-            carry zero received power and contribute nothing).
-        receiver: the front end whose noise figures apply.
+        assignment: user row -> (ap_id, wavelength), for any subset of the
+            problem's users; at most one user per slot.
+        problem: the instance whose signal, shot and preamplifier noise
+            apply (assigned-but-out-of-FOV links simply carry zero signal
+            and contribute nothing).
         mode: "linearized" (sum of squared interferer currents) or "exact"
             (square of summed currents).
 
     Returns:
         dict user -> SINRBreakdown.
+
+    Raises:
+        ConfigError: an unknown user, AP, wavelength or mode, or two users
+            on one slot.
     """
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
-    _validate_assignment(assignment, table)
-    rows = [table.users.index(u) for u in assignment]
-    slots = [(table.ap_ids.index(a), table.wavelengths.index(w))
+    _validate_assignment(assignment, problem)
+    rows = list(assignment)
+    slots = [(problem.ap_ids.index(a), problem.wavelengths.index(w))
              for a, w in assignment.values()]
-    signal, shot = photocurrent_powers(table.rx_power_w[rows], receiver)
-    preamp = preamp_noise(receiver)
+    signal, shot = problem.signal_a2[rows], problem.shot_a2[rows]
+    preamp = problem.preamp_a2
     aps, wls, busy = _interferers(slots, signal.shape)
     n = np.arange(len(rows))
     own, foreign = signal[n, aps, wls], np.where(busy, signal[n, :, wls], 0.0)

@@ -144,9 +144,10 @@ class ReceiverSpec:
     preamp_a2_per_hz: float = (4.47e-12) ** 2
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0 or self.preamp_a2_per_hz <= 0 \
-                or self.responsivity_a_per_w <= 0:
-            raise ConfigError("noise parameters must be positive")
+        if not all(0 < x < math.inf for x in (
+                self.bandwidth_hz, self.preamp_a2_per_hz,
+                self.responsivity_a_per_w)):
+            raise ConfigError("noise parameters must be positive and finite")
 
 
 @dataclass
@@ -173,12 +174,13 @@ class RoomConfig:
     aps: List[AccessPoint] = field(default_factory=list)
 
     def __post_init__(self):
-        if min(self.length_m, self.width_m, self.height_m) <= 0:
-            raise ConfigError("room dimensions must be positive")
-        if self.element_edge_m <= 0:
-            raise ConfigError("element edge must be positive")
-        if self.time_bin_s <= 0:
-            raise ConfigError("time bin must be positive")
+        if not all(0 < x < math.inf for x in (
+                self.length_m, self.width_m, self.height_m)):
+            raise ConfigError("room dimensions must be positive and finite")
+        if not 0 < self.element_edge_m < math.inf:
+            raise ConfigError("element edge must be positive and finite")
+        if not 0 < self.time_bin_s < math.inf:
+            raise ConfigError("time bin must be positive and finite")
         if not self.aps:
             self.aps = default_ap_grid(self.length_m, self.width_m, self.height_m)
         seen = set()

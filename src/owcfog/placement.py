@@ -89,8 +89,6 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
         raise ConfigError("task count must be positive")
     if not 0 < drr < 1:
         raise ConfigError(f"data rate ratio must be in (0, 1), got {drr}")
-    if not workload_mips > 0:
-        raise ConfigError("workload must be positive")
     flow = drr * workload_mips
     return [TaskDemand(k, sources[k % len(sources)], workload_mips, flow)
             for k in range(count)]

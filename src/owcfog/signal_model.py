@@ -11,18 +11,20 @@ access point a, every other AP is either:
 
 The receiver's own preamplifier noise floor is always present. Every noise
 figure comes from the one :class:`owcfog.channel.ReceiverSpec` the tracer
-also reads. Interference is accounted *linearized*, as the sum of squared interferer currents, which
-is what keeps the assignment model linear; :func:`owcfog.audit.sinr` also
-computes the exact square of the summed currents for comparison.
+also reads. Interference is accounted *linearized*, as the sum of squared
+interferer currents, which is what keeps the assignment model linear;
+:func:`owcfog.audit.sinr` also computes the exact square of the summed
+currents for comparison.
 
 One kernel serves the allocator and the audit references:
-:func:`photocurrent_powers` gives the signal and shot arrays, and
-:func:`linearized_gammas` each assigned user's linearized SINR. It adds a
-denominator as preamp noise first, then the foreign APs in ascending order;
-callers sum gammas left to right in user order. That is the exhaustive
-oracle's order, so branch and bound scores every leaf bit for bit like it;
-both keep a leaf only when it beats the incumbent by more than tol, so they
-return the same assignment. ``np.sum`` reorders the additions and breaks it.
+:meth:`owcfog.allocator.AllocationProblem.from_table` turns the received
+powers into signal and shot arrays once, and :func:`linearized_gammas` gives
+each assigned user's linearized SINR from them. It adds a denominator as
+preamp noise first, then the foreign APs in ascending order; callers sum
+gammas left to right in user order. That is the exhaustive oracle's order,
+so branch and bound scores every leaf bit for bit like it; both keep a leaf
+only when it beats the incumbent by more than tol, so they return the same
+assignment. ``np.sum`` reorders the additions and breaks it.
 """
 
 from __future__ import annotations
@@ -42,16 +44,6 @@ ELECTRON_CHARGE_C = 1.602176634e-19
 def preamp_noise(receiver: ReceiverSpec) -> float:
     """Preamplifier noise power N_pr * B, in A^2."""
     return receiver.preamp_a2_per_hz * receiver.bandwidth_hz
-
-
-def photocurrent_powers(rx_power_w: np.ndarray, receiver: ReceiverSpec
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Signal (R P)^2 and shot noise 2 e (R P) B, in A^2, for each power."""
-    if np.any(rx_power_w < 0):
-        raise ConfigError("received power must be non-negative")
-    current = receiver.responsivity_a_per_w * rx_power_w
-    shot = 2.0 * ELECTRON_CHARGE_C * current * receiver.bandwidth_hz
-    return current ** 2, shot
 
 
 def _interferers(slots, shape: Tuple[int, int, int]):
@@ -93,12 +85,11 @@ def linearized_gammas(signal_a2: np.ndarray, shot_a2: np.ndarray,
 class ChannelTable:
     """Dense (user, AP, wavelength) view of the received power and rate.
 
-    Axes are ordered: users ascending, AP ids ascending, wavelengths in
-    canonical order. :meth:`from_records` projects the tracer's
+    Rows are users 0..U-1, the AP axis is by ascending id and wavelengths
+    are in canonical order. :meth:`from_records` projects the tracer's
     :class:`owcfog.channel.ChannelRecords` onto that order.
     """
 
-    users: List[int]
     ap_ids: List[int]
     wavelengths: List[str]
     rx_power_w: np.ndarray      # (U, A, W)
@@ -108,8 +99,7 @@ class ChannelTable:
     def from_records(cls, records: ChannelRecords) -> "ChannelTable":
         # a room may list its APs out of id order
         order = np.argsort(records.ap_ids, kind="stable")
-        return cls(list(range(len(records.positions_m))),
-                   [records.ap_ids[a] for a in order],
+        return cls([records.ap_ids[a] for a in order],
                    list(records.wavelengths),
                    np.take(records.rx_power_w, order, axis=1),
                    np.take(records.rate_bps, order, axis=1))

@@ -227,7 +227,7 @@ def build_reference_topology(
     catalogue = {d.name: d for d in REFERENCE_DEVICES}
     nodes: List[ProcessingNode] = []
 
-    for kind in ("RoomFog", "BuildFog", "CampFog", "MetroFog", "CCloud"):
+    for kind in FOG_KINDS:
         cap, eff = _NODE_SPECS[kind]
         node_id = kind.lower()
         chain = _ROUTE_CHAINS[kind]

@@ -76,8 +76,7 @@ def _table(rx_w, rates, wavelengths=("red", "yellow", "green", "blue")):
         rx = np.repeat(rx[..., None], len(wavelengths), axis=2)
     rate = np.repeat(np.array(rates, dtype=float)[..., None],
                      len(wavelengths), axis=2)
-    return ChannelTable(list(range(rx.shape[0])), list(range(rx.shape[1])),
-                        list(wavelengths), rx, rate)
+    return ChannelTable(list(range(rx.shape[1])), list(wavelengths), rx, rate)
 
 
 def _random_problem(rng):
@@ -101,7 +100,7 @@ def _same_slices(problem):
     """The same instance with every wavelength a copy of wavelength 0."""
     first = [0] * len(problem.wavelengths)
     return AllocationProblem(
-        list(problem.users), list(problem.ap_ids), list(problem.wavelengths),
+        list(problem.ap_ids), list(problem.wavelengths),
         problem.signal_a2[..., first], problem.shot_a2[..., first],
         problem.rate_bps, problem.preamp_a2)
 
@@ -228,8 +227,7 @@ def test_acceptance_4_allocator_suite(capsys):
 
             # assignment structure: each user once, each slot at most once
             index_asg = {
-                problem.users.index(u): (problem.ap_ids.index(a),
-                                         problem.wavelengths.index(w))
+                u: (problem.ap_ids.index(a), problem.wavelengths.index(w))
                 for u, (a, w) in fast.assignment.items()}
             audit = check_feasibility(problem, index_asg)
             assert audit["feasible"], audit["violations"]
@@ -285,7 +283,7 @@ def test_acceptance_5_linearization(capsys):
         while checked_points < 1000:
             problem = _random_problem(rng)
             model = LinearizedModel(problem)
-            n_users = len(problem.users)
+            n_users = len(problem.signal_a2)
             slots = [(a, w) for a in range(len(problem.ap_ids))
                      for w in range(len(problem.wavelengths))]
             for _ in range(12):
@@ -326,8 +324,9 @@ def test_acceptance_6_sinr_physics(capsys):
         rates = [[5e9] * 3] * 3
         table = _table(rx, rates, wavelengths=("red",))
         asg = {0: (0, "red"), 1: (1, "red")}
-        exact = sinr(asg, table, receiver, mode="exact")
-        lin = sinr(asg, table, receiver, mode="linearized")
+        problem = AllocationProblem.from_table(table, receiver)
+        exact = sinr(asg, problem, mode="exact")
+        lin = sinr(asg, problem, mode="linearized")
         assert exact[0].interference_a2 == lin[0].interference_a2
         assert exact[0].sinr == lin[0].sinr
 
@@ -337,8 +336,9 @@ def test_acceptance_6_sinr_physics(capsys):
                [5e-7, 0.0, 6e-6]]
         table2 = _table(rx2, rates, wavelengths=("red",))
         asg2 = {0: (0, "red"), 1: (1, "red"), 2: (2, "red")}
-        exact2 = sinr(asg2, table2, receiver, mode="exact")
-        lin2 = sinr(asg2, table2, receiver, mode="linearized")
+        problem2 = AllocationProblem.from_table(table2, receiver)
+        exact2 = sinr(asg2, problem2, mode="exact")
+        lin2 = sinr(asg2, problem2, mode="linearized")
         assert exact2[0].interference_a2 == 2.0 * lin2[0].interference_a2
 
         # shot noise a few orders below the signal at 1 uW received:
@@ -432,8 +432,7 @@ def test_acceptance_8_sinr_floor(capsys):
             for u, (a, w) in sol.assignment.items():
                 db = sol.sinr_db[u]
                 assert db >= 14.0 - 1e-9
-                base = float(problem.rate_bps[problem.users.index(u),
-                                              problem.ap_ids.index(a)])
+                base = float(problem.rate_bps[u, problem.ap_ids.index(a)])
                 expected = base * 0.9 if db < 15.6 else base
                 assert sol.rate_bps[u] == expected
                 seen_window += db < 15.6

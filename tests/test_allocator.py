@@ -38,8 +38,7 @@ from owcfog.signal_model import (
 def _table(rx, rate, wavelengths):
     """(U, A, W) received powers and rates -> ChannelTable."""
     rx = np.array(rx, dtype=float)
-    return ChannelTable(list(range(rx.shape[0])), list(range(rx.shape[1])),
-                        list(wavelengths), rx,
+    return ChannelTable(list(range(rx.shape[1])), list(wavelengths), rx,
                         np.broadcast_to(rate, rx.shape).astype(float))
 
 
@@ -84,7 +83,7 @@ def _written_out_sinr(rx, slots, u, receiver=ReceiverSpec()):
 
 
 def _indices(p, sol):
-    return {p.users.index(u): (p.ap_ids.index(a), p.wavelengths.index(w))
+    return {u: (p.ap_ids.index(a), p.wavelengths.index(w))
             for u, (a, w) in sol.assignment.items()}
 
 
@@ -254,7 +253,7 @@ def test_fec_derating_covers_users_admitted_under_the_floor(scale):
     # The solver admits gammas down to floor * (1 - 1e-12); a user admitted
     # just under 14 dB is de-rated like one at 14.04 dB.
     floor = 10.0 ** 1.4
-    p = AllocationProblem([0], [0], ["red"], signal_a2=[[[floor * scale]]],
+    p = AllocationProblem([0], ["red"], signal_a2=[[[floor * scale]]],
                           shot_a2=[[[0.0]]], rate_bps=[[1e9]], preamp_a2=1.0)
     for sol in (solve_branch_and_bound(p), solve_exhaustive(p)):
         assert (sol.sinr_db[0] < 14.0) == (scale < 1)
@@ -308,6 +307,52 @@ def test_check_feasibility_flags_double_booking_and_missing_user():
         or any(v["constraint"] == "slot_once" for v in report["violations"])
     report = check_feasibility(p, {0: (0, 0)})
     assert any(v["constraint"] == "user_once" for v in report["violations"])
+
+
+def _arrays(n_users, n_aps=2):
+    """Keyword arguments of a valid one-wavelength AllocationProblem."""
+    return dict(ap_ids=list(range(n_aps)), wavelengths=["red"],
+                signal_a2=np.ones((n_users, n_aps, 1)),
+                shot_a2=np.ones((n_users, n_aps, 1)),
+                rate_bps=np.ones((n_users, n_aps)), preamp_a2=1.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("shot_a2", np.ones((2, 1, 1)), "signal/shot arrays"),
+    ("signal_a2", np.ones((2, 2)), "signal/shot arrays"),
+    ("signal_a2", 1.0, "signal/shot arrays"),
+    ("rate_bps", np.ones((3, 2)), "rate array"),
+    ("rate_bps", np.ones((2, 2, 1)), "rate array"),
+    ("preamp_a2", 0.0, "preamp noise"),
+    ("preamp_a2", math.nan, "preamp noise"),
+    ("preamp_a2", math.inf, "preamp noise"),
+    ("signal_a2", -np.ones((2, 2, 1)), "powers and rates"),
+    ("signal_a2", np.full((2, 2, 1), math.nan), "powers and rates"),
+    ("shot_a2", np.full((2, 2, 1), math.inf), "powers and rates"),
+    ("rate_bps", np.full((2, 2), math.nan), "powers and rates"),
+])
+def test_problem_refuses_malformed_arrays(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        AllocationProblem(**{**_arrays(2), field: value})
+
+
+def test_problem_refuses_negative_received_power():
+    # (R P)^2 hides the sign; the shot array 2 e R P B keeps it
+    table = _table([[[1e-5], [-1e-7]]], 5e9, ["red"])
+    with pytest.raises(ConfigError, match="non-negative"):
+        AllocationProblem.from_table(table, ReceiverSpec())
+
+
+def test_problem_users_are_signal_rows():
+    for n_users in (0, 1, 3):
+        p = AllocationProblem(**_arrays(n_users))
+        assert len(p.signal_a2) == n_users
+        # the other arrays must follow signal's rows
+        with pytest.raises(ConfigError, match="rate array"):
+            AllocationProblem(**{**_arrays(n_users),
+                                 "rate_bps": np.ones((n_users + 1, 2))})
+    empty = solve_branch_and_bound(AllocationProblem(**_arrays(0)))
+    assert empty.assignment == {} and empty.objective == 0.0
 
 
 def test_enumeration_cap_refuses():
@@ -379,8 +424,7 @@ def test_user_permutation_permutes_solution():
     # swap users 0 and 2 everywhere
     perm = [2, 1, 0]
     q = AllocationProblem(
-        users=list(p.users), ap_ids=list(p.ap_ids),
-        wavelengths=list(p.wavelengths),
+        ap_ids=list(p.ap_ids), wavelengths=list(p.wavelengths),
         signal_a2=p.signal_a2[perm], shot_a2=p.shot_a2[perm],
         rate_bps=p.rate_bps[perm], preamp_a2=p.preamp_a2)
     swapped = solve_branch_and_bound(q)
@@ -393,7 +437,7 @@ def test_near_tie_chain_matches_exhaustive():
     # one user, three slots scoring G, G + 0.9 tol and G + 1.8 tol: each
     # step is within tol of the last, the chain spans more than tol
     def problem(signals):
-        return AllocationProblem([0], [0, 1, 2], ["red"],
+        return AllocationProblem([0, 1, 2], ["red"],
                                  np.array(signals, dtype=float)[None, :, None],
                                  np.zeros((1, 3, 1)), np.ones((1, 3)), 1.0)
 
@@ -482,7 +526,7 @@ def test_node_bound_holds_at_partial_states():
 def _with_slices(p, pattern):
     """Copy of ``p`` whose wavelength w carries slice ``pattern[w]``."""
     return AllocationProblem(
-        list(p.users), list(p.ap_ids), list(p.wavelengths),
+        list(p.ap_ids), list(p.wavelengths),
         p.signal_a2[..., pattern], p.shot_a2[..., pattern], p.rate_bps,
         p.preamp_a2)
 
@@ -526,7 +570,7 @@ def test_one_ulp_difference_lifts_the_restriction():
     p = _with_slices(_random_problem(rng, 4, 2), [0, 0, 0, 0])
     signal = p.signal_a2.copy()
     signal[0, 0, 3] = np.nextafter(signal[0, 0, 3], np.inf)
-    q = AllocationProblem(list(p.users), list(p.ap_ids), list(p.wavelengths),
+    q = AllocationProblem(list(p.ap_ids), list(p.wavelengths),
                           signal, p.shot_a2, p.rate_bps, p.preamp_a2)
     tied = solve_branch_and_bound(p)
     near = solve_branch_and_bound(q)

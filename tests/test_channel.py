@@ -699,6 +699,15 @@ def _coarse_room():
     return RoomConfig(element_edge_m=0.5)
 
 
+@pytest.mark.parametrize("field", ["length_m", "width_m", "height_m",
+                                   "element_edge_m", "time_bin_s"])
+def test_room_rejects_non_finite_sizes(field):
+    # a NaN width would otherwise put every position outside the room
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            RoomConfig(**{field: bad})
+
+
 def test_grid_positions_cover_room():
     room = _coarse_room()
     pts = grid_positions(room)

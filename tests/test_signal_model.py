@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owcfog.allocator import AllocationProblem
 from owcfog.audit import electrical_signal_power, shot_noise, sinr, sinr_db
 from owcfog.channel import (
     WAVELENGTHS,
@@ -63,6 +64,10 @@ def test_receiver_rejects_negative_noise_figures(field):
     # a zero figure is refused too, before any channel is traced
     with pytest.raises(ConfigError, match="noise parameters"):
         ReceiverSpec(**{field: 0.0})
+    # NaN fails every comparison, so it must not slip past the range check
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="noise parameters"):
+            ReceiverSpec(**{field: bad})
 
 
 def test_sinr_db_round_trip():
@@ -83,8 +88,8 @@ def _table(powers):
     wavelengths = list(powers[0][0])
     rx = np.array([[[per_w[w] for w in wavelengths] for per_w in per_ap]
                    for per_ap in powers])
-    return ChannelTable(list(range(rx.shape[0])), list(range(rx.shape[1])),
-                        wavelengths, rx, np.full(rx.shape, 5e9))
+    return ChannelTable(list(range(rx.shape[1])), wavelengths, rx,
+                        np.full(rx.shape, 5e9))
 
 
 def test_table_orders_aps_by_id():
@@ -99,8 +104,7 @@ def test_table_orders_aps_by_id():
                      for room in rooms)
     assert listed.ap_ids == [7, 3, 5] and by_id.ap_ids == [3, 5, 7]
     t = ChannelTable.from_records(listed)
-    assert (t.users, t.ap_ids, t.wavelengths) == ([0, 1], [3, 5, 7],
-                                                  list(WAVELENGTHS))
+    assert (t.ap_ids, t.wavelengths) == ([3, 5, 7], list(WAVELENGTHS))
     assert np.array_equal(t.rx_power_w, listed.rx_power_w[:, [1, 2, 0]])
     assert np.array_equal(t.rate_bps, listed.rate_bps[:, [1, 2, 0]])
     assert np.array_equal(t.rx_power_w, by_id.rx_power_w)
@@ -115,7 +119,7 @@ def test_sinr_no_interferers_reduces_to_snr():
     # one user, two APs: the unassigned AP contributes shot noise only
     t = _table([[{"red": 1e-6}, {"red": 2e-6}]])
     receiver = ReceiverSpec()
-    got = sinr({0: (0, "red")}, t, receiver)[0]
+    got = sinr({0: (0, "red")}, AllocationProblem.from_table(t, receiver))[0]
     want = SIGNAL_1UW / (shot_noise(2e-6, receiver) + preamp_noise(receiver))
     assert got.sinr == pytest.approx(want, rel=1e-12)
     assert got.interference_a2 == 0.0
@@ -129,8 +133,9 @@ def test_sinr_single_interferer_modes_agree():
         [{"red": 5e-7}, {"red": 1e-6}],
     ])
     asg = {0: (0, "red"), 1: (1, "red")}
-    lin = sinr(asg, t, ReceiverSpec(), "linearized")
-    ex = sinr(asg, t, ReceiverSpec(), "exact")
+    problem = AllocationProblem.from_table(t, ReceiverSpec())
+    lin = sinr(asg, problem, "linearized")
+    ex = sinr(asg, problem, "exact")
     for u in (0, 1):
         assert lin[u].sinr == pytest.approx(ex[u].sinr, rel=1e-12)
         assert lin[u].interference_a2 > 0.0
@@ -144,8 +149,9 @@ def test_sinr_two_equal_interferers_ratio_two():
         [{"red": 1e-7}, {"red": 1e-7}, {"red": 1e-6}],
     ])
     asg = {0: (0, "red"), 1: (1, "red"), 2: (2, "red")}
-    lin = sinr(asg, t, ReceiverSpec(), "linearized")[0]
-    ex = sinr(asg, t, ReceiverSpec(), "exact")[0]
+    problem = AllocationProblem.from_table(t, ReceiverSpec())
+    lin = sinr(asg, problem, "linearized")[0]
+    ex = sinr(asg, problem, "exact")[0]
     assert ex.interference_a2 == pytest.approx(2.0 * lin.interference_a2,
                                                rel=1e-12)
     assert ex.sinr < lin.sinr
@@ -158,11 +164,12 @@ def test_assigned_wavelength_swaps_shot_for_interference():
         [{"red": 2e-7, "blue": 2e-7}, {"red": 8e-7, "blue": 8e-7}],
     ])
     # other user on a different colour: AP 1 is pure shot noise for user 0
-    quiet = sinr({0: (0, "red"), 1: (1, "blue")}, t, receiver)[0]
+    problem = AllocationProblem.from_table(t, receiver)
+    quiet = sinr({0: (0, "red"), 1: (1, "blue")}, problem)[0]
     assert quiet.interference_a2 == 0.0
     assert quiet.shot_a2 == pytest.approx(shot_noise(3e-7, receiver), rel=1e-12)
     # same colour: the 3e-7 W from AP 1 becomes interference, shot term drops
-    loud = sinr({0: (0, "red"), 1: (1, "red")}, t, receiver)[0]
+    loud = sinr({0: (0, "red"), 1: (1, "red")}, problem)[0]
     assert loud.shot_a2 == 0.0
     assert loud.interference_a2 == pytest.approx(
         electrical_signal_power(3e-7, receiver.responsivity_a_per_w), rel=1e-12)
@@ -177,8 +184,9 @@ def test_out_of_fov_interferer_contributes_nothing():
         [{"red": 1e-7}, {"red": 9e-7}],
     ])
     receiver = ReceiverSpec()
-    alone = sinr({0: (0, "red")}, t, receiver)[0]
-    crowded = sinr({0: (0, "red"), 1: (1, "red")}, t, receiver)[0]
+    problem = AllocationProblem.from_table(t, receiver)
+    alone = sinr({0: (0, "red")}, problem)[0]
+    crowded = sinr({0: (0, "red"), 1: (1, "red")}, problem)[0]
     assert crowded.sinr == pytest.approx(alone.sinr, rel=1e-12)
 
 
@@ -196,7 +204,7 @@ def test_sinr_matches_longhand_expansion():
     ]
     t = _table(p)
     asg = {0: (0, "red"), 1: (1, "red"), 2: (2, "blue")}
-    got = sinr(asg, t, receiver, "linearized")
+    got = sinr(asg, AllocationProblem.from_table(t, receiver), "linearized")
     R, B = 0.5, 4e9
     e = ELECTRON_CHARGE_C
     # user 0 on red: AP1 interferes (user 1 on red), AP2 is unmodulated red
@@ -213,7 +221,8 @@ def test_sinr_rejects_double_booked_slot():
         [{"red": 1e-7}, {"red": 1e-6}],
     ])
     with pytest.raises(ConfigError):
-        sinr({0: (0, "red"), 1: (0, "red")}, t, ReceiverSpec())
+        sinr({0: (0, "red"), 1: (0, "red")},
+             AllocationProblem.from_table(t, ReceiverSpec()))
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e-4),
@@ -229,7 +238,8 @@ def test_linearized_sinr_never_below_exact(vals):
     ]
     t = _table(p)
     asg = {0: (0, "red"), 1: (1, "red"), 2: (2, "red")}
-    lin = sinr(asg, t, ReceiverSpec(), "linearized")
-    ex = sinr(asg, t, ReceiverSpec(), "exact")
+    problem = AllocationProblem.from_table(t, ReceiverSpec())
+    lin = sinr(asg, problem, "linearized")
+    ex = sinr(asg, problem, "exact")
     for u in (0, 1, 2):
         assert lin[u].sinr >= ex[u].sinr * (1 - 1e-12)
