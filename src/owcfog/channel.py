@@ -46,6 +46,12 @@ spectrum. Two shortcuts leave every answer's bits unchanged:
       so each link's transform writes into the same 512 KB array instead of
       a fresh one. It is dropped when the call returns.
 
+``compute_channel_records`` takes those measurements on one measuring
+thread, which owns the workspace, while the calling thread traces the next
+link; numpy's FFT releases the interpreter lock, so the two overlap. The
+same transform of the same response gives the same bits on any thread, so
+every record is unchanged.
+
 Conventions:
     - SI units throughout (metres, seconds, watts, hertz).
     - Access points point straight down, receivers straight up.
@@ -59,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -112,6 +119,10 @@ class AccessPoint:
         position_m: (x, y, z) of the emitter.
         half_power_semiangle_deg: Lambertian half-power semiangle, in (0, 90).
         tx_power_w: transmit optical power per wavelength, watts.
+
+    Raises:
+        ConfigError: for a non-finite position, a negative or non-finite
+            transmit power, or a semiangle outside (0, 90).
     """
 
     ap_id: int
@@ -120,6 +131,14 @@ class AccessPoint:
     tx_power_w: Dict[str, float] = field(
         default_factory=lambda: {w: 1.8 for w in WAVELENGTHS}
     )
+
+    def __post_init__(self):
+        if not all(-math.inf < c < math.inf for c in self.position_m):
+            raise ConfigError(f"AP {self.ap_id} position must be finite")
+        if not all(0 <= po < math.inf for po in self.tx_power_w.values()):
+            raise ConfigError(f"AP {self.ap_id} transmit power must be "
+                              f"non-negative and finite")
+        lambertian_order(self.half_power_semiangle_deg)
 
     @property
     def lambertian_order(self) -> float:
@@ -148,6 +167,11 @@ class ReceiverSpec:
                 self.bandwidth_hz, self.preamp_a2_per_hz,
                 self.responsivity_a_per_w)):
             raise ConfigError("noise parameters must be positive and finite")
+        for key in ("area_m2", "fov_deg", "rate_factor"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"receiver.{key} must be positive and finite")
+        if self.fov_deg > 90.0:
+            raise ConfigError("receiver.fov_deg must be at most 90")
 
 
 @dataclass
@@ -411,6 +435,8 @@ class _Mesh:
             return _pair_chunks(self, src_idx, sinks)
         key = (src_idx.tobytes(), sinks.tobytes())
         if self.pairs[0] != key:
+            # the old set goes first, so two are never held at once
+            self.pairs = None, None
             self.pairs = key, tuple(_frozen(*chunk) for chunk
                                     in _pair_chunks(self, src_idx, sinks))
         return self.pairs[1]
@@ -795,10 +821,15 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     all four wavelengths share one trace; a per-wavelength map traces and
     measures each distinct map separately.
 
+    The 3-dB bandwidths are measured on one measuring thread, which owns
+    the one spectrum workspace of the call, while this thread traces the
+    next link and takes its delay spread; the transform's bits do not depend
+    on the thread that takes it. The thread is joined before the call
+    returns or raises, and an exception it meets is raised here.
+
     The tabulated ``rate_bps`` is the raw channel-supported rate
     (``channel_rate``); FEC de-rating happens later once an assignment fixes
-    each user's SINR. One spectrum workspace serves every 3-dB measurement
-    of the call and is dropped when it returns.
+    each user's SINR.
     """
     for u, (x, y) in enumerate(positions):
         if not (0 <= x <= room.length_m and 0 <= y <= room.width_m):
@@ -810,33 +841,77 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     traced_at: Dict[Tuple, str] = {}
     for wl, key in map_keys.items():
         traced_at.setdefault(key, wl)
-    unit_aps = [[(key, wl, AccessPoint(
+    unit_aps = [[(wl, AccessPoint(
                     ap_id=ap.ap_id, position_m=ap.position_m,
                     half_power_semiangle_deg=ap.half_power_semiangle_deg,
                     tx_power_w={wl: 1.0}))
-                 for key, wl in traced_at.items()] for ap in room.aps]
+                 for wl in traced_at.values()] for ap in room.aps]
+    z = room.receiver_plane_m
+    links = (((x, y, z), wl, unit_ap) for x, y in positions
+             for units in unit_aps for wl, unit_ap in units)
+    # (h, delay spread, 3-dB bandwidth) of each trace, in trace order
+    traces = np.empty((3, len(positions) * len(room.aps) * len(traced_at)))
+    # imported here, as the stages that never trace (place, sweep,
+    # validate) would otherwise carry it in memory
+    import queue
+    jobs = queue.Queue(maxsize=2)
+    errors: List[BaseException] = []
+    measurer = threading.Thread(target=_measure_bandwidths,
+                                args=(jobs, traces[2], errors), daemon=True)
+    measurer.start()
+    try:
+        for i, (rx_position_m, wl, unit_ap) in enumerate(links):
+            if errors:
+                break
+            unit_ir = trace_impulse_response(room, unit_ap, receiver,
+                                             rx_position_m, wl)
+            jobs.put((i, unit_ir))
+            # unit transmit power: total power is the gain
+            traces[:2, i] = unit_ir.total_power_w, delay_spread(unit_ir)
+    finally:
+        jobs.put(None)
+        measurer.join()
+    if errors:
+        raise errors[0]
+
+    per_link = traces.reshape(3, len(positions), len(room.aps),
+                              len(traced_at))
+    # wavelength -> the trace of its map at each link
+    trace_of = [list(traced_at).index(key) for key in map_keys.values()]
     # one row per ChannelRecords metric, in field order
     metrics = np.empty((5, len(positions), len(room.aps), len(WAVELENGTHS)))
-    z = room.receiver_plane_m
-    workspace: Dict[int, np.ndarray] = {}
-    for u, (x, y) in enumerate(positions):
-        for a, (ap, units) in enumerate(zip(room.aps, unit_aps)):
-            # reflectivity map -> (h, delay spread, 3-dB bandwidth)
-            traced: Dict[Tuple, Tuple[float, float, float]] = {}
-            for key, wl, unit_ap in units:
-                unit_ir = trace_impulse_response(
-                    room, unit_ap, receiver, (x, y, z), wl)
-                ds = delay_spread(unit_ir)
-                try:
-                    bw = bandwidth_3db(unit_ir, workspace=workspace)
-                except InfeasibleError:
-                    bw = 0.0
-                # unit transmit power: total power is the gain
-                traced[key] = (unit_ir.total_power_w, ds, bw)
+    for u in range(len(positions)):
+        for a, ap in enumerate(room.aps):
             for w, wl in enumerate(WAVELENGTHS):
-                h, ds, bw = traced[map_keys[wl]]
+                h, ds, bw = per_link[:, u, a, trace_of[w]]
                 po = float(ap.tx_power_w.get(wl, 0.0))
                 metrics[:, u, a, w] = (h, po * h, ds, bw, channel_rate(
                     bw, receiver.bandwidth_hz, receiver.rate_factor))
     return ChannelRecords(list(positions), [ap.ap_id for ap in room.aps],
                           list(WAVELENGTHS), *metrics)
+
+
+def _measure_bandwidths(jobs, bw: np.ndarray,
+                        errors: List[BaseException]) -> None:
+    """The measuring thread of ``compute_channel_records``.
+
+    Takes ``(trace number, response)`` jobs off the ``queue.Queue`` ``jobs``
+    until ``None`` and writes each response's 3-dB bandwidth into ``bw``,
+    0.0 when no power arrives. The
+    first other exception goes into ``errors`` for the caller to raise;
+    later jobs are drained unmeasured, so the caller never blocks on a full
+    queue.
+    """
+    workspace: Dict[int, np.ndarray] = {}
+    while (job := jobs.get()) is not None:
+        i, ir = job
+        # hold no response while waiting for the next
+        del job
+        if not errors:
+            try:
+                bw[i] = bandwidth_3db(ir, workspace=workspace)
+            except InfeasibleError:
+                bw[i] = 0.0
+            except BaseException as exc:  # raised again by the caller
+                errors.append(exc)
+        del ir

@@ -7,6 +7,8 @@ no code beyond the public API.
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -63,6 +65,32 @@ def test_lambertian_order_half_power_definition():
 def test_lambertian_order_rejects_out_of_range(bad):
     with pytest.raises(ConfigError):
         lambertian_order(bad)
+
+
+@pytest.mark.parametrize("field, bad, match", [
+    ("position_m", (math.nan, 1.0, 3.0), "position must be finite"),
+    ("position_m", (1.0, math.inf, 3.0), "position must be finite"),
+    ("tx_power_w", {"red": -1.0}, "non-negative and finite"),
+    ("tx_power_w", {"red": math.nan}, "non-negative and finite"),
+    ("tx_power_w", {"red": math.inf}, "non-negative and finite"),
+    ("half_power_semiangle_deg", 0.0, "semiangle"),
+    ("half_power_semiangle_deg", 90.0, "semiangle"),
+    ("half_power_semiangle_deg", math.nan, "semiangle"),
+])
+def test_access_point_rejects_bad_fields(field, bad, match):
+    # the tracer sees only unit-power copies of each AP, so a bad power
+    # must be refused where the AP is built
+    fields = {"ap_id": 0, "position_m": (1.0, 1.0, 3.0),
+              "half_power_semiangle_deg": 60.0, "tx_power_w": {"red": 1.0}}
+    with pytest.raises(ConfigError, match=match):
+        AccessPoint(**{**fields, field: bad})
+
+
+def test_ap_grid_rejects_negative_power():
+    powers = {wl: 1.8 for wl in WAVELENGTHS}
+    powers["red"] = -1.0
+    with pytest.raises(ConfigError, match="transmit power"):
+        default_ap_grid(tx_power_w=powers)
 
 
 def test_los_gain_directly_below():
@@ -821,6 +849,77 @@ def test_records_measure_each_distinct_trace_once(monkeypatch, red_differs):
             assert metrics(red) == metrics(yellow)
     # links under a strong LOS ray read the Nyquist limit on every map
     assert bw_differs == red_differs
+
+
+def _assert_same_records(got, want):
+    for f in ("h", "rx_power_w", "delay_spread_s", "bw_3db_hz", "rate_bps"):
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+
+
+@pytest.mark.parametrize("name, error", [
+    ("bandwidth_3db", RuntimeError("spectrum failed")),
+    ("trace_impulse_response", ConfigError("trace failed")),
+])
+def test_records_raise_a_failed_step_and_leave_no_thread(monkeypatch, name,
+                                                         error):
+    # a failure on either thread reaches the caller, the measuring thread
+    # is joined, and the next call on the same room is clean
+    room, rec = _coarse_room(), ReceiverSpec()
+    positions = [(1.0, 1.0), (6.0, 3.0)]
+    clean = compute_channel_records(room, rec, positions)
+    real = getattr(channel_mod, name)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise error
+        return real(*args, **kwargs)
+    monkeypatch.setattr(channel_mod, name, failing)
+    threads = threading.active_count()
+    with pytest.raises(type(error)) as raised:
+        compute_channel_records(room, rec, positions)
+    assert raised.value is error
+    assert threading.active_count() == threads
+    monkeypatch.setattr(channel_mod, name, real)
+    _assert_same_records(compute_channel_records(room, rec, positions), clean)
+
+
+def test_records_of_unlit_links_are_zero():
+    # No surface reflects and the field of view is 10 deg, so a link
+    # receives power only from an AP within 0.35 m of overhead. Position 1
+    # sees neither AP; its links take the no-power path of the measuring
+    # thread. Positions 0 and 2 see both.
+    dark = {"walls": 0.0, "ceiling": 0.0, "floor": 0.0}
+    aps = [AccessPoint(0, (1.0, 1.0, 3.0)), AccessPoint(1, (1.4, 1.0, 3.0))]
+    room = RoomConfig(element_edge_m=0.5, reflectivity=dark, aps=aps)
+    rec = ReceiverSpec(fov_deg=10.0)
+    positions = [(1.2, 1.0), (6.0, 3.0), (1.25, 1.05)]
+    records = compute_channel_records(room, rec, positions)
+    for f in ("h", "rx_power_w", "bw_3db_hz", "rate_bps"):
+        assert np.all(getattr(records, f)[1] == 0.0)
+        assert np.all(getattr(records, f)[[0, 2]] > 0.0)
+    fields = ("h", "rx_power_w", "delay_spread_s", "bw_3db_hz", "rate_bps")
+    for w, wl in enumerate(WAVELENGTHS):
+        alone = _records_longhand(room, rec, [positions[0], positions[2]], wl)
+        got = [getattr(records, f)[u, a, w] for u in (0, 2)
+               for a in range(len(aps)) for f in fields]
+        assert got == [row[f] for row in alone for f in fields]
+
+
+def test_records_keep_their_bits_under_fast_thread_switching():
+    # switching threads every microsecond interleaves the tracer and the
+    # measuring thread at many more points than a normal run
+    room, rec = _coarse_room(), ReceiverSpec()
+    positions = grid_positions(room)[::16]
+    clean = compute_channel_records(room, rec, positions)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        switched = compute_channel_records(room, rec, positions)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_records(switched, clean)
 
 
 def test_records_reject_outside_room():

@@ -70,6 +70,21 @@ def test_receiver_rejects_negative_noise_figures(field):
             ReceiverSpec(**{field: bad})
 
 
+@pytest.mark.parametrize("field", ["area_m2", "fov_deg", "rate_factor"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+def test_receiver_rejects_bad_link_figures(field, bad):
+    # a NaN rate factor would put NaN into every tabulated rate
+    with pytest.raises(ConfigError,
+                       match=f"receiver.{field} must be positive and finite"):
+        ReceiverSpec(**{field: bad})
+
+
+def test_receiver_rejects_fov_past_90_degrees():
+    assert ReceiverSpec(fov_deg=90.0).fov_deg == 90.0
+    with pytest.raises(ConfigError, match="receiver.fov_deg must be at most 90"):
+        ReceiverSpec(fov_deg=90.5)
+
+
 def test_sinr_db_round_trip():
     assert sinr_db(100.0) == pytest.approx(20.0)
     assert sinr_db(10 ** 1.4) == pytest.approx(14.0, abs=1e-12)
