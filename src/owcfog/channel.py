@@ -163,13 +163,13 @@ class ReceiverSpec:
     preamp_a2_per_hz: float = (4.47e-12) ** 2
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (
-                self.bandwidth_hz, self.preamp_a2_per_hz,
-                self.responsivity_a_per_w)):
-            raise ConfigError("noise parameters must be positive and finite")
-        for key in ("area_m2", "fov_deg", "rate_factor"):
-            if not 0 < getattr(self, key) < math.inf:
-                raise ConfigError(f"receiver.{key} must be positive and finite")
+        noise = ("bandwidth_hz", "preamp_a2_per_hz", "responsivity_a_per_w")
+        for key in noise + ("area_m2", "fov_deg", "rate_factor"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                kind = "noise parameters: " if key in noise else ""
+                raise ConfigError(f"{kind}receiver.{key} must be positive "
+                                  f"and finite, got {value!r}")
         if self.fov_deg > 90.0:
             raise ConfigError("receiver.fov_deg must be at most 90")
 
@@ -198,13 +198,16 @@ class RoomConfig:
     aps: List[AccessPoint] = field(default_factory=list)
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (
-                self.length_m, self.width_m, self.height_m)):
-            raise ConfigError("room dimensions must be positive and finite")
-        if not 0 < self.element_edge_m < math.inf:
-            raise ConfigError("element edge must be positive and finite")
-        if not 0 < self.time_bin_s < math.inf:
-            raise ConfigError("time bin must be positive and finite")
+        for key in ("length_m", "width_m", "height_m", "element_edge_m",
+                    "time_bin_s", "receiver_plane_m", "max_elements",
+                    "grid_nx", "grid_ny"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise ConfigError(
+                    f"room.{key} must be positive and finite, got {value!r}")
+        if not self.receiver_plane_m < self.height_m:
+            raise ConfigError("room.receiver_plane_m must be positive and "
+                              "finite, and below the ceiling")
         if not self.aps:
             self.aps = default_ap_grid(self.length_m, self.width_m, self.height_m)
         seen = set()
@@ -243,6 +246,9 @@ def default_ap_grid(length_m: float = 8.0, width_m: float = 4.0,
                     half_power_semiangle_deg: float = 60.0
                     ) -> List[AccessPoint]:
     """Evenly spaced ceiling AP grid (nx along the length, ny along the width)."""
+    for key, n in (("room.ap_grid_nx", nx), ("room.ap_grid_ny", ny)):
+        if not n >= 1:
+            raise ConfigError(f"{key} must be a positive integer, got {n!r}")
     aps = []
     ap_id = 0
     for j in range(ny):
@@ -536,8 +542,6 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
     if wavelength not in ap.tx_power_w:
         raise ConfigError(f"AP {ap.ap_id} has no tx power for {wavelength!r}")
     po = float(ap.tx_power_w[wavelength])
-    if po < 0:
-        raise ConfigError("transmit power must be non-negative")
 
     hist = _alloc_bins(room, max_order)
     order_powers = {k: 0.0 for k in range(max_order + 1)}

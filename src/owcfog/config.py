@@ -7,6 +7,13 @@ A run is described by one JSON document with six sections::
 Every key has a default, so ``{}`` is a valid config.  Unknown sections or
 keys are rejected outright — silent typos in sweeps are far more expensive
 than a hard error at startup.
+
+Loading checks the JSON shape alone: section and key names, and that each
+value has its default's type.  Every range is checked by the object or
+function that uses the value (``RoomConfig``, ``AccessPoint``,
+``ReceiverSpec``, the topology build, ``fixed_scenario``,
+``ppp_mean_users``, ``demands_from_drr``), and loading builds each of them
+once, so a document that loads is one every stage accepts.
 """
 
 from __future__ import annotations
@@ -17,14 +24,10 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from .channel import (
-    WAVELENGTHS,
-    ReceiverSpec,
-    RoomConfig,
-    default_ap_grid,
-    lambertian_order,
-)
+from .channel import WAVELENGTHS, ReceiverSpec, RoomConfig, default_ap_grid
 from .errors import ConfigError
+from .placement import demands_from_drr
+from .topology import build_reference_topology
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -127,20 +130,9 @@ def merge_config(overrides: Mapping[str, Any]) -> Dict[str, Any]:
     """Overlay a partial document on the defaults and validate the result."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for section, body in overrides.items():
-        if section not in cfg:
-            raise ConfigError(
-                f"unknown config section {section!r}; expected one of "
-                f"{sorted(cfg)}"
-            )
-        if not isinstance(body, Mapping):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key, value in body.items():
-            if key not in cfg[section]:
-                raise ConfigError(
-                    f"unknown key {section}.{key}; expected one of "
-                    f"{sorted(cfg[section])}"
-                )
-            cfg[section][key] = copy.deepcopy(value)
+        _expect(isinstance(body, Mapping),
+                f"config section {section!r} must be an object")
+        cfg.setdefault(section, {}).update(copy.deepcopy(dict(body)))
     return validate_config(cfg)
 
 
@@ -149,112 +141,98 @@ def _expect(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_int(value: Any) -> bool:
-    """An integer that is not a bool (``isinstance(True, int)`` holds)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+#: The shape of each value whose default is null, by example.
+_NULL_DEFAULT_SHAPES: Dict[str, Any] = {
+    "scenario.positions_m": [(0.0, 0.0)],
+    "topology.mobile_wavelengths": [""],
+    "topology.mobile_rates_mbps": [0.0],
+}
 
 
-def _as_number(value: Any, label: str) -> float:
-    # JSON parses Infinity and NaN, and float() overflows on a huge integer
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max,
-            f"{label} must be a finite number, got {value!r}")
-    return float(value)
+def _check_shape(value: Any, like: Any, label: str) -> None:
+    """Refuse ``value`` unless it has the JSON shape of the example ``like``
+    (a tuple is an [x, y] pair; a list holds entries shaped like its one)."""
+    if isinstance(like, list):
+        _expect(isinstance(value, list), f"{label} must be a list")
+        for i, v in enumerate(value):
+            _check_shape(v, like[0], f"{label}[{i}]")
+    elif isinstance(like, tuple):
+        _expect(isinstance(value, (list, tuple)) and len(value) == len(like),
+                f"{label} must be an [x, y] pair")
+        for v, entry in zip(value, like):
+            _check_shape(v, entry, label)
+    elif isinstance(like, float):
+        # JSON parses Infinity and NaN, and float() overflows on a huge
+        # integer; isinstance(True, int) holds
+        _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max,
+                f"{label} must be a finite number, got {value!r}")
+    elif isinstance(like, int):
+        _expect(isinstance(value, int) and not isinstance(value, bool),
+                f"{label} must be an integer, got {value!r}")
+    elif isinstance(like, str):
+        _expect(isinstance(value, str), f"{label} must be a string")
+    else:
+        _expect(isinstance(value, Mapping), f"{label} must be an object")
 
 
 def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
-    """Check types and ranges.  Returns ``cfg`` for chaining."""
-    room = cfg["room"]
-    for key in ("length_m", "width_m", "height_m", "element_edge_m",
-                "time_bin_s", "receiver_plane_m", "ap_half_power_semiangle_deg",
-                "ap_tx_power_w"):
-        _expect(_as_number(room[key], f"room.{key}") > 0,
-                f"room.{key} must be positive")
-    for key in ("max_elements", "grid_nx", "grid_ny", "ap_grid_nx",
-                "ap_grid_ny"):
-        _expect(_is_int(room[key]) and room[key] > 0,
-                f"room.{key} must be a positive integer")
-    _expect(isinstance(room["reflectivity"], Mapping),
-            "room.reflectivity must be an object")
-    # the checks the channel stage applies, so validate accepts no room the
-    # stages would reject
-    reflective = RoomConfig(reflectivity=room["reflectivity"])
-    for wl in WAVELENGTHS:
-        reflective.reflectivity_for(wl)
-    lambertian_order(room["ap_half_power_semiangle_deg"])
-    _expect(room["receiver_plane_m"] < room["height_m"],
-            "room.receiver_plane_m must sit below the ceiling")
+    """Check the JSON shape, then build what the stages build (no PPP
+    draw).  Returns ``cfg`` for chaining."""
+    # scenarios imports this module, so it is imported on first use
+    from .scenarios import fixed_scenario, ppp_mean_users
 
-    rx = cfg["receiver"]
-    for key in rx:
-        _expect(_as_number(rx[key], f"receiver.{key}") > 0,
-                f"receiver.{key} must be positive")
-    _expect(rx["fov_deg"] <= 90.0, "receiver.fov_deg must be at most 90")
+    for section, body in cfg.items():
+        _expect(section in DEFAULT_CONFIG, f"unknown config section "
+                f"{section!r}; expected one of {sorted(DEFAULT_CONFIG)}")
+        defaults = DEFAULT_CONFIG[section]
+        for key, value in body.items():
+            label = f"{section}.{key}"
+            _expect(key in defaults, f"unknown key {label}; expected one of "
+                    f"{sorted(defaults)}")
+            like = defaults[key]
+            if like is not None or value is not None:
+                _check_shape(value, _NULL_DEFAULT_SHAPES.get(label, like),
+                             label)
 
-    _expect(_as_number(cfg["noise"]["preamp_a_per_sqrt_hz"],
-                       "noise.preamp_a_per_sqrt_hz") > 0,
-            "noise.preamp_a_per_sqrt_hz must be positive")
+    # an AP may send 0 W, but a room whose APs all do carries no link
+    _expect(cfg["room"]["ap_tx_power_w"] > 0,
+            "room.ap_tx_power_w must be positive")
+    room = room_from_config(cfg)
+    for wl in WAVELENGTHS:  # each map the channel stage reads
+        room.reflectivity_for(wl)
+    receiver_from_config(cfg)
 
     sc = cfg["scenario"]
     _expect(sc["mode"] in ("ppp", "fixed"),
             f"scenario.mode must be 'ppp' or 'fixed', got {sc['mode']!r}")
-    _expect(isinstance(sc["name"], str), "scenario.name must be a string")
-    _expect(_as_number(sc["intensity_per_m2"],
-                       "scenario.intensity_per_m2") > 0,
-            "scenario.intensity_per_m2 must be positive")
-    _expect(_is_int(sc["seed"]) and sc["seed"] >= 0,
-            "scenario.seed must be a non-negative integer")
+    # numpy would refuse a negative seed with a ValueError
+    _expect(sc["seed"] >= 0, "scenario.seed must be a non-negative integer")
     # only a fixed scenario reads the points; a PPP draw would drop them
     _expect((sc["mode"] == "fixed") == (sc["positions_m"] is not None),
             "scenario.mode 'fixed' requires scenario.positions_m, and no "
             "other mode accepts them")
-    if sc["positions_m"] is not None:
-        _expect(isinstance(sc["positions_m"], list),
-                "scenario.positions_m must be a list of [x, y] pairs")
-        for i, pos in enumerate(sc["positions_m"]):
-            _expect(isinstance(pos, (list, tuple)) and len(pos) == 2,
-                    f"scenario.positions_m[{i}] must be an [x, y] pair")
-            x, y = (_as_number(v, f"scenario.positions_m[{i}]") for v in pos)
-            # the check fixed_scenario and compute_channel_records make
-            _expect(0 <= x <= room["length_m"] and 0 <= y <= room["width_m"],
-                    f"scenario.positions_m[{i}] at ({x}, {y}) lies outside "
-                    f"the room")
+    ppp_mean_users(room, sc["intensity_per_m2"])
+    if sc["mode"] == "fixed":
+        fixed_scenario(sc["name"], sc["positions_m"], room)
 
     topo = cfg["topology"]
     colours, rates = topo["mobile_wavelengths"], topo["mobile_rates_mbps"]
-    if colours is not None:
-        _expect(isinstance(colours, list)
-                and all(isinstance(w, str) for w in colours),
-                "topology.mobile_wavelengths must be a list of colour names")
-        # every placed task is sourced at a mobile unit
-        _expect(len(colours) > 0,
-                "topology.mobile_wavelengths must not be empty")
-        for i, w in enumerate(colours):
-            _expect(w in WAVELENGTHS,
-                    f"topology.mobile_wavelengths[{i}] must be one of "
-                    f"{list(WAVELENGTHS)}, got {w!r}")
-    if rates is not None:
-        _expect(isinstance(rates, list),
-                "topology.mobile_rates_mbps must be a list of numbers")
-        for i, r in enumerate(rates):
-            _expect(_as_number(r, f"topology.mobile_rates_mbps[{i}]") > 0,
-                    f"topology.mobile_rates_mbps[{i}] must be positive")
-        # alone, the rates list is sized by the solved users instead
-        _expect(colours is None or len(rates) == len(colours),
-                "topology.mobile_rates_mbps must give one rate per entry of "
-                "topology.mobile_wavelengths")
+    # every placed task is sourced at a mobile unit
+    _expect(colours != [], "topology.mobile_wavelengths must not be empty")
+    if colours is None and rates is not None:
+        # alone, the rates are sized by the solved users, of any colour
+        colours = [WAVELENGTHS[0]] * len(rates)
+    build_reference_topology(colours, rates)
 
     sw = cfg["sweep"]
     for key in ("drr", "workload_mips"):
-        _expect(isinstance(sw[key], list) and sw[key],
-                f"sweep.{key} must be a non-empty list")
-        for i, v in enumerate(sw[key]):
-            _expect(_as_number(v, f"sweep.{key}[{i}]") > 0,
-                    f"sweep.{key}[{i}] must be positive")
-    for v in sw["drr"]:
-        _expect(v < 1.0, "sweep.drr entries must be below 1.0")
-    _expect(_is_int(sw["tasks"]) and sw["tasks"] > 0,
-            "sweep.tasks must be a positive integer")
+        _expect(sw[key], f"sweep.{key} must be a non-empty list")
+    # a cell per axis entry checks each drr, each workload and the count
+    for drr in sw["drr"]:
+        demands_from_drr(sw["workload_mips"][0], drr, sw["tasks"])
+    for workload in sw["workload_mips"][1:]:
+        demands_from_drr(workload, sw["drr"][0], sw["tasks"])
     return cfg
 
 
@@ -291,17 +269,13 @@ def apply_overrides(cfg: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]
                 f"{sorted(_OVERRIDE_ALIASES)})"
             )
         section, leaf = parts
-        if section not in cfg:
-            raise ConfigError(f"unknown config section {section!r}")
-        if leaf not in cfg[section]:
-            raise ConfigError(f"unknown key {section}.{leaf}")
         value = _parse_value(text)
         # Scalars are fine where lists are expected for the sweep axes:
         # "drr=0.002" means a one-point axis.
         if (section, leaf) in (("sweep", "drr"), ("sweep", "workload_mips")) \
                 and not isinstance(value, list):
             value = [value]
-        cfg[section][leaf] = value
+        cfg.setdefault(section, {})[leaf] = value
     return validate_config(cfg)
 
 
@@ -338,6 +312,9 @@ def room_from_config(cfg: Mapping[str, Any]) -> RoomConfig:
 
 def receiver_from_config(cfg: Mapping[str, Any]) -> ReceiverSpec:
     rx = cfg["receiver"]
+    # the spec sees only the square, which is positive for either sign
+    _expect(cfg["noise"]["preamp_a_per_sqrt_hz"] > 0,
+            "noise.preamp_a_per_sqrt_hz must be positive")
     return ReceiverSpec(
         area_m2=rx["area_m2"],
         fov_deg=rx["fov_deg"],

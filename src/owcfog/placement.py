@@ -85,10 +85,12 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
         sources = [f"mobile_{i}" for i in range(8)]
     if not sources:
         raise ConfigError("no mobile unit to source the tasks")
-    if count <= 0:
-        raise ConfigError("task count must be positive")
+    if not count >= 1:
+        raise ConfigError(
+            f"sweep.tasks must be a positive integer, got {count!r}")
     if not 0 < drr < 1:
-        raise ConfigError(f"data rate ratio must be in (0, 1), got {drr}")
+        raise ConfigError(f"sweep.drr entries must be in (0, 1), positive "
+                          f"and below 1.0, got {drr!r}")
     flow = drr * workload_mips
     return [TaskDemand(k, sources[k % len(sources)], workload_mips, flow)
             for k in range(count)]

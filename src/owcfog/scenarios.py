@@ -34,6 +34,7 @@ __all__ = [
     "Scenario",
     "ResultBundle",
     "ANALOGUE_SEEDS",
+    "ppp_mean_users",
     "generate_ppp_users",
     "fixed_scenario",
     "scenario_from_config",
@@ -86,17 +87,24 @@ class Scenario:
         return len(self.positions_m)
 
 
+def ppp_mean_users(room: RoomConfig, intensity_per_m2: float) -> float:
+    """Mean user count of a PPP draw: intensity × floor area.  The loader
+    calls it to refuse a bad intensity without making a draw."""
+    if not intensity_per_m2 > 0:
+        raise ConfigError(f"scenario.intensity_per_m2 must be positive, "
+                          f"got {intensity_per_m2!r}")
+    return intensity_per_m2 * room.length_m * room.width_m
+
+
 def generate_ppp_users(room: RoomConfig, intensity_per_m2: float,
                        seed: int) -> Scenario:
     """Scatter users by a 2-D Poisson point process on the receiver plane.
 
-    The count is Poisson with mean intensity × floor area; positions are
+    The count is Poisson with mean :func:`ppp_mean_users`; positions are
     i.i.d. uniform over the floor.  Identical seeds give identical draws.
     """
-    if intensity_per_m2 <= 0:
-        raise ConfigError("PPP intensity must be positive")
+    mean = ppp_mean_users(room, intensity_per_m2)
     rng = np.random.default_rng(seed)
-    mean = intensity_per_m2 * room.length_m * room.width_m
     count = int(rng.poisson(mean))
     xs = rng.uniform(0.0, room.length_m, size=count)
     ys = rng.uniform(0.0, room.width_m, size=count)
@@ -112,8 +120,8 @@ def fixed_scenario(name: str, positions_m: Sequence[Sequence[float]],
     for i, p in enumerate(positions_m):
         x, y = float(p[0]), float(p[1])
         if not (0.0 <= x <= room.length_m and 0.0 <= y <= room.width_m):
-            raise ConfigError(
-                f"fixed scenario position {i} at ({x}, {y}) lies outside the room")
+            raise ConfigError(f"scenario.positions_m[{i}] at ({x}, {y}) lies "
+                              f"outside the room")
         pos.append((x, y))
     return Scenario(name=name or "fixed", mode="fixed", seed=seed,
                     positions_m=tuple(pos))

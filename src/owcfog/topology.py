@@ -222,7 +222,9 @@ def build_reference_topology(
     if mobile_rates_mbps is None:
         mobile_rates_mbps = [ONU_CAPACITY_MBPS] * len(mobile_wavelengths)
     if len(mobile_rates_mbps) != len(mobile_wavelengths):
-        raise ConfigError("one downlink rate per mobile unit required")
+        raise ConfigError(
+            "topology.mobile_rates_mbps must give one rate per entry of "
+            "topology.mobile_wavelengths, one per mobile unit")
 
     catalogue = {d.name: d for d in REFERENCE_DEVICES}
     nodes: List[ProcessingNode] = []
@@ -242,9 +244,12 @@ def build_reference_topology(
     for i, (wl, rate) in enumerate(zip(mobile_wavelengths, mobile_rates_mbps)):
         if wl not in WAVELENGTHS:
             raise ConfigError(
-                f"mobile unit {i}: missing or unknown wavelength tag {wl!r}")
+                f"topology.mobile_wavelengths[{i}] must be one of "
+                f"{list(WAVELENGTHS)}, got {wl!r}")
         if not rate > 0:
-            raise ConfigError(f"mobile unit {i}: downlink rate must be > 0")
+            raise ConfigError(
+                f"topology.mobile_rates_mbps[{i}] must be positive, "
+                f"got {rate!r}")
         route = Route(_ROUTE_CHAINS[MOBILE_KIND],
                       min(float(rate), ONU_CAPACITY_MBPS),
                       MOBILE_ROUTE_EFFICIENCY_W_PER_MBPS[wl])

@@ -86,6 +86,15 @@ def test_access_point_rejects_bad_fields(field, bad, match):
         AccessPoint(**{**fields, field: bad})
 
 
+@pytest.mark.parametrize("nx, ny, key", [(0, 2, "room.ap_grid_nx"),
+                                         (4, 0, "room.ap_grid_ny"),
+                                         (-1, 2, "room.ap_grid_nx")])
+def test_ap_grid_refuses_an_empty_grid(nx, ny, key):
+    # an empty list would make RoomConfig fall back to the default 4 x 2 grid
+    with pytest.raises(ConfigError, match=key):
+        default_ap_grid(nx=nx, ny=ny)
+
+
 def test_ap_grid_rejects_negative_power():
     powers = {wl: 1.8 for wl in WAVELENGTHS}
     powers["red"] = -1.0
@@ -727,11 +736,17 @@ def _coarse_room():
     return RoomConfig(element_edge_m=0.5)
 
 
+# values a field refuses besides NaN and infinity
+_ROOM_OUT_OF_RANGE = {"receiver_plane_m": (5.0, -1.0), "grid_nx": (0,),
+                      "grid_ny": (-2,), "max_elements": (0,)}
+
+
 @pytest.mark.parametrize("field", ["length_m", "width_m", "height_m",
-                                   "element_edge_m", "time_bin_s"])
+                                   "element_edge_m", "time_bin_s",
+                                   *_ROOM_OUT_OF_RANGE])
 def test_room_rejects_non_finite_sizes(field):
     # a NaN width would otherwise put every position outside the room
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, *_ROOM_OUT_OF_RANGE.get(field, ())):
         with pytest.raises(ConfigError, match="must be positive and finite"):
             RoomConfig(**{field: bad})
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,27 @@ def test_infeasible_run_writes_one_stderr_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "infeasible"
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None,
+                    reason="the script pins one run to a CPU with taskset")
+def test_ci_console_script_passes(tmp_path):
+    # the workflow's console-script step, run the way the workflow runs it,
+    # with a shim standing in for the installed entry point
+    shim = tmp_path / "bin" / "owcfog"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m owcfog.cli "$@"\n')
+    shim.chmod(0o755)
+    runner_temp = tmp_path / "runner"
+    runner_temp.mkdir()
+    script = Path(__file__).resolve().parents[1] / "ci" / "console-script.sh"
+    env = {**_child_env(), "RUNNER_TEMP": str(runner_temp),
+           "PATH": os.pathsep.join([str(shim.parent), os.environ["PATH"]])}
+    proc = subprocess.run(["bash", "-eo", "pipefail", str(script)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (runner_temp / "chain" / "manifest").is_file()
 
 
 @pytest.mark.parametrize("command,override", [

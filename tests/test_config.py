@@ -14,6 +14,7 @@ from owcfog.config import (
     receiver_from_config,
     room_from_config,
 )
+from owcfog.cli import main
 from owcfog.errors import ConfigError
 
 
@@ -201,3 +202,82 @@ def test_digest_is_sha256_of_canonical_json(overrides):
     cfg = apply_overrides(load_config(), overrides)
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     assert config_digest(cfg) == hashlib.sha256(blob.encode()).hexdigest()
+
+
+# One case per rule the loader applied before the ranges moved to the
+# objects that use them: each value must still be refused when it loads,
+# and by ``owcfog validate``, with exit code 1.
+_PARENT_RULES = [
+    (["room.length_m=Infinity"], "room.length_m"),
+    (["room.width_m=-1"], "room.width_m"),
+    (["room.height_m=0"], "room.height_m"),
+    (["room.element_edge_m=0"], "room.element_edge_m"),
+    (["room.time_bin_s=-1e-11"], "room.time_bin_s"),
+    (["room.receiver_plane_m=-1"], "room.receiver_plane_m"),
+    (["room.receiver_plane_m=3.0"], "below the ceiling"),
+    (["room.ap_half_power_semiangle_deg=0"], "semiangle"),
+    (["room.ap_half_power_semiangle_deg=95"], "semiangle"),
+    (["room.ap_tx_power_w=0"], "room.ap_tx_power_w"),
+    (["room.max_elements=0"], "room.max_elements"),
+    (["room.grid_nx=0"], "room.grid_nx"),
+    (["room.grid_ny=-2"], "room.grid_ny"),
+    (["room.grid_nx=1.5"], "room.grid_nx"),
+    (["room.ap_grid_nx=0"], "room.ap_grid_nx"),
+    (["room.ap_grid_ny=0"], "room.ap_grid_ny"),
+    (["room.reflectivity=5"], "room.reflectivity"),
+    (['room.reflectivity={"walls":1.5,"ceiling":0.8,"floor":0.3}'],
+     "reflectivity[walls]"),
+    (["receiver.area_m2=0"], "receiver.area_m2"),
+    (["receiver.fov_deg=120"], "at most 90"),
+    (["receiver.fov_deg=wide"], "receiver.fov_deg"),
+    (["receiver.bandwidth_hz=0"], "receiver.bandwidth_hz"),
+    (["receiver.responsivity_a_per_w=-1"], "receiver.responsivity_a_per_w"),
+    (["receiver.rate_factor=NaN"], "receiver.rate_factor"),
+    (["noise.preamp_a_per_sqrt_hz=-1"], "noise.preamp_a_per_sqrt_hz"),
+    (["scenario.mode=grid"], "scenario.mode"),
+    (["scenario.name=5"], "scenario.name"),
+    (["scenario.intensity_per_m2=0"], "scenario.intensity_per_m2"),
+    (["scenario.intensity_per_m2=Infinity"], "scenario.intensity_per_m2"),
+    (["scenario.seed=-1"], "scenario.seed"),
+    (["scenario.seed=1.5"], "scenario.seed"),
+    (["scenario.mode=fixed"], "requires scenario.positions_m"),
+    (["scenario.positions_m=[[1,1]]"], "requires scenario.positions_m"),
+    (["scenario.mode=fixed", 'scenario.positions_m={"x":1}'],
+     "scenario.positions_m"),
+    (["scenario.mode=fixed", "scenario.positions_m=[[1.0]]"],
+     "positions_m[0]"),
+    (["scenario.mode=fixed", 'scenario.positions_m=[[1,"y"]]'],
+     "positions_m[0]"),
+    (["scenario.mode=fixed", "scenario.positions_m=[[1,1],[100,1]]"],
+     "outside the room"),
+    (["topology.mobile_wavelengths=red"], "topology.mobile_wavelengths"),
+    (["topology.mobile_wavelengths=[]"], "must not be empty"),
+    (['topology.mobile_wavelengths=["uv"]'], "topology.mobile_wavelengths[0]"),
+    (["topology.mobile_rates_mbps=fast"], "topology.mobile_rates_mbps"),
+    (['topology.mobile_wavelengths=["red"]', "topology.mobile_rates_mbps=[0]"],
+     "topology.mobile_rates_mbps[0]"),
+    (["topology.mobile_rates_mbps=[-5]"], "topology.mobile_rates_mbps[0]"),
+    (['topology.mobile_wavelengths=["red"]',
+      "topology.mobile_rates_mbps=[1,2]"], "one rate per entry"),
+    (["drr=[]"], "sweep.drr"),
+    (["workload=[]"], "sweep.workload_mips"),
+    (["drr=[0.5,1.5]"], "below 1.0"),
+    (["drr=[0.2,0]"], "sweep.drr"),
+    (["drr=x"], "sweep.drr"),
+    (["workload=[100,0]"], "workload"),
+    (["workload=[-5]"], "workload"),
+    (["workload=Infinity"], "sweep.workload_mips"),
+    (["tasks=0"], "sweep.tasks"),
+    (["tasks=2.5"], "sweep.tasks"),
+]
+
+
+@pytest.mark.parametrize("overrides, fragment", _PARENT_RULES,
+                         ids=[" ".join(o) for o, _ in _PARENT_RULES])
+def test_every_parent_rule_still_refuses(overrides, fragment, capsys):
+    with pytest.raises(ConfigError) as info:
+        apply_overrides(load_config(), overrides)
+    assert fragment in str(info.value)
+    argv = ["validate"] + [a for o in overrides for a in ("--override", o)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""

@@ -70,7 +70,8 @@ def test_receiver_rejects_negative_noise_figures(field):
             ReceiverSpec(**{field: bad})
 
 
-@pytest.mark.parametrize("field", ["area_m2", "fov_deg", "rate_factor"])
+@pytest.mark.parametrize("field", ["area_m2", "fov_deg", "rate_factor",
+                                   "bandwidth_hz", "responsivity_a_per_w"])
 @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
 def test_receiver_rejects_bad_link_figures(field, bad):
     # a NaN rate factor would put NaN into every tabulated rate
