@@ -4,6 +4,10 @@
 # it as `bash -eo pipefail ci/console-script.sh`, which is how the workflow
 # and tests/test_cli.py run it.
 owcfog validate
+# the rates alone size the mobile layer; overrides complete a config file
+owcfog validate --override 'topology.mobile_rates_mbps=[100,200,300]'
+printf '{"scenario":{"mode":"fixed"}}' > "$RUNNER_TEMP/fixed.json"
+owcfog validate --config "$RUNNER_TEMP/fixed.json" --override 'scenario.positions_m=[[1,1]]'
 owcfog place --out "$RUNNER_TEMP/place" --override tasks=1
 owcfog sweep --out "$RUNNER_TEMP/sweep" --override 'drr=[0.002,0.2]' --override 'workload=[100,1000]'
 owcfog channel --out "$RUNNER_TEMP/channel" --override room.grid_nx=2 --override room.grid_ny=2

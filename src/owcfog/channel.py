@@ -771,11 +771,12 @@ def _first_bin_below(spec, target):
     return None
 
 
-def channel_rate(bw_3db_hz: float, receiver_bandwidth_hz: float,
-                 rate_factor: float = 1.0) -> float:
+def channel_rate(bw_3db_hz, receiver_bandwidth_hz: float,
+                 rate_factor: float = 1.0):
     """Raw rate a link's bandwidth allows, before FEC de-rating, in bit/s:
-    rate_factor * min(channel 3-dB bandwidth, receiver bandwidth)."""
-    return rate_factor * min(bw_3db_hz, receiver_bandwidth_hz)
+    rate_factor * min(channel 3-dB bandwidth, receiver bandwidth), for one
+    link or elementwise over an array of them."""
+    return rate_factor * np.minimum(bw_3db_hz, receiver_bandwidth_hz)
 
 
 def fec_rate(rate_bps: float, sinr_db: float) -> float:
@@ -845,14 +846,14 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     traced_at: Dict[Tuple, str] = {}
     for wl, key in map_keys.items():
         traced_at.setdefault(key, wl)
-    unit_aps = [[(wl, AccessPoint(
+    unit_aps = [AccessPoint(
                     ap_id=ap.ap_id, position_m=ap.position_m,
                     half_power_semiangle_deg=ap.half_power_semiangle_deg,
-                    tx_power_w={wl: 1.0}))
-                 for wl in traced_at.values()] for ap in room.aps]
+                    tx_power_w=dict.fromkeys(traced_at.values(), 1.0))
+                for ap in room.aps]
     z = room.receiver_plane_m
     links = (((x, y, z), wl, unit_ap) for x, y in positions
-             for units in unit_aps for wl, unit_ap in units)
+             for unit_ap in unit_aps for wl in traced_at.values())
     # (h, delay spread, 3-dB bandwidth) of each trace, in trace order
     traces = np.empty((3, len(positions) * len(room.aps) * len(traced_at)))
     # imported here, as the stages that never trace (place, sweep,
@@ -878,21 +879,16 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     if errors:
         raise errors[0]
 
-    per_link = traces.reshape(3, len(positions), len(room.aps),
-                              len(traced_at))
     # wavelength -> the trace of its map at each link
     trace_of = [list(traced_at).index(key) for key in map_keys.values()]
-    # one row per ChannelRecords metric, in field order
-    metrics = np.empty((5, len(positions), len(room.aps), len(WAVELENGTHS)))
-    for u in range(len(positions)):
-        for a, ap in enumerate(room.aps):
-            for w, wl in enumerate(WAVELENGTHS):
-                h, ds, bw = per_link[:, u, a, trace_of[w]]
-                po = float(ap.tx_power_w.get(wl, 0.0))
-                metrics[:, u, a, w] = (h, po * h, ds, bw, channel_rate(
-                    bw, receiver.bandwidth_hz, receiver.rate_factor))
-    return ChannelRecords(list(positions), [ap.ap_id for ap in room.aps],
-                          list(WAVELENGTHS), *metrics)
+    h, ds, bw = traces.reshape(3, len(positions), len(room.aps),
+                               len(traced_at))[:, :, :, trace_of]
+    tx_power_w = np.array([[float(ap.tx_power_w.get(wl, 0.0))
+                            for wl in WAVELENGTHS] for ap in room.aps])
+    return ChannelRecords(
+        list(positions), [ap.ap_id for ap in room.aps], list(WAVELENGTHS),
+        h, tx_power_w * h, ds, bw,
+        channel_rate(bw, receiver.bandwidth_hz, receiver.rate_factor))
 
 
 def _measure_bandwidths(jobs, bw: np.ndarray,

@@ -8,12 +8,15 @@ Every key has a default, so ``{}`` is a valid config.  Unknown sections or
 keys are rejected outright — silent typos in sweeps are far more expensive
 than a hard error at startup.
 
-Loading checks the JSON shape alone: section and key names, and that each
-value has its default's type.  Every range is checked by the object or
-function that uses the value (``RoomConfig``, ``AccessPoint``,
-``ReceiverSpec``, the topology build, ``fixed_scenario``,
-``ppp_mean_users``, ``demands_from_drr``), and loading builds each of them
-once, so a document that loads is one every stage accepts.
+Loading reads the file, overlays it on the defaults, applies the CLI's
+``key=value`` overrides and only then validates, once, the final document:
+a file that the overrides complete loads.  Validation checks the JSON shape
+alone: section and key names, and that each value has its default's type.
+Every range is checked by the object or function that uses the value
+(``RoomConfig``, ``AccessPoint``, ``ReceiverSpec``,
+``build_reference_topology``, ``fixed_scenario``, ``ppp_mean_users``,
+``demands_from_drr``), and validation builds each of them once, so a
+document that loads is one every stage accepts.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import copy
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from .channel import WAVELENGTHS, ReceiverSpec, RoomConfig, default_ap_grid
 from .errors import ConfigError
@@ -107,32 +110,74 @@ _OVERRIDE_ALIASES = {
 
 
 # ---------------------------------------------------------------------
-# load / merge / validate
+# load / merge / override / validate
 # ---------------------------------------------------------------------
 
-def load_config(path: Optional[Union[str, Path]] = None) -> Dict[str, Any]:
-    """Read a JSON config file and merge it over the defaults."""
-    if path is None:
-        return validate_config(copy.deepcopy(DEFAULT_CONFIG))
-    p = Path(path)
-    try:
-        raw = json.loads(p.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a JSON object")
-    return merge_config(raw)
+def load_config(path: Optional[Union[str, Path]] = None,
+                overrides: Sequence[str] = ()) -> Dict[str, Any]:
+    """Read a JSON config file, overlay it on the defaults, apply the
+    ``key=value`` overrides and validate the final document once."""
+    raw: Mapping[str, Any] = {}
+    if path is not None:
+        p = Path(path)
+        try:
+            raw = json.loads(p.read_text())
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {p}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {p} is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError("config document must be a JSON object")
+    return _overlay(DEFAULT_CONFIG, raw, overrides)
 
 
 def merge_config(overrides: Mapping[str, Any]) -> Dict[str, Any]:
     """Overlay a partial document on the defaults and validate the result."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    for section, body in overrides.items():
+    return _overlay(DEFAULT_CONFIG, overrides)
+
+
+def apply_overrides(cfg: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]:
+    """Apply ``key=value`` strings on top of a document and validate it.
+
+    Keys are dotted paths (``room.length_m``); a handful of bare aliases
+    (``drr``, ``workload``, ``tasks``, ``seed``) are accepted for the common
+    sweep knobs.  Values parse as JSON, falling back to plain strings, so
+    ``drr=[0.2,0.6]``, ``seed=7`` and ``scenario.mode=fixed`` all work.
+    """
+    return _overlay(cfg, {}, overrides)
+
+
+def _overlay(base: Dict[str, Any], sections: Mapping[str, Any],
+             overrides: Sequence[str] = ()) -> Dict[str, Any]:
+    """A copy of ``base`` with each section of ``sections`` merged in, then
+    each ``key=value`` override set, validated once as a whole."""
+    cfg = copy.deepcopy(base)
+    for section, body in sections.items():
         _expect(isinstance(body, Mapping),
                 f"config section {section!r} must be an object")
         cfg.setdefault(section, {}).update(copy.deepcopy(dict(body)))
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"override {item!r} is not of the form key=value")
+        key, _, text = item.partition("=")
+        key = _OVERRIDE_ALIASES.get(key, key)
+        parts = key.split(".")
+        if len(parts) != 2:
+            raise ConfigError(
+                f"override key {key!r} must be section.key (or one of "
+                f"{sorted(_OVERRIDE_ALIASES)})"
+            )
+        section, leaf = parts
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:  # not JSON: a plain string
+            value = text
+        # Scalars are fine where lists are expected for the sweep axes:
+        # "drr=0.002" means a one-point axis.
+        if (section, leaf) in (("sweep", "drr"), ("sweep", "workload_mips")) \
+                and not isinstance(value, list):
+            value = [value]
+        cfg.setdefault(section, {})[leaf] = value
     return validate_config(cfg)
 
 
@@ -217,13 +262,8 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
         fixed_scenario(sc["name"], sc["positions_m"], room)
 
     topo = cfg["topology"]
-    colours, rates = topo["mobile_wavelengths"], topo["mobile_rates_mbps"]
-    # every placed task is sourced at a mobile unit
-    _expect(colours != [], "topology.mobile_wavelengths must not be empty")
-    if colours is None and rates is not None:
-        # alone, the rates are sized by the solved users, of any colour
-        colours = [WAVELENGTHS[0]] * len(rates)
-    build_reference_topology(colours, rates)
+    build_reference_topology(topo["mobile_wavelengths"],
+                             topo["mobile_rates_mbps"])
 
     sw = cfg["sweep"]
     for key in ("drr", "workload_mips"):
@@ -234,49 +274,6 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
     for workload in sw["workload_mips"][1:]:
         demands_from_drr(workload, sw["drr"][0], sw["tasks"])
     return cfg
-
-
-# ---------------------------------------------------------------------
-# CLI overrides
-# ---------------------------------------------------------------------
-
-def _parse_value(text: str) -> Any:
-    """Interpret an override value: JSON when it parses, else a string."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
-def apply_overrides(cfg: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]:
-    """Apply ``key=value`` strings on top of a validated document.
-
-    Keys are dotted paths (``room.length_m``); a handful of bare aliases
-    (``drr``, ``workload``, ``tasks``, ``seed``) are accepted for the common
-    sweep knobs.  Values parse as JSON, falling back to plain strings, so
-    ``drr=[0.2,0.6]``, ``seed=7`` and ``scenario.mode=fixed`` all work.
-    """
-    cfg = copy.deepcopy(cfg)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, _, text = item.partition("=")
-        key = _OVERRIDE_ALIASES.get(key, key)
-        parts = key.split(".")
-        if len(parts) != 2:
-            raise ConfigError(
-                f"override key {key!r} must be section.key (or one of "
-                f"{sorted(_OVERRIDE_ALIASES)})"
-            )
-        section, leaf = parts
-        value = _parse_value(text)
-        # Scalars are fine where lists are expected for the sweep axes:
-        # "drr=0.002" means a one-point axis.
-        if (section, leaf) in (("sweep", "drr"), ("sweep", "workload_mips")) \
-                and not isinstance(value, list):
-            value = [value]
-        cfg.setdefault(section, {})[leaf] = value
-    return validate_config(cfg)
 
 
 # ---------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The reference build mirrors the measured hardware catalogue: five fixed
 processing locations (room, building, campus, metro, central cloud) plus
-eight wavelength-tagged mobile units pooled as a mobile fog layer.  Every
-processing location is reached from the OLT by exactly one route, so each
-:class:`ProcessingNode` carries its route, with a fixed power-per-throughput
-efficiency; routes to mobile units additionally depend on the optical
-wireless wavelength serving that unit.
+wavelength-tagged mobile units (eight by default) pooled as a mobile fog
+layer.  Every processing location is reached from the OLT by exactly one
+route, so each :class:`ProcessingNode` carries its route, with a fixed
+power-per-throughput efficiency; routes to mobile units additionally depend
+on the optical wireless wavelength serving that unit.
 
 All types here are frozen: a topology is built once and then shared freely
 (the placement sweep reads it from many cells).
@@ -206,19 +206,25 @@ def build_reference_topology(
         mobile_wavelengths: Optional[Sequence[str]] = None,
         mobile_rates_mbps: Optional[Sequence[float]] = None,
 ) -> TopologyConfig:
-    """Build the standard five-location + eight-mobile topology.
+    """Build the standard five fixed locations around a mobile fog layer.
 
     ``mobile_wavelengths[i]`` tags mobile unit ``i``; ``mobile_rates_mbps[i]``
     is its optical wireless downlink rate, which caps the route to that unit.
-    Defaults describe the ideal scenario: the four colours cycled over eight
-    units, every downlink at the full rate the ONU can feed.  Passing
-    an explicit wavelength list builds the same fixed backbone around any
-    number of mobile units (solved scenarios bring however many users the
-    point process produced).
+    The layer has one unit per entry of whichever list is given (both must
+    then match).  Where a list is not given, the four colours cycle over the
+    units and every downlink runs at the full rate the ONU can feed; with
+    neither list there are eight units.  Solved scenarios pass both lists,
+    one entry per user.
     """
     if mobile_wavelengths is None:
+        count = (DEFAULT_MOBILE_COUNT if mobile_rates_mbps is None
+                 else len(mobile_rates_mbps))
         mobile_wavelengths = [WAVELENGTHS[i % len(WAVELENGTHS)]
-                              for i in range(DEFAULT_MOBILE_COUNT)]
+                              for i in range(count)]
+    if not mobile_wavelengths:
+        # every placed task is sourced at a mobile unit
+        raise ConfigError("topology.mobile_wavelengths must not be empty, "
+                          "nor topology.mobile_rates_mbps when given alone")
     if mobile_rates_mbps is None:
         mobile_rates_mbps = [ONU_CAPACITY_MBPS] * len(mobile_wavelengths)
     if len(mobile_rates_mbps) != len(mobile_wavelengths):

@@ -125,14 +125,90 @@ def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
     assert json.loads(err)["error"] == "config"
 
 
-def test_rates_must_match_wavelengths_at_load(tmp_path, capsys):
-    code, out, err = _run(["allocate", "--out", str(tmp_path / "out"),
-                           "--override", 'topology.mobile_wavelengths=["red"]',
-                           "--override", "topology.mobile_rates_mbps=[1,2]"],
+@pytest.mark.parametrize("command", ["channel", "allocate", "place", "sweep",
+                                     "chain", "validate"])
+def test_rates_must_match_wavelengths_at_load(command, tmp_path, capsys):
+    code, out, err = _run([command, "--out", str(tmp_path / "out"),
+                           "--override",
+                           'topology.mobile_wavelengths=["red","blue"]',
+                           "--override",
+                           "topology.mobile_rates_mbps=[100,200,300]"],
                           capsys)
     assert code == 1
     assert out == ""
     assert "one rate per entry" in json.loads(err)["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_overrides_complete_a_config_file(tmp_path, capsys):
+    # the file alone lacks the fixed points; the one check sees both
+    path = tmp_path / "fixed.json"
+    path.write_text('{"scenario":{"mode":"fixed"}}')
+    code, out, _ = _run(["validate", "--config", str(path),
+                         "--override", "scenario.positions_m=[[1,1]]"], capsys)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["validate", "--seed", "3", "--override", "room.grid_nx=4"],
+    ["place", "--override", "tasks=1"],
+    ["sweep", "--override", "drr=0.2", "--override", "workload=[100,200]"],
+])
+def test_each_invocation_validates_once(argv, tmp_path, capsys, monkeypatch):
+    from owcfog import config
+
+    calls = []
+    validate = config.validate_config
+
+    def counted(cfg):
+        calls.append(1)
+        return validate(cfg)
+
+    monkeypatch.setattr(config, "validate_config", counted)
+    path = tmp_path / "run.json"
+    path.write_text('{"scenario":{"seed":1}}')
+    code, _, _ = _run(argv[:1] + ["--config", str(path),
+                                  "--out", str(tmp_path / "out")] + argv[1:],
+                      capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
+_LONE_RATES = "topology.mobile_rates_mbps=[100,200,300]"
+
+
+@pytest.mark.parametrize("command", ["validate", "place", "sweep"])
+def test_lone_rates_size_the_mobile_layer(command, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, _ = _run([command, "--out", str(out_dir), "--override",
+                       _LONE_RATES, "--override", "tasks=3", "--override",
+                       "drr=0.2", "--override", "workload=[100,200]"], capsys)
+    assert code == 0
+    if command == "validate":
+        return
+    with open(out_dir / "placement.csv", newline="") as fh:
+        header = next(csv.reader(fh))
+    assert [c for c in header if c.startswith("util_")] == \
+        ["util_mobile_0", "util_mobile_1", "util_mobile_2"]
+    if command == "place":
+        with open(out_dir / "utilization.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        # colours cycle over the units the rates give
+        assert [r[:2] for r in rows] == [["mobile_0", "red"],
+                                         ["mobile_1", "yellow"],
+                                         ["mobile_2", "green"]]
+
+
+def test_lone_rates_give_one_rate_per_solved_user_in_chain(tmp_path, capsys):
+    # seed 0 draws 3 users, so the 3 rates replace their solved rates
+    out_dir = tmp_path / "out"
+    code, _, _ = _run(["chain", "--out", str(out_dir), "--seed", "0",
+                       "--override", _LONE_RATES], capsys)
+    assert code == 0
+    with open(out_dir / "utilization.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 3
 
 
 @pytest.mark.parametrize("under", [False, True],

@@ -35,6 +35,19 @@ def test_load_from_file(tmp_path):
     assert cfg["receiver"]["fov_deg"] == 40.0
 
 
+def test_load_applies_overrides_before_the_check(tmp_path):
+    p = tmp_path / "fixed.json"
+    p.write_text(json.dumps({"scenario": {"mode": "fixed"}}))
+    with pytest.raises(ConfigError, match="requires scenario.positions_m"):
+        load_config(p)
+    cfg = load_config(p, ["scenario.positions_m=[[1,1]]", "seed=4"])
+    assert cfg["scenario"]["positions_m"] == [[1, 1]]
+    assert cfg["scenario"]["seed"] == 4
+    assert cfg == apply_overrides(
+        merge_config({"scenario": {"mode": "fixed",
+                                   "positions_m": [[1, 1]]}}), ["seed=4"])
+
+
 def test_load_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/qqq.json")

@@ -82,6 +82,22 @@ def test_mobile_route_capped_by_owc_rate():
     assert t2.node("mobile_0").route.capacity_mbps == 10_000.0
 
 
+def test_one_mobile_unit_per_entry_of_the_given_list():
+    assert len(build_reference_topology().mobiles()) == 8
+    by_rates = build_reference_topology(mobile_rates_mbps=[100, 200, 300])
+    assert [(m.wavelength, m.route.capacity_mbps)
+            for m in by_rates.mobiles()] == [("red", 100.0), ("yellow", 200.0),
+                                             ("green", 300.0)]
+    by_colours = build_reference_topology(mobile_wavelengths=["blue"] * 2)
+    assert [m.route.capacity_mbps for m in by_colours.mobiles()] == \
+        [10_000.0, 10_000.0]
+    for kwargs in ({"mobile_wavelengths": []}, {"mobile_rates_mbps": []}):
+        with pytest.raises(ConfigError, match="must not be empty"):
+            build_reference_topology(**kwargs)
+    with pytest.raises(ConfigError, match="one rate per entry"):
+        build_reference_topology(["red", "blue"], [100, 200, 300])
+
+
 def test_missing_wavelength_tag_rejected():
     with pytest.raises(ConfigError):
         build_reference_topology(mobile_wavelengths=["red"] * 7 + ["uv"])
