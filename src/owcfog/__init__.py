@@ -11,10 +11,10 @@ Subpackages are deliberately flat:
 - :mod:`owcfog.allocator`     WDMA sum-SINR assignment by branch and bound
 - :mod:`owcfog.topology`      processing-node / network-route data model
 - :mod:`owcfog.placement`     task placement by branch and bound + sweeps
-- :mod:`owcfog.audit`         MILP row models, exhaustive oracles, SINR references
 - :mod:`owcfog.scenarios`     user drops, result bundles, stage chaining
 - :mod:`owcfog.config`        config document schema, defaults, overrides
 - :mod:`owcfog.cli`           command line entry points
+- ``tests/oracles.py``        MILP row models, exhaustive oracles (test code)
 """
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ accounting (see :mod:`owcfog.signal_model`). Each slot serves at most one
 user and each user exactly one slot; every assigned user must clear the SINR
 floor, and the channel-supported rates of the users one AP serves cannot
 exceed its backhaul (ONU) capacity. The big-M row form of this problem lives
-in :mod:`owcfog.audit`.
+in ``tests/oracles.py``.
 
 Each user's SINR is fully determined once the assignment is fixed, so the
 search is combinatorial over assignments. ``solve_branch_and_bound`` explores
@@ -17,7 +17,7 @@ has an SINR ceiling that only falls as the search deepens. With every slot
 free it is the root bound. Wavelengths whose signal and shot slices are
 bitwise equal are interchangeable, and a member of such a class may be opened
 only after every lower-indexed member is in use. The search and the
-exhaustive oracle in :mod:`owcfog.audit` share one tie rule: both visit leaves
+exhaustive oracle in ``tests/oracles.py`` share one tie rule: both visit leaves
 in lexicographic slot order and keep a leaf only when it beats the incumbent
 by more than tol. A skipped symmetric permutation scores bitwise like the
 earlier leaf it mirrors, so it cannot beat that incumbent by more than tol,
@@ -50,7 +50,7 @@ DEFAULT_SINR_FLOOR = 10.0 ** 1.4
 #: Per-AP backhaul capacity, bit/s: the line rate of the ONU feeding the AP.
 DEFAULT_ONU_CAPACITY_BPS = ONU_CAPACITY_MBPS * 1e6
 
-#: The floor and the cap with a rounding margin; :mod:`owcfog.audit` admits by
+#: The floor and the cap with a rounding margin; ``tests/oracles.py`` admits by
 #: them too, so the search and its oracle admit the same leaves.
 _FLOOR = DEFAULT_SINR_FLOOR * (1 - 1e-12)
 _ONU_CAP = DEFAULT_ONU_CAPACITY_BPS * (1 + 1e-12)

@@ -12,7 +12,7 @@ the only coupling between tasks.  A task's own mobile unit is never its
 destination: the mobile fog serves other users' offloaded work.
 
 ``solve_branch_and_bound`` solves it exactly.  The exhaustive oracle and the
-big-M row form live in :mod:`owcfog.audit`; the oracle breaks objective ties
+big-M row form live in ``tests/oracles.py``; the oracle breaks objective ties
 identically (first leaf in preference-ordered enumeration), so both return
 the same assignment on the same instance.
 

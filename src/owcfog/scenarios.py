@@ -366,11 +366,16 @@ def allocate_scenario(cfg: Dict, time_limit_s: Optional[float] = None
     Infeasibility is re-raised with the stage recorded in the report.
     """
     room = room_from_config(cfg)
-    receiver = receiver_from_config(cfg)
     scenario = scenario_from_config(cfg, room)
+    return (scenario, *_trace_and_allocate(cfg, room, scenario, time_limit_s))
+
+
+def _trace_and_allocate(cfg: Dict, room: RoomConfig, scenario: Scenario,
+                        time_limit_s: Optional[float]):
+    receiver = receiver_from_config(cfg)
     records = compute_channel_records(room, receiver, scenario.positions_m)
     if scenario.n_users == 0:
-        return scenario, records, None
+        return records, None
     problem = AllocationProblem.from_table(
         ChannelTable.from_records(records), receiver)
     try:
@@ -378,7 +383,7 @@ def allocate_scenario(cfg: Dict, time_limit_s: Optional[float] = None
     except InfeasibleError as exc:
         raise InfeasibleError(str(exc),
                               report={"stage": "allocate", **exc.report})
-    return scenario, records, solution
+    return records, solution
 
 
 def allocation_bundle(cfg: Dict, time_limit_s: Optional[float] = None
@@ -465,7 +470,15 @@ def chain_scenario(cfg: Dict, time_limit_s: Optional[float] = None
     :func:`placement_cell`.  An empty scenario yields a bundle of empty
     tables.
     """
-    scenario, records, solution = allocate_scenario(cfg, time_limit_s)
+    room = room_from_config(cfg)
+    scenario = scenario_from_config(cfg, room)
+    topo_cfg = cfg["topology"]
+    if scenario.n_users and topo_cfg["mobile_wavelengths"] is None \
+            and topo_cfg["mobile_rates_mbps"] is not None:
+        # count a lone rates list before tracing; colours are not solved yet
+        build_reference_topology(["red"] * scenario.n_users,
+                                 topo_cfg["mobile_rates_mbps"])
+    records, solution = _trace_and_allocate(cfg, room, scenario, time_limit_s)
     tables = {"channel": channel_table(records),
               "bandwidth_cdf": cdf_table(records),
               **allocation_tables(solution)}

@@ -12,11 +12,11 @@ access point a, every other AP is either:
 The receiver's own preamplifier noise floor is always present. Every noise
 figure comes from the one :class:`owcfog.channel.ReceiverSpec` the tracer
 also reads. Interference is accounted *linearized*, as the sum of squared
-interferer currents, which is what keeps the assignment model linear;
-:func:`owcfog.audit.sinr` also computes the exact square of the summed
-currents for comparison.
+interferer currents, which is what keeps the assignment model linear; the
+test-side ``sinr`` in ``tests/oracles.py`` also computes the exact square of
+the summed currents for comparison.
 
-One kernel serves the allocator and the audit references:
+One kernel serves the allocator and the oracles in ``tests/oracles.py``:
 :meth:`owcfog.allocator.AllocationProblem.from_table` turns the received
 powers into signal and shot arrays once, and :func:`linearized_gammas` gives
 each assigned user's linearized SINR from them. It adds a denominator as
@@ -30,7 +30,7 @@ assignment. ``np.sum`` reorders the additions and breaks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -46,20 +46,6 @@ def preamp_noise(receiver: ReceiverSpec) -> float:
     return receiver.preamp_a2_per_hz * receiver.bandwidth_hz
 
 
-def _interferers(slots, shape: Tuple[int, int, int]):
-    """AP and wavelength indices of the users on ``slots``, and an (n, A)
-    mask set where AP b serves user i's wavelength to someone else."""
-    n, n_aps, n_wl = shape
-    aps, wls = np.asarray(slots, dtype=np.intp).reshape(n, 2).T
-    taken = np.zeros((n_aps, n_wl), dtype=bool)
-    taken[aps, wls] = True
-    if np.count_nonzero(taken) != n:
-        raise ConfigError("a slot is assigned to more than one user")
-    busy = taken[:, wls].T
-    busy[np.arange(n), aps] = False
-    return aps, wls, busy
-
-
 def linearized_gammas(signal_a2: np.ndarray, shot_a2: np.ndarray,
                       preamp_a2: float, slots) -> np.ndarray:
     """Linearized SINR of each user on ``slots``, one (AP, wavelength) index
@@ -67,9 +53,16 @@ def linearized_gammas(signal_a2: np.ndarray, shot_a2: np.ndarray,
     charges its signal when it serves the user's wavelength to someone else,
     its shot noise otherwise. Raises ConfigError if two users share a slot.
     """
-    aps, wls, busy = _interferers(slots, signal_a2.shape)
-    rows = np.arange(len(aps))
-    charge = np.where(busy, signal_a2[rows, :, wls], shot_a2[rows, :, wls])
+    n, n_aps, n_wl = signal_a2.shape
+    aps, wls = np.asarray(slots, dtype=np.intp).reshape(n, 2).T
+    taken = np.zeros((n_aps, n_wl), dtype=bool)
+    taken[aps, wls] = True
+    if np.count_nonzero(taken) != n:
+        raise ConfigError("a slot is assigned to more than one user")
+    rows = np.arange(n)
+    # row i: the APs lighting user i's wavelength, its own AP included
+    charge = np.where(taken[:, wls].T, signal_a2[rows, :, wls],
+                      shot_a2[rows, :, wls])
     charge[rows, aps] = 0.0          # adding 0.0 for the own AP is exact
     denom = np.full(len(aps), preamp_a2)
     for column in charge.T:          # preamp first, then APs in order

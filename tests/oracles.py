@@ -1,8 +1,8 @@
 """Explicit MILP models, exhaustive oracles and reference SINR arithmetic.
 
-Nothing on the command-line path imports this module; it exists so tests
-and acceptance checks can audit the solvers in :mod:`owcfog.allocator` and
-:mod:`owcfog.placement` against independent arithmetic.
+The test-side oracles: the tests and acceptance checks import this module
+to audit the solvers in :mod:`owcfog.allocator` and :mod:`owcfog.placement`
+against independent arithmetic. It is not part of the installed package.
 
 The WDMA allocation is the standard big-M linearization of the product
 gamma * S (:class:`LinearizedModel`):
@@ -43,7 +43,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .allocator import (
+from owcfog.allocator import (
     DEFAULT_ONU_CAPACITY_BPS,
     DEFAULT_SINR_FLOOR,
     _FLOOR,
@@ -54,18 +54,18 @@ from .allocator import (
     _slot_list,
     _solution_from_indices,
 )
-from .allocator import _tie_tolerance as _allocation_tie_tolerance
-from .channel import ReceiverSpec
-from .errors import ConfigError, InfeasibleError, ResourceLimitError
-from .placement import (
+from owcfog.allocator import _tie_tolerance as _allocation_tie_tolerance
+from owcfog.channel import ReceiverSpec
+from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
+from owcfog.placement import (
     PlacementProblem,
     PlacementSolution,
     TaskDemand,
     _finish,
     _prepare,
 )
-from .placement import _tie_tolerance as _placement_tie_tolerance
-from .signal_model import ELECTRON_CHARGE_C, _interferers, linearized_gammas
+from owcfog.placement import _tie_tolerance as _placement_tie_tolerance
+from owcfog.signal_model import ELECTRON_CHARGE_C, linearized_gammas
 
 #: Refuse exhaustive enumerations larger than this many assignments.
 DEFAULT_ENUMERATION_CAP = 10 ** 8
@@ -695,7 +695,15 @@ def sinr(assignment: Assignment, problem: AllocationProblem,
              for a, w in assignment.values()]
     signal, shot = problem.signal_a2[rows], problem.shot_a2[rows]
     preamp = problem.preamp_a2
-    aps, wls, busy = _interferers(slots, signal.shape)
+    if len(set(slots)) != len(slots):
+        raise ConfigError("a slot is assigned to more than one user")
+    active: Dict[int, set] = {}
+    for a, w in slots:
+        active.setdefault(w, set()).add(a)
+    n_aps = len(problem.ap_ids)
+    busy = np.array([[b != a and b in active[w] for b in range(n_aps)]
+                     for a, w in slots], dtype=bool).reshape(len(rows), n_aps)
+    aps, wls = np.array(slots, dtype=np.intp).reshape(len(rows), 2).T
     n = np.arange(len(rows))
     own, foreign = signal[n, aps, wls], np.where(busy, signal[n, :, wls], 0.0)
     quiet = np.where(busy, 0.0, shot[n, :, wls])

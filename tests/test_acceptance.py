@@ -14,12 +14,6 @@ import numpy as np
 import pytest
 
 from owcfog.allocator import AllocationProblem, solve_branch_and_bound
-from owcfog.audit import (
-    LinearizedModel,
-    check_feasibility,
-    sinr,
-    solve_exhaustive,
-)
 from owcfog.channel import (
     ImpulseResponse,
     ReceiverSpec,
@@ -40,6 +34,13 @@ from owcfog.placement import (
 from owcfog.scenarios import fraction_at_least
 from owcfog.signal_model import ELECTRON_CHARGE_C, ChannelTable
 from owcfog.topology import TopologyConfig, build_reference_topology
+
+from oracles import (
+    LinearizedModel,
+    check_feasibility,
+    sinr,
+    solve_exhaustive,
+)
 
 SINR_FLOOR = 10 ** 1.4          # linear; 14 dB
 FEC_WINDOW_DB = (14.0, 15.6)    # 10% rate penalty inside, forbidden below

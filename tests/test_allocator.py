@@ -19,19 +19,20 @@ from owcfog.allocator import (
     _tie_tolerance,
     solve_branch_and_bound,
 )
-from owcfog.audit import (
-    LinearizedModel,
-    check_feasibility,
-    electrical_signal_power,
-    shot_noise,
-    solve_exhaustive,
-)
 from owcfog.channel import ReceiverSpec
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.signal_model import (
     ChannelTable,
     linearized_gammas,
     preamp_noise,
+)
+
+from oracles import (
+    LinearizedModel,
+    check_feasibility,
+    electrical_signal_power,
+    shot_noise,
+    solve_exhaustive,
 )
 
 

@@ -211,6 +211,30 @@ def test_lone_rates_give_one_rate_per_solved_user_in_chain(tmp_path, capsys):
         assert len(list(csv.reader(fh))) == 1 + 3
 
 
+def test_chain_refuses_wrong_rate_count_before_tracing(tmp_path, capsys,
+                                                       monkeypatch):
+    # seed 0 draws 3 users: 2 rates cannot replace their solved rates, and
+    # the draw says so before any of its 24 links is traced
+    from owcfog import channel
+
+    calls = []
+    trace = channel.trace_impulse_response
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "trace_impulse_response", counted)
+    code, out, err = _run(["chain", "--out", str(tmp_path / "out"),
+                           "--seed", "0", "--override",
+                           "topology.mobile_rates_mbps=[100,200]"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "one rate per entry" in json.loads(err)["message"]
+    assert len(calls) == 0
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("under", [False, True],
                          ids=["out-is-a-file", "out-under-a-file"])
 def test_unwritable_out_is_output_error(under, tmp_path, capsys):
@@ -433,17 +457,27 @@ def test_module_entry_point(tmp_path):
 
 
 @pytest.mark.parametrize("module,absent", [
-    ("owcfog.cli", "owcfog.audit"),
     ("owcfog.placement", "owcfog.allocator"),
 ])
 def test_import_leaves_module_unloaded(module, absent):
-    # the CLI never loads verification code, and the two solvers are
-    # independent of each other
+    # the two solvers are independent of each other
     code = (f"import sys, {module}; "
             f"sys.exit({absent!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_loads_every_package_module():
+    # the package is the pipeline: verification code lives under tests/
+    code = ("import pkgutil, sys, owcfog, owcfog.cli; "
+            "print([f'owcfog.{m.name}' for m in "
+            "pkgutil.iter_modules(owcfog.__path__) "
+            "if f'owcfog.{m.name}' not in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [

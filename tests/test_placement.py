@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from owcfog.audit import PlacementModel, solve_exhaustive
 from owcfog.config import load_config
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.placement import (
@@ -37,6 +36,8 @@ from owcfog.topology import (
     TopologyConfig,
     build_reference_topology,
 )
+
+from oracles import PlacementModel, solve_exhaustive
 
 WL = ("red", "yellow", "green", "blue")
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owcfog.allocator import AllocationProblem
-from owcfog.audit import electrical_signal_power, shot_noise, sinr, sinr_db
 from owcfog.channel import (
     WAVELENGTHS,
     ReceiverSpec,
@@ -22,6 +21,8 @@ from owcfog.signal_model import (
     ChannelTable,
     preamp_noise,
 )
+
+from oracles import electrical_signal_power, shot_noise, sinr, sinr_db
 
 # Frozen expectations (hand arithmetic first):
 #   (0.4 A/W * 1e-6 W)^2
