@@ -21,6 +21,9 @@ code=0; owcfog channel --out "$RUNNER_TEMP/uv" --override 'topology.mobile_wavel
 code=0; owcfog allocate --out "$RUNNER_TEMP/pos" --override 'scenario.positions_m=[[1,1]]' || code=$?; test $code -eq 1
 # seed 0 draws 3 users, so 2 rates cannot replace their solved rates
 code=0; owcfog chain --out "$RUNNER_TEMP/rates" --seed 0 --override 'topology.mobile_rates_mbps=[100,200]' || code=$?; test $code -eq 1
+code=0; owcfog allocate --out "$RUNNER_TEMP/rates-allocate" --seed 0 --override 'topology.mobile_rates_mbps=[100,200]' || code=$?; test $code -eq 1
+# numpy cannot draw a Poisson count with a mean past about 9.2e18
+code=0; owcfog validate --override scenario.intensity_per_m2=1e300 || code=$?; test $code -eq 1
 code=0; owcfog place --out "$RUNNER_TEMP/huge" --override 'workload=[1e300]' 2> "$RUNNER_TEMP/huge.err" || code=$?; test $code -eq 2
 test "$(wc -l < "$RUNNER_TEMP/huge.err")" -eq 1
 set +e; owcfog validate --override room.grid_nx=true; test $? -eq 1

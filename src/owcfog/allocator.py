@@ -219,6 +219,16 @@ def _symmetry_classes(problem: AllocationProblem) -> List[List[int]]:
     return list(groups.values())
 
 
+def check_slot_count(n_users: int, n_slots: int) -> None:
+    """Refuse more users than AP-wavelength slots: each slot serves at most
+    one user. The count alone decides it, so it can run before any trace."""
+    if n_users > n_slots:
+        raise InfeasibleError(
+            "more users than AP-wavelength slots",
+            report={"constraint": "slot_once", "users": n_users,
+                    "slots": n_slots})
+
+
 def solve_branch_and_bound(problem: AllocationProblem,
                            time_limit_s: Optional[float] = None
                            ) -> AllocationSolution:
@@ -258,11 +268,7 @@ def solve_branch_and_bound(problem: AllocationProblem,
         return _solution_from_indices(problem, {}, {
             "method": "branch_and_bound", "nodes": 1, "leaves": 1,
             "gap": 0.0, "complete": True, "elapsed_s": 0.0})
-    if n_users > len(slots):
-        raise InfeasibleError(
-            "more users than AP-wavelength slots",
-            report={"constraint": "slot_once", "users": n_users,
-                    "slots": len(slots)})
+    check_slot_count(n_users, len(slots))
 
     ub = _slot_bounds(problem)                 # the root node's bound
     for u in range(n_users):

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .config import load_config
 from .errors import ConfigError, InfeasibleError, ResourceLimitError
@@ -41,7 +41,18 @@ from .scenarios import (
 
 __all__ = ["main", "build_parser"]
 
-FIGURES = ("7a", "7b", "7c", "8", "9", "10", "11")
+#: Published figure -> (the placement columns it plots after ``drr`` and
+#: ``workload_mips``, the prefix of the per-node columns it adds, if any).
+FIGURES: Dict[str, Tuple[List[str], Optional[str]]] = {
+    "7a": (["processing_power_w"], None),
+    "7b": (["networking_power_w"], None),
+    "7c": (["total_power_w"], None),
+    "8": (["networking_power_w"], "mips_"),
+    "9": ([], "net_w_"),
+    "10": (["processing_power_w", "networking_power_w", "total_power_w"],
+           None),
+    "11": ([], "util_"),
+}
 
 
 class _UsageError(Exception):
@@ -101,32 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
 # figure projections
 # ---------------------------------------------------------------------
 
-def _fig_columns(fig: str, header: List[str]) -> List[str]:
-    """Column subset of the placement table backing one published figure."""
-    base = ["drr", "workload_mips"]
-    per_node = {
-        "8": [c for c in header if c.startswith("mips_")],
-        "9": [c for c in header if c.startswith("net_w_")],
-        "11": [c for c in header if c.startswith("util_")],
-    }
-    named = {
-        "7a": base + ["processing_power_w"],
-        "7b": base + ["networking_power_w"],
-        "7c": base + ["total_power_w"],
-        "8": base + ["networking_power_w"] + per_node["8"],
-        "9": base + per_node["9"],
-        "10": base + ["processing_power_w", "networking_power_w",
-                      "total_power_w"],
-        "11": base + per_node["11"],
-    }
-    return named[fig]
-
-
-def _project_placement(bundle: ResultBundle, fig: Optional[str]) -> None:
-    if not fig:
-        return
+def _project_placement(bundle: ResultBundle, fig: str) -> None:
+    """Add the column subset of the placement table backing one figure."""
     header, rows = bundle.tables["placement"]
-    keep = _fig_columns(fig, header)
+    named, prefix = FIGURES[fig]
+    keep = ["drr", "workload_mips", *named]
+    if prefix:
+        keep += [c for c in header if c.startswith(prefix)]
     idx = [header.index(c) for c in keep]
     bundle.tables[f"fig{fig}"] = (keep, [[r[i] for i in idx] for r in rows])
 
@@ -135,31 +127,25 @@ def _project_placement(bundle: ResultBundle, fig: Optional[str]) -> None:
 # command bodies
 # ---------------------------------------------------------------------
 
-def _cmd_place(cfg: Dict, fig: Optional[str],
-               time_limit: Optional[float]) -> ResultBundle:
+def _cmd_place(cfg: Dict, time_limit: Optional[float]) -> ResultBundle:
     cell = placement_cell(cfg)
-    bundle = ResultBundle(
+    return ResultBundle(
         tables=placement_cell_tables(topology_from_config(cfg), **cell,
                                      time_limit_s=time_limit),
         manifest=build_manifest(cfg, stage="place", placement=cell),
     )
-    _project_placement(bundle, fig)
-    return bundle
 
 
-def _cmd_sweep(cfg: Dict, fig: Optional[str],
-               time_limit: Optional[float]) -> ResultBundle:
+def _cmd_sweep(cfg: Dict, time_limit: Optional[float]) -> ResultBundle:
     topology = topology_from_config(cfg)
     sweep_cfg = cfg["sweep"]
     rows = run_sweep(sweep_cfg["drr"], sweep_cfg["workload_mips"],
                      topology=topology, task_count=sweep_cfg["tasks"],
                      time_limit_s=time_limit)
-    bundle = ResultBundle(
+    return ResultBundle(
         tables={"placement": placement_table(rows, topology)},
         manifest=build_manifest(cfg, stage="sweep", sweep=sweep_cfg),
     )
-    _project_placement(bundle, fig)
-    return bundle
 
 
 def _diagnostic(kind: str, exit_code: int, message: str,
@@ -191,11 +177,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "allocate":
             bundle = allocation_bundle(cfg, time_limit_s=args.time_limit)
         elif args.command == "place":
-            bundle = _cmd_place(cfg, args.fig, args.time_limit)
+            bundle = _cmd_place(cfg, args.time_limit)
         elif args.command == "sweep":
-            bundle = _cmd_sweep(cfg, args.fig, args.time_limit)
+            bundle = _cmd_sweep(cfg, args.time_limit)
         else:  # chain
             bundle = chain_scenario(cfg, time_limit_s=args.time_limit)
+        if getattr(args, "fig", None):  # place and sweep take --fig
+            _project_placement(bundle, args.fig)
 
         try:
             written = bundle.write(Path(args.out))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +21,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .allocator import AllocationProblem, AllocationSolution, solve_branch_and_bound
-from .channel import ChannelRecords, RoomConfig, compute_channel_records, grid_positions
+from .allocator import (AllocationProblem, AllocationSolution,
+                        check_slot_count, solve_branch_and_bound)
+from .channel import (WAVELENGTHS, ChannelRecords, RoomConfig,
+                      compute_channel_records, grid_positions)
 from .config import config_digest, receiver_from_config, room_from_config
 from .errors import ConfigError, InfeasibleError
 from .placement import PlacementProblem, demands_from_drr, solution_row
@@ -34,6 +37,7 @@ __all__ = [
     "Scenario",
     "ResultBundle",
     "ANALOGUE_SEEDS",
+    "POISSON_LAM_MAX",
     "ppp_mean_users",
     "generate_ppp_users",
     "fixed_scenario",
@@ -47,7 +51,6 @@ __all__ = [
     "chain_scenario",
     "placement_cell",
     "topology_from_config",
-    "topology_from_allocation",
     "placement_table",
     "placement_header",
     "placement_cell_tables",
@@ -67,6 +70,11 @@ ANALOGUE_SEEDS: Dict[str, int] = {
     "s1-analogue": 172,   # solved rates 1.27-5.00 Gbit/s
     "s2-analogue": 19,    # solved rates 0.52-5.00 Gbit/s (wider spread)
 }
+
+#: The largest mean ``numpy.random.Generator.poisson`` accepts, about 9.2e18:
+#: the expression of ``POISSON_LAM_MAX`` in numpy's
+#: ``numpy/random/_common.pyx``, which numpy does not export to Python.
+POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
 
 
 # ---------------------------------------------------------------------
@@ -89,11 +97,17 @@ class Scenario:
 
 def ppp_mean_users(room: RoomConfig, intensity_per_m2: float) -> float:
     """Mean user count of a PPP draw: intensity × floor area.  The loader
-    calls it to refuse a bad intensity without making a draw."""
+    calls it to refuse a bad intensity without making a draw; a mean past
+    :data:`POISSON_LAM_MAX` is one numpy cannot draw."""
     if not intensity_per_m2 > 0:
         raise ConfigError(f"scenario.intensity_per_m2 must be positive, "
                           f"got {intensity_per_m2!r}")
-    return intensity_per_m2 * room.length_m * room.width_m
+    mean = intensity_per_m2 * room.length_m * room.width_m
+    if mean > POISSON_LAM_MAX:
+        raise ConfigError(
+            f"scenario.intensity_per_m2 of {intensity_per_m2!r} gives a mean "
+            f"of {mean!r} users, above the Poisson limit {POISSON_LAM_MAX!r}")
+    return mean
 
 
 def generate_ppp_users(room: RoomConfig, intensity_per_m2: float,
@@ -362,28 +376,28 @@ def allocate_scenario(cfg: Dict, time_limit_s: Optional[float] = None
                                  Optional[AllocationSolution]]:
     """Scenario positions → channel records → solved WDMA assignment.
 
-    Returns no solution for an empty scenario (its records hold no users).
+    Before any link is traced, the drawn users must each get a slot and,
+    from a lone ``topology.mobile_rates_mbps`` list, a rate (stand-in
+    colours build that layer).  Returns no solution for an empty scenario.
     Infeasibility is re-raised with the stage recorded in the report.
     """
     room = room_from_config(cfg)
     scenario = scenario_from_config(cfg, room)
-    return (scenario, *_trace_and_allocate(cfg, room, scenario, time_limit_s))
-
-
-def _trace_and_allocate(cfg: Dict, room: RoomConfig, scenario: Scenario,
-                        time_limit_s: Optional[float]):
     receiver = receiver_from_config(cfg)
-    records = compute_channel_records(room, receiver, scenario.positions_m)
-    if scenario.n_users == 0:
-        return records, None
-    problem = AllocationProblem.from_table(
-        ChannelTable.from_records(records), receiver)
+    if scenario.n_users:
+        topology_from_config(cfg, ["red"] * scenario.n_users)
     try:
+        check_slot_count(scenario.n_users, len(room.aps) * len(WAVELENGTHS))
+        records = compute_channel_records(room, receiver, scenario.positions_m)
+        if scenario.n_users == 0:
+            return scenario, records, None
+        problem = AllocationProblem.from_table(
+            ChannelTable.from_records(records), receiver)
         solution = solve_branch_and_bound(problem, time_limit_s=time_limit_s)
     except InfeasibleError as exc:
         raise InfeasibleError(str(exc),
                               report={"stage": "allocate", **exc.report})
-    return records, solution
+    return scenario, records, solution
 
 
 def allocation_bundle(cfg: Dict, time_limit_s: Optional[float] = None
@@ -396,35 +410,24 @@ def allocation_bundle(cfg: Dict, time_limit_s: Optional[float] = None
     )
 
 
-def topology_from_config(cfg: Dict) -> TopologyConfig:
-    """Reference topology with the config's mobile overrides applied."""
-    topo_cfg = cfg["topology"]
-    return build_reference_topology(
-        mobile_wavelengths=topo_cfg["mobile_wavelengths"],
-        mobile_rates_mbps=topo_cfg["mobile_rates_mbps"])
+def topology_from_config(cfg: Dict,
+                         wavelengths: Optional[Sequence[str]] = None,
+                         rates_mbps: Optional[Sequence[float]] = None
+                         ) -> TopologyConfig:
+    """Reference topology around a mobile layer, with the config's mobile
+    overrides applied.
 
-
-def topology_from_allocation(cfg: Dict, sol: AllocationSolution
-                             ) -> TopologyConfig:
-    """Fog topology whose mobile units mirror a solved allocation.
-
-    Mobile unit *i* is user *i*: it inherits the user's assigned wavelength,
-    and its route is capped by the solved downlink rate (in Mbit/s).
-
-    A ``topology.mobile_wavelengths`` override replaces the solved mobile
-    layer entirely: the mobile count and wavelengths come from the config,
-    and the routes are capped only by the feeding ONU unless
-    ``topology.mobile_rates_mbps`` is also set.  A ``mobile_rates_mbps``
-    override alone replaces the solved rates, one per solved user.
+    ``wavelengths`` and ``rates_mbps`` are a solved layer, one entry per user
+    (``chain`` passes its allocation; ``place`` and ``sweep`` pass none).  A
+    ``topology.mobile_wavelengths`` override replaces that layer entirely,
+    rates included; a ``topology.mobile_rates_mbps`` override alone replaces
+    its rates, so it must give one per entry.
     """
     topo_cfg = cfg["topology"]
     if topo_cfg["mobile_wavelengths"] is not None:
-        return topology_from_config(cfg)
-    users = sorted(sol.assignment)
-    wavelengths = [sol.assignment[u][1] for u in users]
-    rates_mbps = [sol.rate_bps[u] / 1e6 for u in users]
+        wavelengths, rates_mbps = topo_cfg["mobile_wavelengths"], None
     if topo_cfg["mobile_rates_mbps"] is not None:
-        rates_mbps = list(topo_cfg["mobile_rates_mbps"])
+        rates_mbps = topo_cfg["mobile_rates_mbps"]
     return build_reference_topology(mobile_wavelengths=wavelengths,
                                     mobile_rates_mbps=rates_mbps)
 
@@ -470,15 +473,7 @@ def chain_scenario(cfg: Dict, time_limit_s: Optional[float] = None
     :func:`placement_cell`.  An empty scenario yields a bundle of empty
     tables.
     """
-    room = room_from_config(cfg)
-    scenario = scenario_from_config(cfg, room)
-    topo_cfg = cfg["topology"]
-    if scenario.n_users and topo_cfg["mobile_wavelengths"] is None \
-            and topo_cfg["mobile_rates_mbps"] is not None:
-        # count a lone rates list before tracing; colours are not solved yet
-        build_reference_topology(["red"] * scenario.n_users,
-                                 topo_cfg["mobile_rates_mbps"])
-    records, solution = _trace_and_allocate(cfg, room, scenario, time_limit_s)
+    scenario, records, solution = allocate_scenario(cfg, time_limit_s)
     tables = {"channel": channel_table(records),
               "bandwidth_cdf": cdf_table(records),
               **allocation_tables(solution)}
@@ -489,11 +484,16 @@ def chain_scenario(cfg: Dict, time_limit_s: Optional[float] = None
                             manifest=build_manifest(cfg, scenario,
                                                     stage="chain"))
 
-    topology = topology_from_allocation(cfg, solution)
+    # mobile unit i is user i, on its assigned wavelength, its route capped
+    # by its solved downlink rate
+    users = sorted(solution.assignment)
+    rates = [solution.rate_bps[u] for u in users]
+    topology = topology_from_config(
+        cfg, [solution.assignment[u][1] for u in users],
+        [rate / 1e6 for rate in rates])
     cell = placement_cell(cfg)
     tables.update(placement_cell_tables(topology, **cell,
                                         time_limit_s=time_limit_s))
-    rates = [solution.rate_bps[u] for u in sorted(solution.rate_bps)]
     manifest = build_manifest(
         cfg, scenario, stage="chain", placement=cell,
         rate_range_gbps=[min(rates) / 1e9, max(rates) / 1e9],

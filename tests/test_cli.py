@@ -95,6 +95,10 @@ def test_ci_console_script_passes(tmp_path):
     ("validate", "room.length_m=Infinity"),
     ("validate", "scenario.intensity_per_m2=Infinity"),
     ("chain", "scenario.intensity_per_m2=Infinity"),
+    # numpy cannot draw a Poisson count with a mean past about 9.2e18
+    ("validate", "scenario.intensity_per_m2=1e300"),
+    ("allocate", "scenario.intensity_per_m2=1e300"),
+    ("chain", "scenario.intensity_per_m2=1e300"),
     ("place", "workload=Infinity"),
     ("validate", "room.length_m=NaN"),
     pytest.param("validate", "room.width_m=1" + "0" * 400,
@@ -211,10 +215,9 @@ def test_lone_rates_give_one_rate_per_solved_user_in_chain(tmp_path, capsys):
         assert len(list(csv.reader(fh))) == 1 + 3
 
 
-def test_chain_refuses_wrong_rate_count_before_tracing(tmp_path, capsys,
-                                                       monkeypatch):
-    # seed 0 draws 3 users: 2 rates cannot replace their solved rates, and
-    # the draw says so before any of its 24 links is traced
+@pytest.fixture
+def trace_calls(monkeypatch):
+    """Calls of ``channel.trace_impulse_response``, one entry each."""
     from owcfog import channel
 
     calls = []
@@ -225,13 +228,38 @@ def test_chain_refuses_wrong_rate_count_before_tracing(tmp_path, capsys,
         return trace(*args, **kwargs)
 
     monkeypatch.setattr(channel, "trace_impulse_response", counted)
-    code, out, err = _run(["chain", "--out", str(tmp_path / "out"),
+    return calls
+
+
+@pytest.mark.parametrize("command", ["allocate", "chain"])
+def test_chain_refuses_wrong_rate_count_before_tracing(command, tmp_path,
+                                                       capsys, trace_calls):
+    # seed 0 draws 3 users: 2 rates cannot replace their solved rates, and
+    # the draw says so before any of its 24 links is traced
+    code, out, err = _run([command, "--out", str(tmp_path / "out"),
                            "--seed", "0", "--override",
                            "topology.mobile_rates_mbps=[100,200]"], capsys)
     assert code == 1
     assert out == ""
     assert "one rate per entry" in json.loads(err)["message"]
-    assert len(calls) == 0
+    assert len(trace_calls) == 0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["allocate", "chain"])
+def test_more_users_than_slots_refused_before_tracing(command, tmp_path,
+                                                      capsys, trace_calls):
+    # seed 0 at 1.2 users per m^2 draws 41 users for 8 APs x 4 wavelengths
+    code, out, err = _run([command, "--out", str(tmp_path / "out"),
+                           "--seed", "0", "--override",
+                           "scenario.intensity_per_m2=1.2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        '{"error": "infeasible", "exit": 2, "message": "more users than '
+        'AP-wavelength slots", "report": {"constraint": "slot_once", '
+        '"slots": 32, "stage": "allocate", "users": 41}}\n')
+    assert len(trace_calls) == 0
     assert not (tmp_path / "out").exists()
 
 

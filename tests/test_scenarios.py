@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from owcfog.config import apply_overrides, load_config, merge_config
 from owcfog.errors import ConfigError, InfeasibleError
 from owcfog.scenarios import (
     ANALOGUE_SEEDS,
+    POISSON_LAM_MAX,
     WRITE_BATCH_ROWS,
     ResultBundle,
     allocate_scenario,
@@ -23,8 +25,9 @@ from owcfog.scenarios import (
     fixed_scenario,
     fraction_at_least,
     generate_ppp_users,
+    ppp_mean_users,
     scenario_from_config,
-    topology_from_allocation,
+    topology_from_config,
 )
 from owcfog.config import room_from_config
 
@@ -64,6 +67,19 @@ def test_ppp_mean_count_matches_intensity(room):
 def test_ppp_rejects_bad_intensity(room):
     with pytest.raises(ConfigError):
         generate_ppp_users(room, 0.0, seed=1)
+
+
+def test_poisson_limit_is_numpy_limit(room):
+    # the count alone is drawn: positions for this many users would not fit
+    rng = np.random.default_rng(0)
+    assert rng.poisson(POISSON_LAM_MAX) > 0
+    with pytest.raises(ValueError):
+        rng.poisson(math.nextafter(POISSON_LAM_MAX, math.inf))
+    area = room.length_m * room.width_m
+    with pytest.raises(ConfigError, match="Poisson limit"):
+        ppp_mean_users(room, 2 * POISSON_LAM_MAX / area)
+    assert ppp_mean_users(room, 0.5 * POISSON_LAM_MAX / area) < \
+        POISSON_LAM_MAX
 
 
 def test_fixed_scenario_validates_bounds(room):
@@ -175,7 +191,10 @@ def test_chain_empty_scenario_gives_empty_bundle():
 def test_chain_caps_mobile_routes_by_solved_rates():
     cfg = merge_config({"scenario": {"name": "s1-analogue"}})
     scenario, _, solution = allocate_scenario(cfg)
-    topo = topology_from_allocation(cfg, solution)
+    users = sorted(solution.assignment)
+    topo = topology_from_config(
+        cfg, [solution.assignment[u][1] for u in users],
+        [solution.rate_bps[u] / 1e6 for u in users])
     mobiles = topo.mobiles()
     assert len(mobiles) == scenario.n_users
     for i, m in enumerate(mobiles):
@@ -193,7 +212,8 @@ def test_chain_topology_config_override_wins():
                      "mobile_rates_mbps": [2000.0, 3000.0]},
     })
     _, _, solution = allocate_scenario(cfg)
-    topo = topology_from_allocation(cfg, solution)
+    topo = topology_from_config(cfg, [solution.assignment[0][1]],
+                                [solution.rate_bps[0] / 1e6])
     assert [m.wavelength for m in topo.mobiles()] == ["red", "blue"]
     assert topo.node("mobile_1").route.capacity_mbps == 3000.0
 
