@@ -19,19 +19,26 @@ by every wavelength that traced it.
 
 Work that does not depend on the whole link is shared between links through
 one cached ``_Mesh``, the mesh of the last room geometry traced, which lives
-until a room of another geometry or element cap is traced. All its arrays
-are read-only. Besides the element centers, normals and areas, it holds the
-power landing on each element and its delay for each AP traced, keyed on
-the AP's position, Lambertian order and power (no more views than the
-traced room has APs times wavelengths; past that they are all dropped),
-each element's gain and delay toward the last receiver position, and the
-element-pair transfer and delay of the last second-bounce (sources, sinks)
-set when it fits in one chunk; on the default room every AP lights the
-same 416 elements. None of these depends on a reflectivity map: a trace
-applies its map with the same products and masks a lone trace would use,
-and the per-AP weighting, time index and ``bincount`` order of the second
-bounce are unchanged, so every trace has the same bits as one taken with an
-empty cache.
+until a room of another geometry or element cap is traced. All the arrays it
+hands out are read-only. Besides the element centers, normals and areas, it
+holds each element's reflectivity under each map traced (no more rows than
+there are wavelengths), the power landing on each element and its delay for
+each AP traced, keyed on the AP's position, Lambertian order and power (no
+more views than the traced room has APs times wavelengths; past that they
+are all dropped), each element's gain and delay toward the last receiver
+position, and one pair set: the element-pair transfer and delay of the last
+second-bounce (sources, sinks) set, when it holds at most ``_CHUNK_TARGET``
+pairs. On the default room every AP lights the same 416 elements, so the
+set changes only with the receiver position, and a neighbouring position
+shares most of its sinks. A set with the last one's sources and at least
+half its sinks is therefore written over it in place: the shared sink
+columns move, in ascending element order, and only the new ones are
+computed. A pair's values depend on its two elements alone, so a moved
+column has the bits of a fresh one. None of these views depends on a
+reflectivity map: a trace applies its map with the same products and masks
+a lone trace would use, and the per-AP weighting, time index and
+``bincount`` order of the second bounce are unchanged, so every trace has
+the same bits as one taken with an empty cache.
 
 The 3-dB bandwidth scans the magnitude spectrum in growing blocks and stops
 at the first crossing, which reads the same samples as a scan of the whole
@@ -41,16 +48,19 @@ spectrum. Two shortcuts leave every answer's bits unchanged:
       the 3-dB line, even after rounding, the Nyquist limit is returned
       without a transform (``_flat_to_nyquist``); on the default grid a
       strong direct ray proves it for 168 of the 1,024 traces;
-    - a workspace: ``compute_channel_records`` passes one dict of spectrum
-      buffers, keyed by transform length, to every measurement of the call,
-      so each link's transform writes into the same 512 KB array instead of
-      a fresh one. It is dropped when the call returns.
+    - a workspace: a dict of spectrum buffers, keyed by transform length,
+      that a thread passes to every measurement it takes, so each of its
+      transforms writes into the same 512 KB array instead of a fresh one.
 
 ``compute_channel_records`` takes those measurements on one measuring
-thread, which owns the workspace, while the calling thread traces the next
-link; numpy's FFT releases the interpreter lock, so the two overlap. The
-same transform of the same response gives the same bits on any thread, so
-every record is unchanged.
+thread while the calling thread traces the next link; numpy's FFT releases
+the interpreter lock, so the two overlap. The transforms take longer than
+the traces, so when the queue between the threads is full, the calling
+thread measures its oldest job itself, and after its last trace it helps
+drain the queue. Each thread has a workspace of its own, and both are
+dropped when the call returns. Which thread measures a response varies from
+run to run, but the same transform of the same response gives the same
+bits on any thread, so every record is unchanged.
 
 Conventions:
     - SI units throughout (metres, seconds, watts, hertz).
@@ -402,17 +412,30 @@ class _Mesh:
         self.centers, self.normals, self.areas = _frozen(centers, normals,
                                                          areas)
         self.counts = counts
+        #: source rows per chunk of the second-order pass
+        self.chunk_rows = max(1, _CHUNK_TARGET // centers.shape[0])
+        #: face reflectivities (floor, ceiling, four walls) -> element rows
+        self.rho_rows: Dict[Tuple, np.ndarray] = {}
         #: (AP position, Lambertian order, power) -> (p_elem, t_elem)
         self.ap_views: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         #: (receiver position, field of view, area), (g_rx, t_rx)
         self.rx_view: Tuple = (None, None)
-        #: (source and sink index bytes), chunks of the last pair set
-        self.pairs: Tuple = (None, None)
+        #: (source and sink index bytes), sinks, and the (source x sink)
+        #: transfer and delay of the last pair set, in the first
+        #: len(sinks) columns of arrays that may be wider
+        self.pairs: Tuple = (None, None, None, None)
 
     def rhos(self, refl: Dict[str, float]) -> np.ndarray:
-        """Each element's reflectivity under one map."""
+        """Each element's reflectivity under one map. Past one row per
+        wavelength, all are dropped."""
         face_rhos = (refl["floor"], refl["ceiling"]) + (refl["walls"],) * 4
-        return np.repeat(face_rhos, self.counts)
+        row = self.rho_rows.get(face_rhos)
+        if row is None:
+            if len(self.rho_rows) >= len(WAVELENGTHS):
+                self.rho_rows.clear()
+            row, = _frozen(np.repeat(np.array(face_rhos, float), self.counts))
+            self.rho_rows[face_rhos] = row
+        return row
 
     def ap(self, room, ap, po):
         """The ``_ap_transfer`` view of ``ap`` sending ``po`` watts. Past
@@ -433,19 +456,65 @@ class _Mesh:
         return self.rx_view[1]
 
     def pair_chunks(self, src_idx, sinks):
-        """The chunks of ``_pair_chunks``, kept for the next trace with the
-        same sources and sinks when they hold at most ``_CHUNK_TARGET``
-        pairs: one 0.1 m trace pairs 10,400 sources with 898 sinks, and its
-        two pair arrays would hold 150 MB."""
+        """The chunks of ``_pair_chunks``, as row slices of a pair set kept
+        for the next trace when it holds at most ``_CHUNK_TARGET`` pairs:
+        one 0.1 m trace pairs 10,400 sources with 898 sinks, and its two
+        pair arrays would hold 150 MB."""
         if src_idx.size * sinks.size > _CHUNK_TARGET:
             return _pair_chunks(self, src_idx, sinks)
         key = (src_idx.tobytes(), sinks.tobytes())
         if self.pairs[0] != key:
-            # the old set goes first, so two are never held at once
-            self.pairs = None, None
-            self.pairs = key, tuple(_frozen(*chunk) for chunk
-                                    in _pair_chunks(self, src_idx, sinks))
-        return self.pairs[1]
+            self._update_pairs(key, src_idx, sinks)
+        _, _, trans, delay = self.pairs
+        k, step = sinks.size, self.chunk_rows
+        return [(src_idx[r:r + step], trans[r:r + step, :k],
+                 delay[r:r + step, :k])
+                for r in range(0, src_idx.size, step)]
+
+    def _update_pairs(self, key, src_idx, sinks):
+        """Make ``sinks`` the columns of the kept pair set.
+
+        A set with the sources of the last one, which shares at least half
+        its sinks with it and is no wider, is written over the last one:
+        the shared columns move into place and only the others are
+        computed. Neighbouring receiver positions share most of their
+        sinks. Any other set is built afresh once the last one is dropped,
+        so the two are never held at once. Each pair's values depend on its
+        two elements alone, so a moved column has the bits a fresh one
+        would."""
+        last_key, last_sinks, trans, delay = self.pairs
+        self.pairs = None, None, None, None
+        k = sinks.size
+        shared = np.zeros(k, dtype=bool)
+        if last_key is not None and last_key[0] == key[0] \
+                and k <= trans.shape[1]:
+            in_last = np.zeros(self.centers.shape[0], dtype=bool)
+            in_last[last_sinks] = True
+            shared = in_last[sinks]
+        if 2 * np.count_nonzero(shared) < k:
+            del trans, delay
+            _, trans, delay = zip(*_pair_chunks(self, src_idx, sinks))
+            trans, delay = (np.concatenate(a) if len(a) > 1 else a[0]
+                            for a in (trans, delay))
+            self.pairs = (key, *_frozen(sinks, trans, delay))
+            return
+        # both sets are in ascending element order, so the shared sinks
+        # come in the same order in each
+        in_new = np.zeros(self.centers.shape[0], dtype=bool)
+        in_new[sinks] = True
+        kept = in_new[last_sinks]
+        missing = ~shared
+        for arr in (trans, delay):
+            arr.flags.writeable = True
+            # the right-hand side is a copy, so the columns may overlap
+            arr[:, :k][:, shared] = arr[:, :kept.size][:, kept]
+        if missing.any():
+            r = 0
+            for rows, t, d in _pair_chunks(self, src_idx, sinks[missing]):
+                trans[r:r + rows.size, :k][:, missing] = t
+                delay[r:r + rows.size, :k][:, missing] = d
+                r += rows.size
+        self.pairs = (key, *_frozen(sinks, trans, delay))
 
 
 def _frozen(*arrays):
@@ -512,7 +581,10 @@ class ImpulseResponse:
 
     def bin_times_s(self) -> np.ndarray:
         """Bin-center arrival times."""
-        return (np.arange(self.powers_w.size) + 0.5) * self.bin_width_s
+        # i + 0.5 is exact, so this is (arange(n) + 0.5) * bin width
+        t = np.arange(0.5, self.powers_w.size)
+        t *= self.bin_width_s
+        return t
 
 
 def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
@@ -615,38 +687,58 @@ def _second_order_pass(hist, bin_width_s, mesh, src_power, t_elem, sinks,
     nbins = hist.size
     inv_bin = 1.0 / bin_width_s
     total = 0.0
-    for rows, trans, dij_c in mesh.pair_chunks(src_idx, sinks):
-        contrib = src_power[rows, None] * trans * sink_gain[None, :]
+    for rows, trans, delay in mesh.pair_chunks(src_idx, sinks):
+        contrib = src_power[rows, None] * trans
+        contrib *= sink_gain
         live = contrib > 0
-        if not np.any(live):
+        if not live.any():
             continue
-        tt = (t_elem[rows, None] + dij_c + sink_t[None, :])
-        idx = (tt[live] * inv_bin).astype(np.int64)
-        w = contrib[live]
-        hist += np.bincount(idx, weights=w, minlength=nbins)
+        tt = t_elem[rows, None] + delay
+        tt += sink_t
+        tt *= inv_bin
+        if live.all():
+            tt, w = tt.ravel(), contrib.ravel()
+        else:
+            tt, w = tt[live], contrib[live]
+        hist += np.bincount(tt.astype(np.int64), weights=w, minlength=nbins)
         total += float(w.sum())
     return total
 
 
 def _pair_chunks(mesh, src_idx, sinks):
     """Yield (rows, trans, dij / c) per chunk of source rows: the
-    element-to-element transfer and delay of every (source, sink) pair."""
+    element-to-element transfer and delay of every (source, sink) pair.
+    Each step works in place but is the same operation, on the same
+    operands, as the plain expression, so the bits are those of the plain
+    expression; the fewer temporaries keep the main heap smaller."""
     centers, normals, areas = mesh.centers, mesh.normals, mesh.areas
     sink_centers, sink_normals = centers[sinks], normals[sinks]
     sink_areas = areas[sinks]
-    chunk = max(1, _CHUNK_TARGET // centers.shape[0])
+    chunk = mesh.chunk_rows
     for k0 in range(0, src_idx.size, chunk):
         rows = src_idx[k0:k0 + chunk]
         vij = sink_centers[None, :, :] - centers[rows, None, :]  # (c, s, 3)
-        dij = np.sqrt(np.einsum("csj,csj->cs", vij, vij))
+        dij = np.einsum("csj,csj->cs", vij, vij)
+        np.sqrt(dij, out=dij)
         np.maximum(dij, 1e-12, out=dij)
-        cos_emit = np.einsum("csj,cj->cs", vij, normals[rows]) / dij
-        cos_inc = -np.einsum("csj,sj->cs", vij, sink_normals) / dij
+        cos_emit = np.einsum("csj,cj->cs", vij, normals[rows])
+        cos_emit /= dij
+        cos_inc = np.einsum("csj,sj->cs", vij, sink_normals)
+        del vij
+        np.negative(cos_inc, out=cos_inc)
+        cos_inc /= dij
         # both ends must face each other; masking the product alone would
         # wrongly admit back-to-back pairs
-        trans = np.where((cos_emit > 0) & (cos_inc > 0), cos_emit * cos_inc, 0.0)
-        trans *= sink_areas[None, :] / (math.pi * dij ** 2)
-        yield rows, trans, dij / SPEED_OF_LIGHT_M_S
+        facing = (cos_emit > 0) & (cos_inc > 0)
+        trans = cos_emit
+        trans *= cos_inc
+        trans[~facing] = 0.0
+        # sink area / (pi dij^2), in the buffer cos_inc is done with
+        spread = np.square(dij, out=cos_inc)
+        spread *= math.pi
+        trans *= np.divide(sink_areas, spread, out=spread)
+        dij /= SPEED_OF_LIGHT_M_S
+        yield rows, trans, dij
 
 
 # =====================================================================
@@ -664,8 +756,11 @@ def delay_spread(ir: ImpulseResponse) -> float:
         return 0.0
     t = ir.bin_times_s()
     mean = float((p * t).sum() / total)
-    var = float((p * (t - mean) ** 2).sum() / total)
-    return math.sqrt(max(var, 0.0))
+    # p * (t - mean) ** 2, each step in place
+    t -= mean
+    np.square(t, out=t)
+    t *= p
+    return math.sqrt(max(float(t.sum() / total), 0.0))
 
 
 def bandwidth_3db(ir: ImpulseResponse,
@@ -826,11 +921,14 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     all four wavelengths share one trace; a per-wavelength map traces and
     measures each distinct map separately.
 
-    The 3-dB bandwidths are measured on one measuring thread, which owns
-    the one spectrum workspace of the call, while this thread traces the
-    next link and takes its delay spread; the transform's bits do not depend
-    on the thread that takes it. The thread is joined before the call
-    returns or raises, and an exception it meets is raised here.
+    The 3-dB bandwidths are measured on one measuring thread while this
+    thread traces the next link and takes its delay spread. When the queue
+    of two jobs between them is full, this thread measures the oldest job
+    itself, and after its last trace it helps drain the queue; each thread
+    writes its spectra into a workspace of its own. The transform's bits do
+    not depend on the thread that takes it. The measuring thread is joined
+    before the call returns or raises, and the first exception either
+    thread meets is raised here.
 
     The tabulated ``rate_bps`` is the raw channel-supported rate
     (``channel_rate``); FEC de-rating happens later once an assignment fixes
@@ -864,15 +962,24 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     measurer = threading.Thread(target=_measure_bandwidths,
                                 args=(jobs, traces[2], errors), daemon=True)
     measurer.start()
+    # this thread's spectrum buffers, for the jobs it takes itself
+    workspace: Dict[int, np.ndarray] = {}
     try:
         for i, (rx_position_m, wl, unit_ap) in enumerate(links):
             if errors:
                 break
             unit_ir = trace_impulse_response(room, unit_ap, receiver,
                                              rx_position_m, wl)
+            # the measuring thread is behind: take its oldest job; this
+            # thread alone puts, so the queue cannot fill again before put
+            while jobs.full():
+                _take_job(jobs, traces[2], errors, workspace)
             jobs.put((i, unit_ir))
             # unit transmit power: total power is the gain
             traces[:2, i] = unit_ir.total_power_w, delay_spread(unit_ir)
+        # help the measuring thread drain the queue
+        while not errors and _take_job(jobs, traces[2], errors, workspace):
+            pass
     finally:
         jobs.put(None)
         measurer.join()
@@ -896,22 +1003,42 @@ def _measure_bandwidths(jobs, bw: np.ndarray,
     """The measuring thread of ``compute_channel_records``.
 
     Takes ``(trace number, response)`` jobs off the ``queue.Queue`` ``jobs``
-    until ``None`` and writes each response's 3-dB bandwidth into ``bw``,
-    0.0 when no power arrives. The
-    first other exception goes into ``errors`` for the caller to raise;
-    later jobs are drained unmeasured, so the caller never blocks on a full
-    queue.
+    until ``None`` and measures each one (``_measure``) with its own
+    spectrum buffers. Once ``errors`` holds an exception, later jobs are
+    drained unmeasured, so the caller never blocks on a full queue.
     """
     workspace: Dict[int, np.ndarray] = {}
     while (job := jobs.get()) is not None:
-        i, ir = job
+        _measure(job, bw, errors, workspace)
         # hold no response while waiting for the next
         del job
-        if not errors:
-            try:
-                bw[i] = bandwidth_3db(ir, workspace=workspace)
-            except InfeasibleError:
-                bw[i] = 0.0
-            except BaseException as exc:  # raised again by the caller
-                errors.append(exc)
-        del ir
+
+
+def _take_job(jobs, bw: np.ndarray, errors: List[BaseException],
+              workspace: Dict[int, np.ndarray]) -> bool:
+    """Measure the oldest job of ``jobs`` on the calling thread, if there
+    is one; False when the queue is empty."""
+    import queue
+    try:
+        job = jobs.get_nowait()
+    except queue.Empty:
+        return False
+    _measure(job, bw, errors, workspace)
+    return True
+
+
+def _measure(job, bw: np.ndarray, errors: List[BaseException],
+             workspace: Dict[int, np.ndarray]) -> None:
+    """Write the 3-dB bandwidth of a ``(trace number, response)`` job into
+    ``bw``, 0.0 when no power arrives. Another exception goes into
+    ``errors`` for the caller to raise, and nothing is measured once it
+    holds one."""
+    if errors:
+        return
+    i, ir = job
+    try:
+        bw[i] = bandwidth_3db(ir, workspace=workspace)
+    except InfeasibleError:
+        bw[i] = 0.0
+    except BaseException as exc:  # raised again by the caller
+        errors.append(exc)

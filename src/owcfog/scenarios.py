@@ -117,14 +117,19 @@ def generate_ppp_users(room: RoomConfig, intensity_per_m2: float,
     The count is Poisson with mean :func:`ppp_mean_users`; positions are
     i.i.d. uniform over the floor.  Identical seeds give identical draws.
     """
-    mean = ppp_mean_users(room, intensity_per_m2)
     rng = np.random.default_rng(seed)
-    count = int(rng.poisson(mean))
+    count = _ppp_count(rng, room, intensity_per_m2)
     xs = rng.uniform(0.0, room.length_m, size=count)
     ys = rng.uniform(0.0, room.width_m, size=count)
     positions = tuple((float(x), float(y)) for x, y in zip(xs, ys))
     return Scenario(name=f"ppp-{seed}", mode="ppp", seed=seed,
                     positions_m=positions)
+
+
+def _ppp_count(rng: np.random.Generator, room: RoomConfig,
+               intensity_per_m2: float) -> int:
+    """The user count of a PPP draw: the first value drawn from ``rng``."""
+    return int(rng.poisson(ppp_mean_users(room, intensity_per_m2)))
 
 
 def fixed_scenario(name: str, positions_m: Sequence[Sequence[float]],
@@ -158,6 +163,17 @@ def scenario_from_config(cfg: Dict, room: Optional[RoomConfig] = None) -> Scenar
     if sc["name"]:
         scenario.name = sc["name"]
     return scenario
+
+
+def _user_count(cfg: Dict, room: RoomConfig) -> int:
+    """The number of users :func:`scenario_from_config` gives, without
+    drawing their positions: a PPP draw takes its count from the seeded
+    generator before any position."""
+    sc = cfg["scenario"]
+    if sc["mode"] == "fixed":
+        return len(sc["positions_m"])
+    rng = np.random.default_rng(ANALOGUE_SEEDS.get(sc["name"], sc["seed"]))
+    return _ppp_count(rng, room, sc["intensity_per_m2"])
 
 
 # ---------------------------------------------------------------------
@@ -376,18 +392,20 @@ def allocate_scenario(cfg: Dict, time_limit_s: Optional[float] = None
                                  Optional[AllocationSolution]]:
     """Scenario positions → channel records → solved WDMA assignment.
 
-    Before any link is traced, the drawn users must each get a slot and,
-    from a lone ``topology.mobile_rates_mbps`` list, a rate (stand-in
-    colours build that layer).  Returns no solution for an empty scenario.
-    Infeasibility is re-raised with the stage recorded in the report.
+    Before any position is drawn, the user count must fit the slots; then
+    each user must get, from a lone ``topology.mobile_rates_mbps`` list, a
+    rate (stand-in colours build that layer).  Both hold before any link is
+    traced.  Returns no solution for an empty scenario.  Infeasibility is
+    re-raised with the stage recorded in the report.
     """
     room = room_from_config(cfg)
-    scenario = scenario_from_config(cfg, room)
     receiver = receiver_from_config(cfg)
-    if scenario.n_users:
-        topology_from_config(cfg, ["red"] * scenario.n_users)
+    n_users = _user_count(cfg, room)
     try:
-        check_slot_count(scenario.n_users, len(room.aps) * len(WAVELENGTHS))
+        check_slot_count(n_users, len(room.aps) * len(WAVELENGTHS))
+        if n_users:
+            topology_from_config(cfg, ["red"] * n_users)
+        scenario = scenario_from_config(cfg, room)
         records = compute_channel_records(room, receiver, scenario.positions_m)
         if scenario.n_users == 0:
             return scenario, records, None

@@ -9,6 +9,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -428,11 +429,69 @@ def test_shared_views_are_read_only():
     mesh = _room_mesh(room)
     arrays = [mesh.centers, mesh.normals, mesh.areas, *mesh.rx_view[1]]
     arrays += [arr for view in mesh.ap_views.values() for arr in view]
-    arrays += [arr for chunk in mesh.pairs[1] for arr in chunk]
-    assert len(arrays) > 7
+    # the sinks, transfer and delay of the kept pair set
+    arrays += [*mesh.pairs[1:], *mesh.rho_rows.values()]
+    assert len(arrays) > 9
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[...] = arr
+
+
+@pytest.fixture(scope="module")
+def cold_grid():
+    """The default room, its receiver, its 1,024 grid links and each
+    link's response traced with an empty cache."""
+    cfg = load_config()
+    room, rec = room_from_config(cfg), receiver_from_config(cfg)
+    z = room.receiver_plane_m
+    links = [((x, y, z), ap) for x, y in grid_positions(room)
+             for ap in room.aps]
+    cold = []
+    for rxp, ap in links:
+        _clear_tracer_caches()
+        cold.append(trace_impulse_response(room, ap, rec, rxp, "red"))
+    return room, rec, links, cold
+
+
+@pytest.mark.parametrize("order", ["row-major", "reversed", "shuffled"])
+def test_pair_sets_built_from_the_last_equal_cold_traces(order, cold_grid,
+                                                         monkeypatch):
+    # Consecutive positions share most of their sinks, so the kept pair set
+    # is updated in place: shared columns move and only the new ones are
+    # computed. Whatever order the default grid's links are traced in, each
+    # response has the bits of a trace taken with an empty cache.
+    room, rec, links, cold = cold_grid
+    order_of = {"row-major": list(range(len(links))),
+                "reversed": list(range(len(links)))[::-1],
+                "shuffled": np.random.default_rng(7).permutation(len(links))}
+    # columns each pair set asks for, and columns computed for it
+    asked, computed = [], []
+    real_pairs, real_chunks = channel_mod._Mesh.pair_chunks, \
+        channel_mod._pair_chunks
+
+    def pair_chunks(mesh, src_idx, sinks):
+        asked.append(sinks.size)
+        return real_pairs(mesh, src_idx, sinks)
+
+    def chunks(mesh, src_idx, sinks):
+        computed.append(sinks.size)
+        return real_chunks(mesh, src_idx, sinks)
+    monkeypatch.setattr(channel_mod._Mesh, "pair_chunks", pair_chunks)
+    monkeypatch.setattr(channel_mod, "_pair_chunks", chunks)
+    _clear_tracer_caches()
+    for i in order_of[order]:
+        (rxp, ap), want = links[i], cold[i]
+        got = trace_impulse_response(room, ap, rec, rxp, "red")
+        assert got.powers_w.tobytes() == want.powers_w.tobytes()
+        assert got.order_powers_w == want.order_powers_w
+    assert len(asked) == len(links)
+    # a set is built or updated at most once per change of position
+    moves = sum(links[a][0] != links[b][0]
+                for a, b in zip(order_of[order], order_of[order][1:]))
+    assert 0 < len(computed) <= 1 + moves
+    if order != "shuffled":
+        # neighbours: most columns are moved, not computed
+        assert sum(computed) < len(grid_positions(room)) * min(asked) / 2
 
 
 @pytest.mark.slow
@@ -627,25 +686,39 @@ def test_bandwidth_workspace_shared_across_lengths_matches_fresh_calls():
     assert all(buf.shape == (n // 2 + 1,) for n, buf in workspace.items())
 
 
-def test_records_share_one_workspace_and_skip_flat_transforms(monkeypatch):
+def test_records_share_one_workspace_per_thread_and_skip_flat_transforms(
+        monkeypatch):
     # On the default grid 168 of the 1,024 traces are proven flat by their
-    # direct ray, so they read the Nyquist limit without a transform.
+    # direct ray, so they read the Nyquist limit without a transform. The
+    # measuring thread and the calling thread, which takes jobs when the
+    # queue is full, each write every spectrum into a buffer of their own.
     cfg = load_config()
     room, rec = room_from_config(cfg), receiver_from_config(cfg)
     workspaces = []
     real = channel_mod.bandwidth_3db
 
     def spy(ir, *args, **kwargs):
-        workspaces.append(kwargs["workspace"])
+        workspaces.append((threading.get_ident(), kwargs["workspace"]))
         return real(ir, *args, **kwargs)
     monkeypatch.setattr(channel_mod, "bandwidth_3db", spy)
-    rffts = _count_rffts(monkeypatch)
+    rffts = []
+    real_rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        rffts.append((threading.get_ident(), kwargs.get("n"),
+                      kwargs.get("out")))
+        return real_rfft(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "rfft", counted)
     records = compute_channel_records(room, rec, grid_positions(room))
     assert len(workspaces) == 1024
-    assert all(ws is workspaces[0] for ws in workspaces)
-    assert list(workspaces[0]) == [65536]
+    of_thread = dict(workspaces)
+    assert 1 <= len(of_thread) <= 2
+    assert all(ws is of_thread[thread] for thread, ws in workspaces)
+    assert len({id(ws) for ws in of_thread.values()}) == len(of_thread)
+    assert all(list(ws) in ([], [65536]) for ws in of_thread.values())
     assert len(rffts) == 856
-    assert all(out is workspaces[0][65536] for _, out in rffts)
+    assert all(n == 65536 and out is of_thread[thread][65536]
+               for thread, n, out in rffts)
     nyquist = 1.0 / (2.0 * room.time_bin_s)
     red = records.bw_3db_hz[..., WAVELENGTHS.index("red")]
     assert np.count_nonzero(red == nyquist) == 204
@@ -693,6 +766,24 @@ def test_flat_certificate_covers_bounded_transforms(monkeypatch):
     monkeypatch.setattr(channel_mod, "_MIN_FFT", 2 * longest)
     assert bandwidth_3db(ir) == 50e9
     assert [n for n, _ in rffts] == [2 * longest]
+
+
+def test_delay_spread_has_the_bits_of_the_plain_expressions():
+    # delay_spread works in place; the plain form allocates every step
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        p = rng.random(int(rng.integers(1, 9000))) * 10.0 ** rng.uniform(-9, 0)
+        p[rng.random(p.size) < 0.3] = 0.0
+        ir = _ir(p)
+        t = (np.arange(p.size) + 0.5) * ir.bin_width_s
+        assert ir.bin_times_s().tobytes() == t.tobytes()
+        total = p.sum()
+        want = 0.0
+        if total > 0.0 and np.count_nonzero(p) > 1:
+            mean = float((p * t).sum() / total)
+            want = math.sqrt(max(float((p * (t - mean) ** 2).sum() / total),
+                                 0.0))
+        assert delay_spread(ir).hex() == want.hex()
 
 
 @given(st.floats(min_value=1e-9, max_value=1e3))
@@ -871,23 +962,32 @@ def _assert_same_records(got, want):
         assert np.array_equal(getattr(got, f), getattr(want, f)), f
 
 
-@pytest.mark.parametrize("name, error", [
-    ("bandwidth_3db", RuntimeError("spectrum failed")),
-    ("trace_impulse_response", ConfigError("trace failed")),
+@pytest.mark.parametrize("name, error, where", [
+    ("bandwidth_3db", RuntimeError("spectrum failed"), "fifth call"),
+    ("trace_impulse_response", ConfigError("trace failed"), "fifth call"),
+    ("bandwidth_3db", RuntimeError("spectrum failed"), "calling thread"),
 ])
 def test_records_raise_a_failed_step_and_leave_no_thread(monkeypatch, name,
-                                                         error):
-    # a failure on either thread reaches the caller, the measuring thread
-    # is joined, and the next call on the same room is clean
+                                                         error, where):
+    # A failure on either thread reaches the caller, the measuring thread
+    # is joined, and the next call on the same room is clean. In the last
+    # case the measuring thread is slowed until the queue fills, so the
+    # calling thread takes jobs, and every measurement it takes fails.
     room, rec = _coarse_room(), ReceiverSpec()
     positions = [(1.0, 1.0), (6.0, 3.0)]
     clean = compute_channel_records(room, rec, positions)
     real = getattr(channel_mod, name)
-    calls = []
+    calls, failures = [], []
 
     def failing(*args, **kwargs):
         calls.append(None)
-        if len(calls) == 5:
+        if where == "calling thread":
+            if threading.current_thread() is threading.main_thread():
+                failures.append(None)
+                raise error
+            time.sleep(0.005)
+        elif len(calls) == 5:
+            failures.append(None)
             raise error
         return real(*args, **kwargs)
     monkeypatch.setattr(channel_mod, name, failing)
@@ -895,6 +995,7 @@ def test_records_raise_a_failed_step_and_leave_no_thread(monkeypatch, name,
     with pytest.raises(type(error)) as raised:
         compute_channel_records(room, rec, positions)
     assert raised.value is error
+    assert len(failures) == 1
     assert threading.active_count() == threads
     monkeypatch.setattr(channel_mod, name, real)
     _assert_same_records(compute_channel_records(room, rec, positions), clean)

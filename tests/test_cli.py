@@ -246,10 +246,36 @@ def test_chain_refuses_wrong_rate_count_before_tracing(command, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture
+def uniform_draws(monkeypatch):
+    """Sizes of the ``Generator.uniform`` draws of every generator made
+    through ``numpy.random.default_rng``, one entry each."""
+    import numpy as np
+
+    sizes = []
+    make = np.random.default_rng
+
+    class Spied:
+        def __init__(self, *args, **kwargs):
+            self._rng = make(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def uniform(self, *args, **kwargs):
+            sizes.append(kwargs.get("size"))
+            return self._rng.uniform(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", Spied)
+    return sizes
+
+
 @pytest.mark.parametrize("command", ["allocate", "chain"])
 def test_more_users_than_slots_refused_before_tracing(command, tmp_path,
-                                                      capsys, trace_calls):
-    # seed 0 at 1.2 users per m^2 draws 41 users for 8 APs x 4 wavelengths
+                                                      capsys, trace_calls,
+                                                      uniform_draws):
+    # seed 0 at 1.2 users per m^2 draws 41 users for 8 APs x 4 wavelengths;
+    # the count alone refuses them, before any position is drawn
     code, out, err = _run([command, "--out", str(tmp_path / "out"),
                            "--seed", "0", "--override",
                            "scenario.intensity_per_m2=1.2"], capsys)
@@ -260,6 +286,7 @@ def test_more_users_than_slots_refused_before_tracing(command, tmp_path,
         'AP-wavelength slots", "report": {"constraint": "slot_once", '
         '"slots": 32, "stage": "allocate", "users": 41}}\n')
     assert len(trace_calls) == 0
+    assert uniform_draws == []
     assert not (tmp_path / "out").exists()
 
 
