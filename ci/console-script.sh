@@ -31,6 +31,9 @@ code=0; owcfog chain --out "$RUNNER_TEMP/rates" --seed 0 --override 'topology.mo
 code=0; owcfog allocate --out "$RUNNER_TEMP/rates-allocate" --seed 0 --override 'topology.mobile_rates_mbps=[100,200]' || code=$?; test $code -eq 1
 # about 3.2e7 users: the count alone is refused, before any position is drawn
 code=0; owcfog chain --out "$RUNNER_TEMP/crowd" --override scenario.intensity_per_m2=1e6 || code=$?; test $code -eq 2
+# the placement search recurses once per task: too deep for 1,200 tasks
+code=0; owcfog place --out "$RUNNER_TEMP/deep" --override tasks=1200 --override workload=100 --override drr=0.002 2> "$RUNNER_TEMP/deep.err" || code=$?; test $code -eq 1
+test "$(wc -l < "$RUNNER_TEMP/deep.err")" -eq 1
 # numpy cannot draw a Poisson count with a mean past about 9.2e18
 code=0; owcfog validate --override scenario.intensity_per_m2=1e300 || code=$?; test $code -eq 1
 code=0; owcfog place --out "$RUNNER_TEMP/huge" --override 'workload=[1e300]' 2> "$RUNNER_TEMP/huge.err" || code=$?; test $code -eq 2

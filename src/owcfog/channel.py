@@ -21,16 +21,15 @@ Work that does not depend on the whole link is shared between links through
 one cached ``_Mesh``, the mesh of the last room geometry traced, which lives
 until a room of another geometry or element cap is traced. All the arrays it
 hands out are read-only. Besides the element centers, normals and areas, it
-holds each element's reflectivity under each map traced (no more rows than
-there are wavelengths), the power landing on each element and its delay for
-each AP traced, keyed on the AP's position, Lambertian order and power (no
-more views than the traced room has APs times wavelengths; past that they
-are all dropped), each element's gain and delay toward the last receiver
-position, and one pair set: the element-pair transfer and delay of the last
-second-bounce (sources, sinks) set, when it holds at most ``_CHUNK_TARGET``
-pairs. On the default room every AP lights the same 416 elements, so the
-set changes only with the receiver position, and a neighbouring position
-shares most of its sinks. A set with the last one's sources and at least
+holds the power landing on each element and its delay for each AP traced,
+keyed on the AP's position, Lambertian order and power (no more views than
+the traced room has APs times wavelengths; past that they are all dropped),
+each element's gain and delay toward the last receiver position, and one
+pair set: the element-pair transfer and delay of the last second-bounce
+(sources, sinks) set, when it holds at most ``_CHUNK_TARGET`` pairs. On the
+default room every AP lights the same 416 elements, so the set changes only
+with the receiver position, and a neighbouring position shares most of its
+sinks. A set with the last one's sources and at least
 half its sinks is therefore written over it in place: the shared sink
 columns move, in ascending element order, and only the new ones are
 computed. A pair's values depend on its two elements alone, so a moved
@@ -54,13 +53,12 @@ spectrum. Two shortcuts leave every answer's bits unchanged:
 
 ``compute_channel_records`` takes those measurements on one measuring
 thread while the calling thread traces the next link; numpy's FFT releases
-the interpreter lock, so the two overlap. The transforms take longer than
-the traces, so when the queue between the threads is full, the calling
-thread measures its oldest job itself, and after its last trace it helps
-drain the queue. Each thread has a workspace of its own, and both are
-dropped when the call returns. Which thread measures a response varies from
-run to run, but the same transform of the same response gives the same
-bits on any thread, so every record is unchanged.
+the interpreter lock, so the two overlap. A response that finds the queue
+between the threads full is measured by the calling thread instead. Each
+thread has a workspace of its own, and both are dropped when the call
+returns. Which thread measures a response varies from run to run, but the
+same transform of the same response gives the same bits on any thread, so
+every record is unchanged.
 
 Conventions:
     - SI units throughout (metres, seconds, watts, hertz).
@@ -190,7 +188,7 @@ class RoomConfig:
 
     Reflectivity is a mapping ``wavelength -> {"walls": r, "ceiling": r,
     "floor": r}``; a flat ``{"walls": ..., ...}`` mapping is accepted and
-    applied to every wavelength.
+    applied to every wavelength. ``aps=None`` is the default 4 x 2 grid.
     """
 
     length_m: float = 8.0
@@ -205,7 +203,7 @@ class RoomConfig:
     receiver_plane_m: float = 1.0
     grid_nx: int = 16
     grid_ny: int = 8
-    aps: List[AccessPoint] = field(default_factory=list)
+    aps: Optional[Sequence[AccessPoint]] = None
 
     def __post_init__(self):
         for key in ("length_m", "width_m", "height_m", "element_edge_m",
@@ -218,8 +216,10 @@ class RoomConfig:
         if not self.receiver_plane_m < self.height_m:
             raise ConfigError("room.receiver_plane_m must be positive and "
                               "finite, and below the ceiling")
-        if not self.aps:
+        if self.aps is None:
             self.aps = default_ap_grid(self.length_m, self.width_m, self.height_m)
+        elif not self.aps:
+            raise ConfigError("room.aps must list at least one AP")
         seen = set()
         for ap in self.aps:
             if ap.ap_id in seen:
@@ -414,8 +414,6 @@ class _Mesh:
         self.counts = counts
         #: source rows per chunk of the second-order pass
         self.chunk_rows = max(1, _CHUNK_TARGET // centers.shape[0])
-        #: face reflectivities (floor, ceiling, four walls) -> element rows
-        self.rho_rows: Dict[Tuple, np.ndarray] = {}
         #: (AP position, Lambertian order, power) -> (p_elem, t_elem)
         self.ap_views: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         #: (receiver position, field of view, area), (g_rx, t_rx)
@@ -426,16 +424,9 @@ class _Mesh:
         self.pairs: Tuple = (None, None, None, None)
 
     def rhos(self, refl: Dict[str, float]) -> np.ndarray:
-        """Each element's reflectivity under one map. Past one row per
-        wavelength, all are dropped."""
+        """Each element's reflectivity under one map."""
         face_rhos = (refl["floor"], refl["ceiling"]) + (refl["walls"],) * 4
-        row = self.rho_rows.get(face_rhos)
-        if row is None:
-            if len(self.rho_rows) >= len(WAVELENGTHS):
-                self.rho_rows.clear()
-            row, = _frozen(np.repeat(np.array(face_rhos, float), self.counts))
-            self.rho_rows[face_rhos] = row
-        return row
+        return np.repeat(np.array(face_rhos, float), self.counts)
 
     def ap(self, room, ap, po):
         """The ``_ap_transfer`` view of ``ap`` sending ``po`` watts. Past
@@ -771,8 +762,9 @@ def bandwidth_3db(ir: ImpulseResponse,
     the first frequency where |H(f)| / |H(0)| falls below 1/sqrt(2),
     linearly interpolated between DFT samples. A response that never
     crosses within the representable band (e.g. a single impulse: perfectly
-    flat |H|) reports the Nyquist limit 1 / (2 * bin width). When the largest bin proves that no sample can
-    cross (``_flat_to_nyquist``), the limit is returned without a transform.
+    flat |H|) reports the Nyquist limit 1 / (2 * bin width). When the
+    largest bin proves that no sample can cross (``_flat_to_nyquist``), the
+    limit is returned without a transform.
 
     Args:
         workspace: optional dict, transform length -> spectrum buffer. The
@@ -921,14 +913,11 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     all four wavelengths share one trace; a per-wavelength map traces and
     measures each distinct map separately.
 
-    The 3-dB bandwidths are measured on one measuring thread while this
-    thread traces the next link and takes its delay spread. When the queue
-    of two jobs between them is full, this thread measures the oldest job
-    itself, and after its last trace it helps drain the queue; each thread
-    writes its spectra into a workspace of its own. The transform's bits do
-    not depend on the thread that takes it. The measuring thread is joined
-    before the call returns or raises, and the first exception either
-    thread meets is raised here.
+    The 3-dB bandwidths are measured on one measuring thread, the only
+    consumer of a queue of two jobs, while this thread traces the next link
+    and takes its delay spread; a trace that finds the queue full is
+    measured here. The measuring thread is joined before the call returns
+    or raises, and the first exception either thread meets is raised here.
 
     The tabulated ``rate_bps`` is the raw channel-supported rate
     (``channel_rate``); FEC de-rating happens later once an assignment fixes
@@ -962,7 +951,7 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     measurer = threading.Thread(target=_measure_bandwidths,
                                 args=(jobs, traces[2], errors), daemon=True)
     measurer.start()
-    # this thread's spectrum buffers, for the jobs it takes itself
+    # this thread's spectrum buffers, for the traces it measures itself
     workspace: Dict[int, np.ndarray] = {}
     try:
         for i, (rx_position_m, wl, unit_ap) in enumerate(links):
@@ -970,16 +959,13 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
                 break
             unit_ir = trace_impulse_response(room, unit_ap, receiver,
                                              rx_position_m, wl)
-            # the measuring thread is behind: take its oldest job; this
-            # thread alone puts, so the queue cannot fill again before put
-            while jobs.full():
-                _take_job(jobs, traces[2], errors, workspace)
-            jobs.put((i, unit_ir))
+            try:
+                jobs.put_nowait((i, unit_ir))
+            except queue.Full:
+                # the measuring thread is two behind: measure this one here
+                _measure(i, unit_ir, traces[2], errors, workspace)
             # unit transmit power: total power is the gain
             traces[:2, i] = unit_ir.total_power_w, delay_spread(unit_ir)
-        # help the measuring thread drain the queue
-        while not errors and _take_job(jobs, traces[2], errors, workspace):
-            pass
     finally:
         jobs.put(None)
         measurer.join()
@@ -1000,42 +986,25 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
 
 def _measure_bandwidths(jobs, bw: np.ndarray,
                         errors: List[BaseException]) -> None:
-    """The measuring thread of ``compute_channel_records``.
-
-    Takes ``(trace number, response)`` jobs off the ``queue.Queue`` ``jobs``
-    until ``None`` and measures each one (``_measure``) with its own
+    """The measuring thread of ``compute_channel_records``: measures each
+    ``(trace number, response)`` job of ``jobs`` until ``None`` with its own
     spectrum buffers. Once ``errors`` holds an exception, later jobs are
-    drained unmeasured, so the caller never blocks on a full queue.
-    """
+    drained unmeasured, so the caller never blocks on a full queue."""
     workspace: Dict[int, np.ndarray] = {}
     while (job := jobs.get()) is not None:
-        _measure(job, bw, errors, workspace)
+        _measure(*job, bw, errors, workspace)
         # hold no response while waiting for the next
         del job
 
 
-def _take_job(jobs, bw: np.ndarray, errors: List[BaseException],
-              workspace: Dict[int, np.ndarray]) -> bool:
-    """Measure the oldest job of ``jobs`` on the calling thread, if there
-    is one; False when the queue is empty."""
-    import queue
-    try:
-        job = jobs.get_nowait()
-    except queue.Empty:
-        return False
-    _measure(job, bw, errors, workspace)
-    return True
-
-
-def _measure(job, bw: np.ndarray, errors: List[BaseException],
-             workspace: Dict[int, np.ndarray]) -> None:
-    """Write the 3-dB bandwidth of a ``(trace number, response)`` job into
-    ``bw``, 0.0 when no power arrives. Another exception goes into
+def _measure(i: int, ir: ImpulseResponse, bw: np.ndarray,
+             errors: List[BaseException], workspace: Dict) -> None:
+    """Write the 3-dB bandwidth of trace ``i``, response ``ir``, into
+    ``bw[i]``, 0.0 when no power arrives. Another exception goes into
     ``errors`` for the caller to raise, and nothing is measured once it
     holds one."""
     if errors:
         return
-    i, ir = job
     try:
         bw[i] = bandwidth_3db(ir, workspace=workspace)
     except InfeasibleError:

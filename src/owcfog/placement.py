@@ -419,7 +419,9 @@ def solve_branch_and_bound(problem: PlacementProblem,
     branching, so ``nodes`` counts only the nodes searched.  On a timeout
     the incumbent is the cheaper of the probe's band leaf and the second
     pass's incumbent, and ``gap`` is measured against ``LB - s``, which is
-    at most the optimum.
+    at most the optimum.  The search recurses once per task, so a problem
+    deeper than the interpreter's recursion limit (about 1,000 tasks) is
+    refused with ``ResourceLimitError``.
     """
     t0 = time.monotonic()
     prep = _prepare(problem)
@@ -509,7 +511,15 @@ def solve_branch_and_bound(problem: PlacementProblem,
             if stop:
                 break
 
-    descend(0, 0.0)
+    def search() -> None:
+        try:
+            descend(0, 0.0)
+        except RecursionError:
+            raise ResourceLimitError(
+                f"{n} tasks nest the placement search deeper than the "
+                f"interpreter's recursion limit") from None
+
+    search()
     cutoff_nodes = nodes
     settled = best_asg is not None \
         and best_obj < root_bound + tol - 2 * slack
@@ -517,7 +527,7 @@ def solve_branch_and_bound(problem: PlacementProblem,
     if not settled and not timed_out and root_bound is not None:
         probing = stop = False
         best_obj = best_asg = None
-        descend(0, 0.0)
+        search()
         if timed_out and band_asg is not None \
                 and (best_asg is None or band_obj < best_obj):
             best_obj, best_asg = band_obj, band_asg

@@ -430,7 +430,7 @@ def test_shared_views_are_read_only():
     arrays = [mesh.centers, mesh.normals, mesh.areas, *mesh.rx_view[1]]
     arrays += [arr for view in mesh.ap_views.values() for arr in view]
     # the sinks, transfer and delay of the kept pair set
-    arrays += [*mesh.pairs[1:], *mesh.rho_rows.values()]
+    arrays += [*mesh.pairs[1:]]
     assert len(arrays) > 9
     for arr in arrays:
         with pytest.raises(ValueError):
@@ -690,8 +690,9 @@ def test_records_share_one_workspace_per_thread_and_skip_flat_transforms(
         monkeypatch):
     # On the default grid 168 of the 1,024 traces are proven flat by their
     # direct ray, so they read the Nyquist limit without a transform. The
-    # measuring thread and the calling thread, which takes jobs when the
-    # queue is full, each write every spectrum into a buffer of their own.
+    # measuring thread and the calling thread, which measures the traces
+    # that find the queue full, each write every spectrum into a buffer of
+    # their own.
     cfg = load_config()
     room, rec = room_from_config(cfg), receiver_from_config(cfg)
     workspaces = []
@@ -842,6 +843,13 @@ def test_room_rejects_non_finite_sizes(field):
             RoomConfig(**{field: bad})
 
 
+def test_room_refuses_an_empty_ap_list():
+    # omitted APs are the default grid; an empty list is not
+    assert len(RoomConfig(aps=None).aps) == 8
+    with pytest.raises(ConfigError, match="at least one AP"):
+        RoomConfig(aps=[])
+
+
 def test_grid_positions_cover_room():
     room = _coarse_room()
     pts = grid_positions(room)
@@ -972,7 +980,7 @@ def test_records_raise_a_failed_step_and_leave_no_thread(monkeypatch, name,
     # A failure on either thread reaches the caller, the measuring thread
     # is joined, and the next call on the same room is clean. In the last
     # case the measuring thread is slowed until the queue fills, so the
-    # calling thread takes jobs, and every measurement it takes fails.
+    # calling thread measures traces itself, and every one of them fails.
     room, rec = _coarse_room(), ReceiverSpec()
     positions = [(1.0, 1.0), (6.0, 3.0)]
     clean = compute_channel_records(room, rec, positions)
@@ -1023,19 +1031,52 @@ def test_records_of_unlit_links_are_zero():
         assert got == [row[f] for row in alone for f in fields]
 
 
-def test_records_keep_their_bits_under_fast_thread_switching():
-    # switching threads every microsecond interleaves the tracer and the
-    # measuring thread at many more points than a normal run
+@pytest.mark.parametrize("interleaving", ["fast-switching",
+                                          "slow-measuring-thread"])
+def test_records_keep_their_bits_however_the_threads_interleave(
+        interleaving, monkeypatch):
+    # Switching threads every microsecond interleaves the tracer and the
+    # measuring thread at many more points than a normal run. A measuring
+    # thread that sleeps 10 ms a job keeps the queue full, so the calling
+    # thread measures most traces, and the measuring thread measures the
+    # queued tail after the last trace.
     room, rec = _coarse_room(), ReceiverSpec()
     positions = grid_positions(room)[::16]
     clean = compute_channel_records(room, rec, positions)
+    traced, measured = [], []
+    real_trace, real_bw = (channel_mod.trace_impulse_response,
+                           channel_mod.bandwidth_3db)
+
+    def counted_trace(*args, **kwargs):
+        ir = real_trace(*args, **kwargs)
+        traced.append(None)
+        return ir
+
+    def slow_bw(*args, **kwargs):
+        on_caller = threading.current_thread() is threading.main_thread()
+        measured.append((on_caller, len(traced)))
+        if not on_caller:
+            time.sleep(0.01)
+        return real_bw(*args, **kwargs)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    if interleaving == "fast-switching":
+        sys.setswitchinterval(1e-6)
+    else:
+        monkeypatch.setattr(channel_mod, "trace_impulse_response",
+                            counted_trace)
+        monkeypatch.setattr(channel_mod, "bandwidth_3db", slow_bw)
+    threads = threading.active_count()
     try:
-        switched = compute_channel_records(room, rec, positions)
+        got = compute_channel_records(room, rec, positions)
     finally:
         sys.setswitchinterval(interval)
-    _assert_same_records(switched, clean)
+    _assert_same_records(got, clean)
+    assert threading.active_count() == threads
+    if interleaving == "slow-measuring-thread":
+        links = len(positions) * len(room.aps)
+        assert len(measured) == len(traced) == links
+        assert any(on_caller for on_caller, _ in measured)
+        assert (False, links) in measured
 
 
 def test_records_reject_outside_room():

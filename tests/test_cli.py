@@ -290,6 +290,24 @@ def test_more_users_than_slots_refused_before_tracing(command, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["place", "sweep", "chain"])
+def test_placement_deeper_than_the_recursion_limit_refused(command, tmp_path,
+                                                           capsys):
+    # the placement search recurses once per task, so 1,200 tasks cannot
+    # be searched; the stage ends in one resource-limit line
+    code, out, err = _run([command, "--out", str(tmp_path / "out"),
+                           "--override", "tasks=1200",
+                           "--override", "workload=[100]",
+                           "--override", "drr=[0.002]"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "resource_limit"
+    assert "1200 tasks" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("under", [False, True],
                          ids=["out-is-a-file", "out-under-a-file"])
 def test_unwritable_out_is_output_error(under, tmp_path, capsys):
