@@ -1,11 +1,13 @@
 # The installed console script: every stage once through the `owcfog` entry
 # point, then the exit code of each input it must refuse.  Needs `owcfog`,
-# `taskset` and `cmp` on PATH and RUNNER_TEMP naming a scratch directory; run
-# it as `bash -eo pipefail ci/console-script.sh`, which is how the workflow
-# and tests/test_cli.py run it.
+# `taskset`, `timeout` and `cmp` on PATH and RUNNER_TEMP naming a scratch
+# directory; run it as `bash -eo pipefail ci/console-script.sh`, which is how
+# the workflow and tests/test_cli.py run it.
 owcfog validate
 # the rates alone size the mobile layer; overrides complete a config file
 owcfog validate --override 'topology.mobile_rates_mbps=[100,200,300]'
+# the sweep is validated per axis entry, not by building every cell's tasks
+timeout 30 owcfog validate --override tasks=2000000
 printf '{"scenario":{"mode":"fixed"}}' > "$RUNNER_TEMP/fixed.json"
 owcfog validate --config "$RUNNER_TEMP/fixed.json" --override 'scenario.positions_m=[[1,1]]'
 owcfog place --out "$RUNNER_TEMP/place" --override tasks=1

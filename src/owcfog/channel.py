@@ -53,12 +53,13 @@ spectrum. Two shortcuts leave every answer's bits unchanged:
 
 ``compute_channel_records`` takes those measurements on one measuring
 thread while the calling thread traces the next link; numpy's FFT releases
-the interpreter lock, so the two overlap. A response that finds the queue
-between the threads full is measured by the calling thread instead. Each
-thread has a workspace of its own, and both are dropped when the call
-returns. Which thread measures a response varies from run to run, but the
-same transform of the same response gives the same bits on any thread, so
-every record is unchanged.
+the interpreter lock, so the two overlap. The queue between the threads is
+bounded by the bytes of the responses waiting in it (``_QUEUE_BYTES``), and
+a response that would pass the bound is measured by the calling thread
+instead. Each thread has a workspace of its own, and both are dropped when
+the call returns. Which thread measures a response varies from run to run,
+but the same transform of the same response gives the same bits on any
+thread, so every record is unchanged.
 
 Conventions:
     - SI units throughout (metres, seconds, watts, hertz).
@@ -112,6 +113,14 @@ _FFT_BLOCK = 512
 # longest transform its rounding argument covers (see ``_flat_to_nyquist``).
 _FLAT_MARGIN = 1e-9
 _FLAT_MAX_FFT = 1 << 20
+
+# Bytes of the responses that may wait for the measuring thread: about
+# eight default responses (39-52 KB each). A transform the calling thread
+# takes runs beside the measuring thread's at a fraction of the speed, and
+# faults the 512 KB FFT scratch back into the main heap. A queue this deep
+# absorbs the bursts in which tracing runs ahead, so the calling thread
+# takes fewer transforms; twice the bound held 0.5 MB more for no gain.
+_QUEUE_BYTES = 384 * 1024
 
 
 # =====================================================================
@@ -653,10 +662,12 @@ def _alloc_bins(room: RoomConfig, max_order: int):
 
 
 def _trim(hist: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(hist)[0]
-    if nz.size == 0:
+    # argmax stops at the first nonzero bin from the end
+    nonzero = hist[::-1] != 0
+    k = int(nonzero.argmax())
+    if not nonzero[k]:
         return hist[:1].copy()
-    return hist[: nz[-1] + 1].copy()
+    return hist[:hist.size - k].copy()
 
 
 def _second_order_pass(hist, bin_width_s, mesh, src_power, t_elem, sinks,
@@ -914,10 +925,11 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     measures each distinct map separately.
 
     The 3-dB bandwidths are measured on one measuring thread, the only
-    consumer of a queue of two jobs, while this thread traces the next link
-    and takes its delay spread; a trace that finds the queue full is
-    measured here. The measuring thread is joined before the call returns
-    or raises, and the first exception either thread meets is raised here.
+    consumer of a queue of responses, while this thread traces the next
+    link and takes its delay spread; a trace that would take the queued
+    responses past ``_QUEUE_BYTES`` is measured here. The measuring thread
+    is joined before the call returns or raises, and the first exception
+    either thread meets is raised here.
 
     The tabulated ``rate_bps`` is the raw channel-supported rate
     (``channel_rate``); FEC de-rating happens later once an assignment fixes
@@ -946,10 +958,15 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     # imported here, as the stages that never trace (place, sweep,
     # validate) would otherwise carry it in memory
     import queue
-    jobs = queue.Queue(maxsize=2)
+    jobs = queue.SimpleQueue()
+    # bytes of the responses put on the queue, and of those the measuring
+    # thread has taken off it; each count is written by one thread alone,
+    # and a stale ``taken`` only overstates what is queued
+    sent, taken = 0, [0]
     errors: List[BaseException] = []
     measurer = threading.Thread(target=_measure_bandwidths,
-                                args=(jobs, traces[2], errors), daemon=True)
+                                args=(jobs, taken, traces[2], errors),
+                                daemon=True)
     measurer.start()
     # this thread's spectrum buffers, for the traces it measures itself
     workspace: Dict[int, np.ndarray] = {}
@@ -959,10 +976,12 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
                 break
             unit_ir = trace_impulse_response(room, unit_ap, receiver,
                                              rx_position_m, wl)
-            try:
-                jobs.put_nowait((i, unit_ir))
-            except queue.Full:
-                # the measuring thread is two behind: measure this one here
+            size = unit_ir.powers_w.nbytes
+            if sent + size - taken[0] <= _QUEUE_BYTES:
+                sent += size
+                jobs.put((i, unit_ir))
+            else:
+                # the measuring thread is too far behind: measure it here
                 _measure(i, unit_ir, traces[2], errors, workspace)
             # unit transmit power: total power is the gain
             traces[:2, i] = unit_ir.total_power_w, delay_spread(unit_ir)
@@ -984,14 +1003,16 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
         channel_rate(bw, receiver.bandwidth_hz, receiver.rate_factor))
 
 
-def _measure_bandwidths(jobs, bw: np.ndarray,
+def _measure_bandwidths(jobs, taken: List[int], bw: np.ndarray,
                         errors: List[BaseException]) -> None:
     """The measuring thread of ``compute_channel_records``: measures each
     ``(trace number, response)`` job of ``jobs`` until ``None`` with its own
-    spectrum buffers. Once ``errors`` holds an exception, later jobs are
-    drained unmeasured, so the caller never blocks on a full queue."""
+    spectrum buffers, adding each response's bytes to ``taken[0]`` as it
+    takes it. Once ``errors`` holds an exception, later jobs are taken
+    unmeasured."""
     workspace: Dict[int, np.ndarray] = {}
     while (job := jobs.get()) is not None:
+        taken[0] += job[1].powers_w.nbytes
         _measure(*job, bw, errors, workspace)
         # hold no response while waiting for the next
         del job

@@ -16,7 +16,9 @@ Every range is checked by the object or function that uses the value
 (``RoomConfig``, ``AccessPoint``, ``ReceiverSpec``,
 ``build_reference_topology``, ``fixed_scenario``, ``ppp_mean_users``,
 ``demands_from_drr``), and validation builds each of them once, so a
-document that loads is one every stage accepts.
+document that loads is one every stage accepts.  The sweep is checked with
+one task per axis entry and the task count alone, not with the full task
+list of every cell.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from .channel import WAVELENGTHS, ReceiverSpec, RoomConfig, default_ap_grid
 from .errors import ConfigError
-from .placement import demands_from_drr
+from .placement import check_task_count, demands_from_drr
 from .topology import build_reference_topology
 
 __all__ = [
@@ -268,11 +270,12 @@ def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
     sw = cfg["sweep"]
     for key in ("drr", "workload_mips"):
         _expect(sw[key], f"sweep.{key} must be a non-empty list")
-    # a cell per axis entry checks each drr, each workload and the count
+    # the count, then one task per axis entry checks each drr and workload
+    check_task_count(sw["tasks"])
     for drr in sw["drr"]:
-        demands_from_drr(sw["workload_mips"][0], drr, sw["tasks"])
+        demands_from_drr(sw["workload_mips"][0], drr, 1)
     for workload in sw["workload_mips"][1:]:
-        demands_from_drr(workload, sw["drr"][0], sw["tasks"])
+        demands_from_drr(workload, sw["drr"][0], 1)
     return cfg
 
 

@@ -70,6 +70,14 @@ class TaskDemand:
                 f"task {self.task_id}: flow must be finite and >= 0")
 
 
+def check_task_count(count: int) -> None:
+    """Refuse a task count that is not a positive ``int``: a float would
+    fail in ``range``, and ``True`` would count as one task."""
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ConfigError(
+            f"sweep.tasks must be a positive integer, got {count!r}")
+
+
 def demands_from_drr(workload_mips: float, drr: float, count: int,
                      sources: Optional[Sequence[str]] = None,
                      ) -> List[TaskDemand]:
@@ -85,9 +93,7 @@ def demands_from_drr(workload_mips: float, drr: float, count: int,
         sources = [f"mobile_{i}" for i in range(8)]
     if not sources:
         raise ConfigError("no mobile unit to source the tasks")
-    if not count >= 1:
-        raise ConfigError(
-            f"sweep.tasks must be a positive integer, got {count!r}")
+    check_task_count(count)
     if not 0 < drr < 1:
         raise ConfigError(f"sweep.drr entries must be in (0, 1), positive "
                           f"and below 1.0, got {drr!r}")

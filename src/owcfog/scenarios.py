@@ -225,7 +225,8 @@ Table = Tuple[List[str], List[List[object]]]
 
 #: Rows formatted into one string per ``write`` call when a bundle is
 #: written: enough to keep the call count low, few enough that no table's
-#: whole text is ever in memory.
+#: whole text is ever in memory. The text of each repeated float is kept
+#: for one batch of rows, then dropped.
 WRITE_BATCH_ROWS = 1024
 
 
@@ -241,6 +242,17 @@ def _cell(value: object) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+class _FloatTexts(dict):
+    """float -> its ``_cell`` text, taken on first lookup. Only nonzero,
+    non-NaN floats are looked up: 0.0 and -0.0 are equal keys with
+    different text, NaN never finds itself, and an equal int or bool would
+    share a float's key."""
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value)
+        return text
 
 
 @dataclass
@@ -260,13 +272,18 @@ class ResultBundle:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         written: List[Path] = []
+        # the four wavelength rows of a link repeat its floats
+        texts = _FloatTexts()
         for stage, (header, rows) in self.tables.items():
             path = out / f"{stage}.csv"
             with _open_text(path) as f:
                 f.write(",".join(header) + "\n")
                 for start in range(0, len(rows), WRITE_BATCH_ROWS):
+                    texts.clear()
                     f.write("".join(
-                        ",".join(_cell(v) for v in row) + "\n"
+                        ",".join([texts[v] if type(v) is float and v
+                                  and v == v else _cell(v) for v in row])
+                        + "\n"
                         for row in rows[start:start + WRITE_BATCH_ROWS]))
             written.append(path)
         manifest_path = out / "manifest"

@@ -7,6 +7,7 @@ no code beyond the public API.
 
 import hashlib
 import math
+import queue
 import sys
 import threading
 import time
@@ -1077,6 +1078,65 @@ def test_records_keep_their_bits_however_the_threads_interleave(
         assert len(measured) == len(traced) == links
         assert any(on_caller for on_caller, _ in measured)
         assert (False, links) in measured
+
+
+@pytest.mark.parametrize("measuring_thread", ["as-run", "slowed"])
+def test_records_queue_no_more_than_the_byte_bound(measuring_thread,
+                                                   monkeypatch):
+    # A spy on the queue between the threads counts the bytes of the
+    # responses waiting in it at every put and get. It adds a response
+    # before the put and takes it off after the get, so it never reads
+    # less than is queued. A measuring thread slowed by 2 ms a job keeps
+    # the queue at its bound.
+    cfg = load_config()
+    room, rec = room_from_config(cfg), receiver_from_config(cfg)
+    lock = threading.Lock()
+    queued, peaks, on_caller = [0], [], []
+
+    class Spy(queue.SimpleQueue):
+        def put(self, job):
+            with lock:
+                if job is not None:
+                    queued[0] += job[1].powers_w.nbytes
+                    peaks.append(queued[0])
+                super().put(job)
+
+        def get(self):
+            job = super().get()
+            if job is not None:
+                with lock:
+                    queued[0] -= job[1].powers_w.nbytes
+            return job
+    real_bw = channel_mod.bandwidth_3db
+
+    def measured(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            on_caller.append(None)
+        elif measuring_thread == "slowed":
+            time.sleep(0.002)
+        return real_bw(*args, **kwargs)
+    monkeypatch.setattr(queue, "SimpleQueue", Spy)
+    monkeypatch.setattr(channel_mod, "bandwidth_3db", measured)
+    compute_channel_records(room, rec, grid_positions(room))
+    assert len(peaks) + len(on_caller) == 1024
+    assert queued[0] == 0
+    assert max(peaks) <= channel_mod._QUEUE_BYTES
+    if measuring_thread == "slowed":
+        # within one response of the bound, and the rest measured here
+        assert max(peaks) > channel_mod._QUEUE_BYTES - 60_000
+        assert len(on_caller) > 512
+
+
+def test_trim_keeps_every_bin_through_the_last_nonzero_one():
+    # the longhand is the np.nonzero form; the copy never shares the bins
+    for bins in ([0.0] * 5, [0.0, 0.0, 3.0], [2.0, 0.0, 0.0], [7.0],
+                 [0.0, 1e-300, 0.0, -0.0, 0.0], [math.nan, 0.0]):
+        hist = np.array(bins)
+        nz = np.nonzero(hist)[0]
+        want = hist[:nz[-1] + 1] if nz.size else hist[:1]
+        got = channel_mod._trim(hist)
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, hist)
 
 
 def test_records_reject_outside_room():

@@ -14,6 +14,7 @@ from owcfog.config import (
     receiver_from_config,
     room_from_config,
 )
+from owcfog import placement
 from owcfog.cli import main
 from owcfog.errors import ConfigError
 
@@ -294,3 +295,20 @@ def test_every_parent_rule_still_refuses(overrides, fragment, capsys):
     argv = ["validate"] + [a for o in overrides for a in ("--override", o)]
     assert main(argv) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_a_load_builds_one_task_per_sweep_axis_entry(monkeypatch):
+    # Each drr and workload entry is checked with one task and the count
+    # rule alone, so the task count costs nothing to load: full task lists
+    # took 77 s and 320 MB for tasks=2000000.
+    built = []
+
+    class Counted(placement.TaskDemand):
+        def __post_init__(self):
+            built.append(self.task_id)
+            super().__post_init__()
+    monkeypatch.setattr(placement, "TaskDemand", Counted)
+    cfg = load_config(overrides=["tasks=1000"])
+    sweep = cfg["sweep"]
+    assert sweep["tasks"] == 1000
+    assert len(built) == len(sweep["drr"]) + len(sweep["workload_mips"]) - 1

@@ -81,6 +81,15 @@ def test_flow_is_drr_times_workload():
     assert demands_from_drr(1000.0, 0.002, 1)[0].flow_mbps == 2.0
 
 
+@pytest.mark.parametrize("count", [2.0, 1.5, True, False, "3", None])
+def test_demands_refuse_a_count_that_is_not_a_positive_int(count):
+    # a float used to fail in range() with a TypeError, and True built one
+    # task
+    with pytest.raises(ConfigError,
+                       match="sweep.tasks must be a positive integer, got "):
+        demands_from_drr(100.0, 0.2, count)
+
+
 def test_sources_round_robin():
     tasks = demands_from_drr(400.0, 0.1, 10)
     assert [t.source for t in tasks[:3]] == ["mobile_0", "mobile_1",

@@ -16,6 +16,7 @@ from owcfog.scenarios import (
     POISSON_LAM_MAX,
     WRITE_BATCH_ROWS,
     ResultBundle,
+    _cell,
     allocate_scenario,
     allocation_tables,
     bandwidth_cdf,
@@ -281,6 +282,24 @@ def test_batched_writer_matches_one_shot_text(tmp_path):
         assert path.read_bytes() == _one_shot_csv(header, table_rows)
     assert paths[-1].read_bytes() == (json.dumps(
         manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_writer_keeps_the_text_of_every_cell(tmp_path):
+    # The writer takes each repeated float's text once per batch. Values
+    # that compare equal but print differently meet in one row and one
+    # column of a batch: 1.0, 1 and True; 0.0, -0.0, False and 0; 2.5 and
+    # a float subclass. Runs of five equal floats cross each batch edge.
+    mixed = [1.0, 1, True, 0.0, -0.0, False, 0, None, math.nan, math.inf,
+             -math.inf, np.float64(2.5), 2.5, -1.0, 1.0]
+    rows = [[i // 5 / 7, mixed[i % len(mixed)], mixed[-1 - i % len(mixed)],
+             i // 5 / 7, 1 / 3] for i in range(2 * WRITE_BATCH_ROWS + 10)]
+    assert rows[WRITE_BATCH_ROWS - 1][0] == rows[WRITE_BATCH_ROWS][0]
+    header = ["run", "mixed", "reversed", "run_again", "third"]
+    (path, _) = ResultBundle(tables={"t": (header, rows)},
+                             manifest={}).write(tmp_path)
+    longhand = ",".join(header) + "\n" + "".join(
+        ",".join(_cell(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == longhand.encode("utf-8")
 
 
 def test_manifest_contents():
