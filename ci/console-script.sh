@@ -36,6 +36,9 @@ code=0; owcfog chain --out "$RUNNER_TEMP/crowd" --override scenario.intensity_pe
 # the placement search recurses once per task: too deep for 1,200 tasks
 code=0; owcfog place --out "$RUNNER_TEMP/deep" --override tasks=1200 --override workload=100 --override drr=0.002 2> "$RUNNER_TEMP/deep.err" || code=$?; test $code -eq 1
 test "$(wc -l < "$RUNNER_TEMP/deep.err")" -eq 1
+# 1e-15 s bins would give one trace about 94 million bins: refused before any is allocated
+code=0; timeout 30 owcfog channel --out "$RUNNER_TEMP/bins" --override room.time_bin_s=1e-15 --override room.grid_nx=1 --override room.grid_ny=1 2> "$RUNNER_TEMP/bins.err" || code=$?; test $code -eq 1
+test "$(wc -l < "$RUNNER_TEMP/bins.err")" -eq 1
 # numpy cannot draw a Poisson count with a mean past about 9.2e18
 code=0; owcfog validate --override scenario.intensity_per_m2=1e300 || code=$?; test $code -eq 1
 code=0; owcfog place --out "$RUNNER_TEMP/huge" --override 'workload=[1e300]' 2> "$RUNNER_TEMP/huge.err" || code=$?; test $code -eq 2

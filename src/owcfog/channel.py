@@ -29,15 +29,16 @@ pair set: the element-pair transfer and delay of the last second-bounce
 (sources, sinks) set, when it holds at most ``_CHUNK_TARGET`` pairs. On the
 default room every AP lights the same 416 elements, so the set changes only
 with the receiver position, and a neighbouring position shares most of its
-sinks. A set with the last one's sources and at least
-half its sinks is therefore written over it in place: the shared sink
-columns move, in ascending element order, and only the new ones are
-computed. A pair's values depend on its two elements alone, so a moved
-column has the bits of a fresh one. None of these views depends on a
-reflectivity map: a trace applies its map with the same products and masks
-a lone trace would use, and the per-AP weighting, time index and
-``bincount`` order of the second bounce are unchanged, so every trace has
-the same bits as one taken with an empty cache.
+sinks. A set with the last one's sources that fits the last one's arrays is
+therefore written over them in place: the shared sink columns move, in
+ascending element order, and only the others are computed. Any other set
+gets arrays of its own width, and all its columns are computed. A pair's
+values depend on its two elements alone, so a moved column has the bits of
+a fresh one. None of these views depends on a reflectivity map: a trace
+applies its map with the same products and masks a lone trace would use,
+and the per-AP weighting, time index and ``bincount`` order of the second
+bounce are unchanged, so every trace has the same bits as one taken with an
+empty cache.
 
 The 3-dB bandwidth scans the magnitude spectrum in growing blocks and stops
 at the first crossing, which reads the same samples as a scan of the whole
@@ -121,6 +122,11 @@ _FLAT_MAX_FFT = 1 << 20
 # absorbs the bursts in which tracing runs ahead, so the calling thread
 # takes fewer transforms; twice the bound held 0.5 MB more for no gain.
 _QUEUE_BYTES = 384 * 1024
+
+# Time bins of one trace's histogram, at most: 8 MB of bins, and a 3-dB
+# transform of at most 2^23 points. The default room at a 1e-13 s bin needs
+# 944,053.
+_MAX_BINS = 1 << 20
 
 
 # =====================================================================
@@ -474,46 +480,40 @@ class _Mesh:
     def _update_pairs(self, key, src_idx, sinks):
         """Make ``sinks`` the columns of the kept pair set.
 
-        A set with the sources of the last one, which shares at least half
-        its sinks with it and is no wider, is written over the last one:
-        the shared columns move into place and only the others are
-        computed. Neighbouring receiver positions share most of their
-        sinks. Any other set is built afresh once the last one is dropped,
-        so the two are never held at once. Each pair's values depend on its
-        two elements alone, so a moved column has the bits a fresh one
-        would."""
+        A set with the sources of the last one that fits the last one's
+        arrays is written over them: the sinks it shares with the last set
+        move into place and only the others are computed. Neighbouring
+        receiver positions share most of their sinks. Any other set gets
+        arrays of its own width once the last set is dropped, so the two
+        are never held at once, and all of its columns are computed. Each
+        pair's values depend on its two elements alone, so a moved column
+        has the bits a fresh one would."""
         last_key, last_sinks, trans, delay = self.pairs
         self.pairs = None, None, None, None
         k = sinks.size
-        shared = np.zeros(k, dtype=bool)
+        missing = np.ones(k, dtype=bool)
         if last_key is not None and last_key[0] == key[0] \
                 and k <= trans.shape[1]:
+            # both sets are in ascending element order, so the shared sinks
+            # come in the same order in each
             in_last = np.zeros(self.centers.shape[0], dtype=bool)
             in_last[last_sinks] = True
-            shared = in_last[sinks]
-        if 2 * np.count_nonzero(shared) < k:
+            in_new = np.zeros(self.centers.shape[0], dtype=bool)
+            in_new[sinks] = True
+            shared, kept = in_last[sinks], in_new[last_sinks]
+            for arr in (trans, delay):
+                arr.flags.writeable = True
+                # the right-hand side is a copy, so the columns may overlap
+                arr[:, :k][:, shared] = arr[:, :kept.size][:, kept]
+            missing = ~shared
+        else:
             del trans, delay
-            _, trans, delay = zip(*_pair_chunks(self, src_idx, sinks))
-            trans, delay = (np.concatenate(a) if len(a) > 1 else a[0]
-                            for a in (trans, delay))
-            self.pairs = (key, *_frozen(sinks, trans, delay))
-            return
-        # both sets are in ascending element order, so the shared sinks
-        # come in the same order in each
-        in_new = np.zeros(self.centers.shape[0], dtype=bool)
-        in_new[sinks] = True
-        kept = in_new[last_sinks]
-        missing = ~shared
-        for arr in (trans, delay):
-            arr.flags.writeable = True
-            # the right-hand side is a copy, so the columns may overlap
-            arr[:, :k][:, shared] = arr[:, :kept.size][:, kept]
-        if missing.any():
-            r = 0
-            for rows, t, d in _pair_chunks(self, src_idx, sinks[missing]):
-                trans[r:r + rows.size, :k][:, missing] = t
-                delay[r:r + rows.size, :k][:, missing] = d
-                r += rows.size
+            trans, delay = np.empty((2, src_idx.size, k))
+        r = 0
+        for rows, t, d in _pair_chunks(self, src_idx, sinks[missing]):
+            trans[r:r + rows.size, :k][:, missing] = t
+            delay[r:r + rows.size, :k][:, missing] = d
+            r += rows.size
         self.pairs = (key, *_frozen(sinks, trans, delay))
 
 
@@ -608,6 +608,11 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
 
     Returns:
         ImpulseResponse with absolute received power per time bin.
+
+    Raises:
+        ResourceLimitError: when the trace needs more than ``_MAX_BINS``
+            time bins (checked before any is allocated), or its room more
+            than ``room.max_elements`` surface elements.
     """
     if max_order not in (0, 1, 2):
         raise ConfigError(f"max_order must be 0, 1 or 2, got {max_order}")
@@ -656,9 +661,18 @@ def trace_impulse_response(room: RoomConfig, ap: AccessPoint,
 
 
 def _alloc_bins(room: RoomConfig, max_order: int):
+    """Zeroed bins that hold the longest path of ``max_order`` bounces,
+    refused past ``_MAX_BINS`` before any is allocated."""
     diag = math.sqrt(room.length_m ** 2 + room.width_m ** 2 + room.height_m ** 2)
     max_path = (max_order + 1) * diag
-    return np.zeros(int(max_path / SPEED_OF_LIGHT_M_S / room.time_bin_s) + 2)
+    # infinite for a subnormal bin width
+    span = max_path / SPEED_OF_LIGHT_M_S / room.time_bin_s
+    if not span < _MAX_BINS - 1:
+        raise ResourceLimitError(
+            f"a trace needs more than {_MAX_BINS} time bins at "
+            f"room.time_bin_s={room.time_bin_s!r}; raise it or shrink the "
+            f"room")
+    return np.zeros(int(span) + 2)
 
 
 def _trim(hist: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import queue
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,34 @@ def test_trace_element_cap():
             trace_impulse_response(room, room.aps[0], rec, rxp, "red", 1)
 
 
+@pytest.mark.parametrize("max_order", [0, 2])
+def test_trace_time_bin_cap(max_order):
+    # A trace holds one bin per time_bin_s of its longest path, (order + 1)
+    # room diagonals, plus two. A bin width that needs exactly the cap
+    # traces; one that needs a bin more is refused before any bin exists.
+    room, rec, rxp = _cube_case()
+    cap = channel_mod._MAX_BINS
+    longest_s = (max_order + 1) * math.sqrt(3 * 2.0 ** 2) / C
+    room.time_bin_s = longest_s / (cap - 1.5)
+    assert channel_mod._alloc_bins(room, max_order).size == cap
+    ir = trace_impulse_response(room, room.aps[0], rec, rxp, "red", max_order)
+    assert ir.total_power_w > 0
+    room.time_bin_s = longest_s / (cap - 0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="time bins"):
+            trace_impulse_response(room, room.aps[0], rec, rxp, "red",
+                                   max_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the refused histogram would hold 8 * (cap + 1) bytes
+    assert peak < cap
+    # the default room at a 1e-13 s bin stays inside the cap
+    assert channel_mod._alloc_bins(RoomConfig(time_bin_s=1e-13), 2).size \
+        < cap
+
+
 def _clear_tracer_caches():
     channel_mod._mesh.cache_clear()
 
@@ -440,38 +469,58 @@ def test_shared_views_are_read_only():
 
 @pytest.fixture(scope="module")
 def cold_grid():
-    """The default room, its receiver, its 1,024 grid links and each
-    link's response traced with an empty cache."""
-    cfg = load_config()
-    room, rec = room_from_config(cfg), receiver_from_config(cfg)
-    z = room.receiver_plane_m
-    links = [((x, y, z), ap) for x, y in grid_positions(room)
-             for ap in room.aps]
-    cold = []
-    for rxp, ap in links:
-        _clear_tracer_caches()
-        cold.append(trace_impulse_response(room, ap, rec, rxp, "red"))
-    return room, rec, links, cold
+    """Element edge -> a room, its receiver, its grid links and each link's
+    response traced with an empty cache, built on first use. The default
+    room (0.5 m elements, 1,024 links) keeps pair sets of one chunk of
+    source rows; a 0.25 m room, along one row of 16 positions (128 links),
+    keeps sets of 1,664 sources in two."""
+    grids = {}
+
+    def grid(edge):
+        if edge not in grids:
+            cfg = load_config()
+            room, rec = room_from_config(cfg), receiver_from_config(cfg)
+            if edge != room.element_edge_m:
+                room = RoomConfig(element_edge_m=edge, grid_ny=1)
+            z = room.receiver_plane_m
+            links = [((x, y, z), ap) for x, y in grid_positions(room)
+                     for ap in room.aps]
+            cold = []
+            for rxp, ap in links:
+                _clear_tracer_caches()
+                cold.append(trace_impulse_response(room, ap, rec, rxp, "red"))
+            grids[edge] = room, rec, links, cold
+        return grids[edge]
+    return grid
 
 
-@pytest.mark.parametrize("order", ["row-major", "reversed", "shuffled"])
-def test_pair_sets_built_from_the_last_equal_cold_traces(order, cold_grid,
+_PAIR_SET_CASES = [(order, edge) for edge in (0.5, 0.25)
+                   for order in ("row-major", "reversed", "shuffled")]
+
+
+@pytest.mark.parametrize("order,edge", _PAIR_SET_CASES,
+                         ids=[order if edge == 0.5 else f"{order}-0.25m"
+                              for order, edge in _PAIR_SET_CASES])
+def test_pair_sets_built_from_the_last_equal_cold_traces(order, edge,
+                                                         cold_grid,
                                                          monkeypatch):
     # Consecutive positions share most of their sinks, so the kept pair set
     # is updated in place: shared columns move and only the new ones are
-    # computed. Whatever order the default grid's links are traced in, each
-    # response has the bits of a trace taken with an empty cache.
-    room, rec, links, cold = cold_grid
+    # computed. Whatever order a grid's links are traced in, each response
+    # has the bits of a trace taken with an empty cache.
+    room, rec, links, cold = cold_grid(edge)
     order_of = {"row-major": list(range(len(links))),
                 "reversed": list(range(len(links)))[::-1],
                 "shuffled": np.random.default_rng(7).permutation(len(links))}
-    # columns each pair set asks for, and columns computed for it
-    asked, computed = [], []
+    # columns each pair set asks for, and columns computed for it; chunks
+    # of source rows in each set
+    asked, computed, spans = [], [], set()
     real_pairs, real_chunks = channel_mod._Mesh.pair_chunks, \
         channel_mod._pair_chunks
 
     def pair_chunks(mesh, src_idx, sinks):
         asked.append(sinks.size)
+        spans.add(-(-src_idx.size // mesh.chunk_rows))
         return real_pairs(mesh, src_idx, sinks)
 
     def chunks(mesh, src_idx, sinks):
@@ -486,6 +535,7 @@ def test_pair_sets_built_from_the_last_equal_cold_traces(order, cold_grid,
         assert got.powers_w.tobytes() == want.powers_w.tobytes()
         assert got.order_powers_w == want.order_powers_w
     assert len(asked) == len(links)
+    assert spans == {1 if edge == 0.5 else 2}
     # a set is built or updated at most once per change of position
     moves = sum(links[a][0] != links[b][0]
                 for a, b in zip(order_of[order], order_of[order][1:]))
