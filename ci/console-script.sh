@@ -1,9 +1,12 @@
 # The installed console script: every stage once through the `owcfog` entry
 # point, then the exit code of each input it must refuse.  Needs `owcfog`,
-# `taskset`, `timeout` and `cmp` on PATH and RUNNER_TEMP naming a scratch
-# directory; run it as `bash -eo pipefail ci/console-script.sh`, which is how
-# the workflow and tests/test_cli.py run it.
+# `python3` (the interpreter owcfog is installed in), `taskset`, `timeout`
+# and `cmp` on PATH and RUNNER_TEMP naming a scratch directory; run it as
+# `bash -eo pipefail ci/console-script.sh`, which is how the workflow and
+# tests/test_cli.py run it.
 owcfog validate
+# the loader and the fog stage read the room from owcfog.room: no numpy
+python3 -c 'import sys, owcfog.placement, owcfog.config; owcfog.config.load_config(); sys.exit("numpy" in sys.modules)'
 # the rates alone size the mobile layer; overrides complete a config file
 owcfog validate --override 'topology.mobile_rates_mbps=[100,200,300]'
 # the sweep is validated per axis entry, not by building every cell's tasks
@@ -24,6 +27,9 @@ taskset -c 0 owcfog chain --out "$RUNNER_TEMP/chain-1cpu" --override scenario.na
 for table in channel allocation placement; do
   cmp "$RUNNER_TEMP/chain/$table.csv" "$RUNNER_TEMP/chain-1cpu/$table.csv"
 done
+# a directory is no config file: one config line, not a traceback
+code=0; owcfog validate --config "$RUNNER_TEMP" 2> "$RUNNER_TEMP/dir.err" || code=$?; test $code -eq 1
+test "$(wc -l < "$RUNNER_TEMP/dir.err")" -eq 1
 code=0; owcfog validate --override room.length_m=Infinity || code=$?; test $code -eq 1
 code=0; owcfog validate --override 'topology.mobile_wavelengths=[]' || code=$?; test $code -eq 1
 code=0; owcfog channel --out "$RUNNER_TEMP/uv" --override 'topology.mobile_wavelengths=["uv"]' || code=$?; test $code -eq 1

@@ -6,6 +6,7 @@ compute tasks across a mobile/fog/cloud hierarchy by minimizing total power.
 
 Subpackages are deliberately flat:
 
+- :mod:`owcfog.room`          room, APs, receiver and user positions (no numpy)
 - :mod:`owcfog.channel`       ray-traced impulse responses, delay spread, bandwidth
 - :mod:`owcfog.signal_model`  electrical signal/noise/SINR bookkeeping
 - :mod:`owcfog.allocator`     WDMA sum-SINR assignment by branch and bound

@@ -34,8 +34,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from owcfog.channel import ReceiverSpec, fec_rate
+from owcfog.channel import fec_rate
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
+from owcfog.room import ReceiverSpec
 from owcfog.signal_model import (
     ELECTRON_CHARGE_C,
     ChannelTable,

@@ -7,7 +7,8 @@ elements. From the binned response it derives the channel metrics the rest of
 the pipeline consumes: DC gain, RMS delay spread, 3-dB bandwidth, and the
 OOK data rate the link can support. ``compute_channel_records`` hands them
 over as one ``ChannelRecords``: a dense (user, AP, wavelength) array per
-metric, which the signal model and the bundle tables read directly.
+metric, which the signal model and the bundle tables read directly. The
+room, its APs and the receiver it traces are described in :mod:`owcfog.room`.
 
 The tracer does only work that can reach the receiver. The surface mesh
 depends on the room alone, so every link shares one. The second bounce is
@@ -76,17 +77,15 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
+from owcfog.room import WAVELENGTHS, AccessPoint, ReceiverSpec, RoomConfig
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
-
-#: Wavelength identifiers, in fixed canonical order.
-WAVELENGTHS = ("red", "yellow", "green", "blue")
 
 # OOK rate adjustment: links whose electrical SINR sits inside the coding
 # window carry a 10% forward-error-correction overhead; below the window
@@ -129,167 +128,6 @@ _QUEUE_BYTES = 384 * 1024
 _MAX_BINS = 1 << 20
 
 
-# =====================================================================
-# Configuration types
-# =====================================================================
-
-@dataclass
-class AccessPoint:
-    """A ceiling light unit acting as an optical transmitter.
-
-    Args:
-        ap_id: stable identifier used in records and CSV output.
-        position_m: (x, y, z) of the emitter.
-        half_power_semiangle_deg: Lambertian half-power semiangle, in (0, 90).
-        tx_power_w: transmit optical power per wavelength, watts.
-
-    Raises:
-        ConfigError: for a non-finite position, a negative or non-finite
-            transmit power, or a semiangle outside (0, 90).
-    """
-
-    ap_id: int
-    position_m: Tuple[float, float, float]
-    half_power_semiangle_deg: float = 60.0
-    tx_power_w: Dict[str, float] = field(
-        default_factory=lambda: {w: 1.8 for w in WAVELENGTHS}
-    )
-
-    def __post_init__(self):
-        if not all(-math.inf < c < math.inf for c in self.position_m):
-            raise ConfigError(f"AP {self.ap_id} position must be finite")
-        if not all(0 <= po < math.inf for po in self.tx_power_w.values()):
-            raise ConfigError(f"AP {self.ap_id} transmit power must be "
-                              f"non-negative and finite")
-        lambertian_order(self.half_power_semiangle_deg)
-
-    @property
-    def lambertian_order(self) -> float:
-        return lambertian_order(self.half_power_semiangle_deg)
-
-
-@dataclass
-class ReceiverSpec:
-    """Photodetector and front end shared by all users: the tracer reads
-    its area and field of view, the signal model its bandwidth B,
-    responsivity R and preamplifier noise density N_pr (A^2/Hz).
-
-    ``rate_factor`` maps 3-dB channel bandwidth to OOK bit rate (1 bit per Hz
-    of usable bandwidth by default).
-    """
-
-    area_m2: float = 1.0e-4
-    fov_deg: float = 40.0
-    bandwidth_hz: float = 5.0e9
-    responsivity_a_per_w: float = 0.4
-    rate_factor: float = 1.0
-    preamp_a2_per_hz: float = (4.47e-12) ** 2
-
-    def __post_init__(self):
-        noise = ("bandwidth_hz", "preamp_a2_per_hz", "responsivity_a_per_w")
-        for key in noise + ("area_m2", "fov_deg", "rate_factor"):
-            value = getattr(self, key)
-            if not 0 < value < math.inf:
-                kind = "noise parameters: " if key in noise else ""
-                raise ConfigError(f"{kind}receiver.{key} must be positive "
-                                  f"and finite, got {value!r}")
-        if self.fov_deg > 90.0:
-            raise ConfigError("receiver.fov_deg must be at most 90")
-
-
-@dataclass
-class RoomConfig:
-    """Room geometry, surface properties, and simulation discretization.
-
-    Reflectivity is a mapping ``wavelength -> {"walls": r, "ceiling": r,
-    "floor": r}``; a flat ``{"walls": ..., ...}`` mapping is accepted and
-    applied to every wavelength. ``aps=None`` is the default 4 x 2 grid.
-    """
-
-    length_m: float = 8.0
-    width_m: float = 4.0
-    height_m: float = 3.0
-    reflectivity: Dict = field(
-        default_factory=lambda: {"walls": 0.8, "ceiling": 0.8, "floor": 0.3}
-    )
-    element_edge_m: float = 0.1
-    max_elements: int = 200_000
-    time_bin_s: float = 1.0e-11
-    receiver_plane_m: float = 1.0
-    grid_nx: int = 16
-    grid_ny: int = 8
-    aps: Optional[Sequence[AccessPoint]] = None
-
-    def __post_init__(self):
-        for key in ("length_m", "width_m", "height_m", "element_edge_m",
-                    "time_bin_s", "receiver_plane_m", "max_elements",
-                    "grid_nx", "grid_ny"):
-            value = getattr(self, key)
-            if not 0 < value < math.inf:
-                raise ConfigError(
-                    f"room.{key} must be positive and finite, got {value!r}")
-        if not self.receiver_plane_m < self.height_m:
-            raise ConfigError("room.receiver_plane_m must be positive and "
-                              "finite, and below the ceiling")
-        if self.aps is None:
-            self.aps = default_ap_grid(self.length_m, self.width_m, self.height_m)
-        elif not self.aps:
-            raise ConfigError("room.aps must list at least one AP")
-        seen = set()
-        for ap in self.aps:
-            if ap.ap_id in seen:
-                raise ConfigError(f"duplicate ap_id {ap.ap_id}")
-            seen.add(ap.ap_id)
-
-    def reflectivity_for(self, wavelength: str) -> Dict[str, float]:
-        """Per-surface reflectivity map for one wavelength."""
-        table = self.reflectivity
-        if all(k in ("walls", "ceiling", "floor") for k in table):
-            out = dict(table)
-        else:
-            if wavelength not in table:
-                raise ConfigError(f"no reflectivity entry for wavelength {wavelength!r}")
-            if not isinstance(table[wavelength], Mapping):
-                raise ConfigError(
-                    f"reflectivity entry for {wavelength!r} must be a map")
-            out = dict(table[wavelength])
-        for key in ("walls", "ceiling", "floor"):
-            if key not in out:
-                raise ConfigError(f"reflectivity map missing {key!r}")
-            value = out[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0.0 <= value < 1.0:
-                raise ConfigError(
-                    f"reflectivity[{key}] must be a number in [0, 1), "
-                    f"got {value!r}")
-        return out
-
-
-def default_ap_grid(length_m: float = 8.0, width_m: float = 4.0,
-                    height_m: float = 3.0, nx: int = 4, ny: int = 2,
-                    tx_power_w: Optional[Dict[str, float]] = None,
-                    half_power_semiangle_deg: float = 60.0
-                    ) -> List[AccessPoint]:
-    """Evenly spaced ceiling AP grid (nx along the length, ny along the width)."""
-    for key, n in (("room.ap_grid_nx", nx), ("room.ap_grid_ny", ny)):
-        if not n >= 1:
-            raise ConfigError(f"{key} must be a positive integer, got {n!r}")
-    aps = []
-    ap_id = 0
-    for j in range(ny):
-        for i in range(nx):
-            x = (i + 0.5) * length_m / nx
-            y = (j + 0.5) * width_m / ny
-            aps.append(AccessPoint(
-                ap_id=ap_id,
-                position_m=(x, y, height_m),
-                half_power_semiangle_deg=half_power_semiangle_deg,
-                tx_power_w=dict(tx_power_w) if tx_power_w else {w: 1.8 for w in WAVELENGTHS},
-            ))
-            ap_id += 1
-    return aps
-
-
 def grid_positions(room: RoomConfig) -> List[Tuple[float, float]]:
     """Cell-center user grid on the receiver plane (grid_nx x grid_ny points)."""
     out = []
@@ -303,22 +141,6 @@ def grid_positions(room: RoomConfig) -> List[Tuple[float, float]]:
 # =====================================================================
 # Elementary link geometry
 # =====================================================================
-
-def lambertian_order(half_power_semiangle_deg: float) -> float:
-    """Lambertian mode number m = -ln 2 / ln(cos(phi_half)).
-
-    Args:
-        half_power_semiangle_deg: half-power semiangle in degrees, in (0, 90).
-
-    Returns:
-        Mode number m (1.0 for a 60 degree semiangle).
-    """
-    if not 0.0 < half_power_semiangle_deg < 90.0:
-        raise ConfigError(
-            f"half-power semiangle must be in (0, 90) deg, got {half_power_semiangle_deg}"
-        )
-    return -math.log(2.0) / math.log(math.cos(math.radians(half_power_semiangle_deg)))
-
 
 def los_gain(ap: AccessPoint, receiver: ReceiverSpec,
              position_m: Tuple[float, float, float]) -> float:

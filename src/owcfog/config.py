@@ -12,13 +12,15 @@ Loading reads the file, overlays it on the defaults, applies the CLI's
 ``key=value`` overrides and only then validates, once, the final document:
 a file that the overrides complete loads.  Validation checks the JSON shape
 alone: section and key names, and that each value has its default's type.
-Every range is checked by the object or function that uses the value
-(``RoomConfig``, ``AccessPoint``, ``ReceiverSpec``,
-``build_reference_topology``, ``fixed_scenario``, ``ppp_mean_users``,
-``demands_from_drr``), and validation builds each of them once, so a
-document that loads is one every stage accepts.  The sweep is checked with
-one task per axis entry and the task count alone, not with the full task
-list of every cell.
+Every range is checked by the object or function that uses the value, and
+validation builds each of them once, so a document that loads is one every
+stage accepts. The room, receiver and scenario rules live in
+:mod:`owcfog.room` (``RoomConfig``, ``AccessPoint``, ``ReceiverSpec``,
+``fixed_scenario``, ``ppp_mean_users``), the topology rules in
+``build_reference_topology`` and the task rules in ``demands_from_drr``;
+none of those modules imports numpy or the ray tracer, and neither does
+this one.  The sweep is checked with one task per axis entry and the task
+count alone, not with the full task list of every cell.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from .channel import WAVELENGTHS, ReceiverSpec, RoomConfig, default_ap_grid
 from .errors import ConfigError
 from .placement import check_task_count, demands_from_drr
+from .room import (WAVELENGTHS, ReceiverSpec, RoomConfig, default_ap_grid,
+                   fixed_scenario, ppp_mean_users)
 from .topology import build_reference_topology
 
 __all__ = [
@@ -123,11 +126,18 @@ def load_config(path: Optional[Union[str, Path]] = None,
     if path is not None:
         p = Path(path)
         try:
-            raw = json.loads(p.read_text())
+            raw = json.loads(p.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {p}")
+        except OSError as exc:  # e.g. a directory, or no read permission
+            raise ConfigError(f"config file {p} cannot be read: "
+                              f"{exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {p} is not UTF-8: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {p} is not valid JSON: {exc}")
+        except RecursionError:
+            raise ConfigError(f"config file {p} {_TOO_DEEP}")
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
     return _overlay(DEFAULT_CONFIG, raw, overrides)
@@ -149,6 +159,10 @@ def apply_overrides(cfg: Dict[str, Any], overrides: List[str]) -> Dict[str, Any]
     return _overlay(cfg, {}, overrides)
 
 
+#: Why a document nested past the interpreter's recursion limit is refused.
+_TOO_DEEP = "nests arrays or objects deeper than the recursion limit"
+
+
 def _overlay(base: Dict[str, Any], sections: Mapping[str, Any],
              overrides: Sequence[str] = ()) -> Dict[str, Any]:
     """A copy of ``base`` with each section of ``sections`` merged in, then
@@ -157,7 +171,11 @@ def _overlay(base: Dict[str, Any], sections: Mapping[str, Any],
     for section, body in sections.items():
         _expect(isinstance(body, Mapping),
                 f"config section {section!r} must be an object")
-        cfg.setdefault(section, {}).update(copy.deepcopy(dict(body)))
+        try:  # the copy recurses deeper than the parser did
+            body = copy.deepcopy(dict(body))
+        except RecursionError:
+            raise ConfigError(f"config section {section!r} {_TOO_DEEP}")
+        cfg.setdefault(section, {}).update(body)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -174,6 +192,8 @@ def _overlay(base: Dict[str, Any], sections: Mapping[str, Any],
             value = json.loads(text)
         except json.JSONDecodeError:  # not JSON: a plain string
             value = text
+        except RecursionError:
+            raise ConfigError(f"override {key!r} {_TOO_DEEP}")
         # Scalars are fine where lists are expected for the sweep axes:
         # "drr=0.002" means a one-point axis.
         if (section, leaf) in (("sweep", "drr"), ("sweep", "workload_mips")) \
@@ -226,9 +246,6 @@ def _check_shape(value: Any, like: Any, label: str) -> None:
 def validate_config(cfg: Dict[str, Any]) -> Dict[str, Any]:
     """Check the JSON shape, then build what the stages build (no PPP
     draw).  Returns ``cfg`` for chaining."""
-    # scenarios imports this module, so it is imported on first use
-    from .scenarios import fixed_scenario, ppp_mean_users
-
     for section, body in cfg.items():
         _expect(section in DEFAULT_CONFIG, f"unknown config section "
                 f"{section!r}; expected one of {sorted(DEFAULT_CONFIG)}")

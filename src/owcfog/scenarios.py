@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,24 +22,21 @@ import numpy as np
 from . import __version__
 from .allocator import (AllocationProblem, AllocationSolution,
                         check_slot_count, solve_branch_and_bound)
-from .channel import (WAVELENGTHS, ChannelRecords, RoomConfig,
-                      compute_channel_records, grid_positions)
+from .channel import ChannelRecords, compute_channel_records, grid_positions
 from .config import config_digest, receiver_from_config, room_from_config
 from .errors import ConfigError, InfeasibleError
 from .placement import PlacementProblem, demands_from_drr, solution_row
 from .placement import solve_branch_and_bound as solve_placement
 from .placement import utilization_report
+from .room import (WAVELENGTHS, RoomConfig, Scenario, fixed_scenario,
+                   ppp_mean_users)
 from .signal_model import ChannelTable
 from .topology import TopologyConfig, build_reference_topology
 
 __all__ = [
-    "Scenario",
     "ResultBundle",
     "ANALOGUE_SEEDS",
-    "POISSON_LAM_MAX",
-    "ppp_mean_users",
     "generate_ppp_users",
-    "fixed_scenario",
     "scenario_from_config",
     "bandwidth_cdf",
     "fraction_at_least",
@@ -71,44 +67,10 @@ ANALOGUE_SEEDS: Dict[str, int] = {
     "s2-analogue": 19,    # solved rates 0.52-5.00 Gbit/s (wider spread)
 }
 
-#: The largest mean ``numpy.random.Generator.poisson`` accepts, about 9.2e18:
-#: the expression of ``POISSON_LAM_MAX`` in numpy's
-#: ``numpy/random/_common.pyx``, which numpy does not export to Python.
-POISSON_LAM_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
-
 
 # ---------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------
-
-@dataclass
-class Scenario:
-    """A set of user positions on the receiver plane."""
-
-    name: str
-    mode: str                                # "ppp" | "fixed"
-    seed: int
-    positions_m: Tuple[Tuple[float, float], ...]
-
-    @property
-    def n_users(self) -> int:
-        return len(self.positions_m)
-
-
-def ppp_mean_users(room: RoomConfig, intensity_per_m2: float) -> float:
-    """Mean user count of a PPP draw: intensity × floor area.  The loader
-    calls it to refuse a bad intensity without making a draw; a mean past
-    :data:`POISSON_LAM_MAX` is one numpy cannot draw."""
-    if not intensity_per_m2 > 0:
-        raise ConfigError(f"scenario.intensity_per_m2 must be positive, "
-                          f"got {intensity_per_m2!r}")
-    mean = intensity_per_m2 * room.length_m * room.width_m
-    if mean > POISSON_LAM_MAX:
-        raise ConfigError(
-            f"scenario.intensity_per_m2 of {intensity_per_m2!r} gives a mean "
-            f"of {mean!r} users, above the Poisson limit {POISSON_LAM_MAX!r}")
-    return mean
-
 
 def generate_ppp_users(room: RoomConfig, intensity_per_m2: float,
                        seed: int) -> Scenario:
@@ -130,20 +92,6 @@ def _ppp_count(rng: np.random.Generator, room: RoomConfig,
                intensity_per_m2: float) -> int:
     """The user count of a PPP draw: the first value drawn from ``rng``."""
     return int(rng.poisson(ppp_mean_users(room, intensity_per_m2)))
-
-
-def fixed_scenario(name: str, positions_m: Sequence[Sequence[float]],
-                   room: RoomConfig, seed: int = 0) -> Scenario:
-    """A scenario with explicit user coordinates (validated against the room)."""
-    pos = []
-    for i, p in enumerate(positions_m):
-        x, y = float(p[0]), float(p[1])
-        if not (0.0 <= x <= room.length_m and 0.0 <= y <= room.width_m):
-            raise ConfigError(f"scenario.positions_m[{i}] at ({x}, {y}) lies "
-                              f"outside the room")
-        pos.append((x, y))
-    return Scenario(name=name or "fixed", mode="fixed", seed=seed,
-                    positions_m=tuple(pos))
 
 
 def scenario_from_config(cfg: Dict, room: Optional[RoomConfig] = None) -> Scenario:
@@ -235,6 +183,8 @@ def _open_text(path: Path):
 
 
 def _cell(value: object) -> str:
+    if isinstance(value, np.generic):  # np.float64 repr()s as its constructor
+        value = value.item()
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):

@@ -10,7 +10,7 @@ access point a, every other AP is either:
   emitted for illumination, just unmodulated.
 
 The receiver's own preamplifier noise floor is always present. Every noise
-figure comes from the one :class:`owcfog.channel.ReceiverSpec` the tracer
+figure comes from the one :class:`owcfog.room.ReceiverSpec` the tracer
 also reads. Interference is accounted *linearized*, as the sum of squared
 interferer currents, which is what keeps the assignment model linear; the
 test-side ``sinr`` in ``tests/oracles.py`` also computes the exact square of
@@ -34,8 +34,9 @@ from typing import List
 
 import numpy as np
 
-from owcfog.channel import ChannelRecords, ReceiverSpec
+from owcfog.channel import ChannelRecords
 from owcfog.errors import ConfigError
+from owcfog.room import ReceiverSpec
 
 #: Elementary charge, coulombs (2019 SI exact value).
 ELECTRON_CHARGE_C = 1.602176634e-19

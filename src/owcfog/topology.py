@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .channel import WAVELENGTHS
 from .errors import ConfigError
+from .room import WAVELENGTHS
 
 MOBILE_KIND = "MobileUnit"
 FOG_KINDS = ("RoomFog", "BuildFog", "CampFog", "MetroFog", "CCloud")

@@ -55,7 +55,6 @@ from owcfog.allocator import (
     _solution_from_indices,
 )
 from owcfog.allocator import _tie_tolerance as _allocation_tie_tolerance
-from owcfog.channel import ReceiverSpec
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.placement import (
     PlacementProblem,
@@ -65,6 +64,7 @@ from owcfog.placement import (
     _prepare,
 )
 from owcfog.placement import _tie_tolerance as _placement_tie_tolerance
+from owcfog.room import ReceiverSpec
 from owcfog.signal_model import ELECTRON_CHARGE_C, linearized_gammas
 
 #: Refuse exhaustive enumerations larger than this many assignments.

@@ -16,12 +16,10 @@ import pytest
 from owcfog.allocator import AllocationProblem, solve_branch_and_bound
 from owcfog.channel import (
     ImpulseResponse,
-    ReceiverSpec,
     bandwidth_3db,
     compute_channel_records,
     delay_spread,
     grid_positions,
-    lambertian_order,
 )
 from owcfog.config import load_config, room_from_config
 from owcfog.errors import InfeasibleError
@@ -31,6 +29,7 @@ from owcfog.placement import (
     solve_branch_and_bound as solve_placement,
     sweep,
 )
+from owcfog.room import ReceiverSpec, lambertian_order
 from owcfog.scenarios import fraction_at_least
 from owcfog.signal_model import ELECTRON_CHARGE_C, ChannelTable
 from owcfog.topology import TopologyConfig, build_reference_topology

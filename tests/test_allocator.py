@@ -19,8 +19,8 @@ from owcfog.allocator import (
     _tie_tolerance,
     solve_branch_and_bound,
 )
-from owcfog.channel import ReceiverSpec
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
+from owcfog.room import ReceiverSpec
 from owcfog.signal_model import (
     ChannelTable,
     linearized_gammas,

@@ -20,25 +20,27 @@ from hypothesis import strategies as st
 
 import owcfog.channel as channel_mod
 from owcfog.channel import (
-    AccessPoint,
     ImpulseResponse,
-    ReceiverSpec,
-    RoomConfig,
     SPEED_OF_LIGHT_M_S,
-    WAVELENGTHS,
     bandwidth_3db,
     channel_rate,
     compute_channel_records,
-    default_ap_grid,
     delay_spread,
     fec_rate,
     grid_positions,
-    lambertian_order,
     los_gain,
     trace_impulse_response,
 )
 from owcfog.config import load_config, receiver_from_config, room_from_config
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
+from owcfog.room import (
+    WAVELENGTHS,
+    AccessPoint,
+    ReceiverSpec,
+    RoomConfig,
+    default_ap_grid,
+    lambertian_order,
+)
 
 C = SPEED_OF_LIGHT_M_S
 

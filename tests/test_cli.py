@@ -42,6 +42,30 @@ def test_bad_override_is_config_error(capsys):
     assert json.loads(err)["error"] == "config"
 
 
+_TOO_DEEP = "[" * 50_000 + "]" * 50_000
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param("directory", id="config-is-a-directory"),
+    pytest.param(b'{"room": {"\xff": 1}}', id="config-not-utf8"),
+    pytest.param(_TOO_DEEP.encode(), id="config-nested-50000-deep"),
+    # parses, but copying it onto the defaults recurses past the limit
+    pytest.param(b'{"room": {"length_m": ' + b"[" * 600 + b"]" * 600 + b"}}",
+                 id="config-nested-600-deep"),
+])
+def test_unreadable_config_is_one_config_line(config, tmp_path, capsys):
+    path = tmp_path
+    if config != "directory":
+        path = tmp_path / "run.json"
+        path.write_bytes(config)
+    code, out, err = _run(["validate", "--config", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
+
+
 def test_infeasible_model_exits_two(tmp_path, capsys):
     code, _, err = _run(
         ["place", "--out", str(tmp_path), "--override", "workload=90000",
@@ -101,6 +125,8 @@ def test_ci_console_script_passes(tmp_path):
     ("chain", "scenario.intensity_per_m2=1e300"),
     ("place", "workload=Infinity"),
     ("validate", "room.length_m=NaN"),
+    pytest.param("validate", "room.length_m=" + _TOO_DEEP,
+                 id="validate-room.length_m=nested-50000-deep"),
     pytest.param("validate", "room.width_m=1" + "0" * 400,
                  id="validate-room.width_m=1e400-as-an-integer"),
     # every task is sourced at a mobile unit, so none could be placed
@@ -531,14 +557,35 @@ def test_module_entry_point(tmp_path):
 
 @pytest.mark.parametrize("module,absent", [
     ("owcfog.placement", "owcfog.allocator"),
+    ("owcfog.placement", "numpy"),
+    ("owcfog.placement", "owcfog.channel"),
+    ("owcfog.topology", "numpy"),
+    ("owcfog.topology", "owcfog.channel"),
+    ("owcfog.config", "numpy"),
+    ("owcfog.config", "owcfog.channel"),
 ])
 def test_import_leaves_module_unloaded(module, absent):
-    # the two solvers are independent of each other
+    # the two solvers are independent of each other, and the loader and the
+    # fog stage read the room from owcfog.room, not from the tracer
     code = (f"import sys, {module}; "
             f"sys.exit({absent!r} in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_loader_and_sweep_run_without_numpy_or_the_tracer():
+    code = ("import sys; from owcfog.config import load_config; "
+            "from owcfog.placement import sweep; "
+            "cfg = load_config(); sw = cfg['sweep']; "
+            "rows = sweep(sw['drr'][:1], sw['workload_mips'][:1], "
+            "task_count=sw['tasks']); "
+            "print(len(rows), sorted({'numpy', 'owcfog.channel'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "[]"]
 
 
 def test_cli_loads_every_package_module():

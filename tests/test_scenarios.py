@@ -11,9 +11,9 @@ import pytest
 from owcfog.channel import ChannelRecords
 from owcfog.config import apply_overrides, load_config, merge_config
 from owcfog.errors import ConfigError, InfeasibleError
+from owcfog.room import POISSON_LAM_MAX, fixed_scenario, ppp_mean_users
 from owcfog.scenarios import (
     ANALOGUE_SEEDS,
-    POISSON_LAM_MAX,
     WRITE_BATCH_ROWS,
     ResultBundle,
     _cell,
@@ -23,10 +23,8 @@ from owcfog.scenarios import (
     build_manifest,
     chain_scenario,
     channel_bundle,
-    fixed_scenario,
     fraction_at_least,
     generate_ppp_users,
-    ppp_mean_users,
     scenario_from_config,
     topology_from_config,
 )
@@ -300,6 +298,20 @@ def test_writer_keeps_the_text_of_every_cell(tmp_path):
     longhand = ",".join(header) + "\n" + "".join(
         ",".join(_cell(v) for v in row) + "\n" for row in rows)
     assert path.read_bytes() == longhand.encode("utf-8")
+
+
+@pytest.mark.parametrize("value,text", [
+    (np.float64(2.5), "2.5"), (np.float64(-0.0), "-0.0"),
+    (np.float32(0.5), "0.5"), (np.bool_(True), "true"),
+    (np.bool_(False), "false"), (np.int64(-3), "-3"),
+], ids=repr)
+def test_numpy_scalar_cells_read_like_python_ones(value, text, tmp_path):
+    # numpy 2 repr()s np.float64(2.5) as "np.float64(2.5)", and str() of
+    # np.True_ is "True": a cell writes the Python value's text instead
+    assert _cell(value) == _cell(value.item()) == text
+    (path, _) = ResultBundle(tables={"t": (["v"], [[value]])},
+                             manifest={}).write(tmp_path)
+    assert path.read_text(encoding="utf-8") == f"v\n{text}\n"
 
 
 def test_manifest_contents():

@@ -8,14 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owcfog.allocator import AllocationProblem
-from owcfog.channel import (
-    WAVELENGTHS,
-    ReceiverSpec,
-    RoomConfig,
-    compute_channel_records,
-    default_ap_grid,
-)
+from owcfog.channel import compute_channel_records
 from owcfog.errors import ConfigError
+from owcfog.room import WAVELENGTHS, ReceiverSpec, RoomConfig, default_ap_grid
 from owcfog.signal_model import (
     ELECTRON_CHARGE_C,
     ChannelTable,

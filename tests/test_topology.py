@@ -4,13 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from owcfog.channel import WAVELENGTHS
 from owcfog.errors import ConfigError
 from owcfog.placement import (
     PlacementProblem,
     demands_from_drr,
     solve_branch_and_bound,
 )
+from owcfog.room import WAVELENGTHS
 from owcfog.topology import (
     REFERENCE_DEVICES,
     NetworkDevice,
