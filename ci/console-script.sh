@@ -15,6 +15,9 @@ printf '{"scenario":{"mode":"fixed"}}' > "$RUNNER_TEMP/fixed.json"
 owcfog validate --config "$RUNNER_TEMP/fixed.json" --override 'scenario.positions_m=[[1,1]]'
 owcfog place --out "$RUNNER_TEMP/place" --override tasks=1
 owcfog sweep --out "$RUNNER_TEMP/sweep" --override 'drr=[0.002,0.2]' --override 'workload=[100,1000]'
+# a sweep flags a cell that no node can hold instead of refusing the run
+owcfog sweep --out "$RUNNER_TEMP/mixed" --fig 8 --override drr=0.2 --override 'workload=[400.0,1e300]'
+grep -q 'infeasible,per_task_fit' "$RUNNER_TEMP/mixed/placement.csv"
 owcfog channel --out "$RUNNER_TEMP/channel" --override room.grid_nx=2 --override room.grid_ny=2
 # the measuring thread shares one CPU with the tracer, and which thread
 # takes a transform varies from run to run: same bytes
@@ -49,4 +52,7 @@ test "$(wc -l < "$RUNNER_TEMP/bins.err")" -eq 1
 code=0; owcfog validate --override scenario.intensity_per_m2=1e300 || code=$?; test $code -eq 1
 code=0; owcfog place --out "$RUNNER_TEMP/huge" --override 'workload=[1e300]' 2> "$RUNNER_TEMP/huge.err" || code=$?; test $code -eq 2
 test "$(wc -l < "$RUNNER_TEMP/huge.err")" -eq 1
+# an unknown surface in a reflectivity map is refused, not ignored
+code=0; owcfog validate --override 'room.reflectivity={"red":{"walls":0.8,"ceiling":0.8,"floor":0.3,"mirror":0.99},"yellow":{"walls":0.8,"ceiling":0.8,"floor":0.3},"green":{"walls":0.8,"ceiling":0.8,"floor":0.3},"blue":{"walls":0.8,"ceiling":0.8,"floor":0.3}}' 2> "$RUNNER_TEMP/mirror.err" || code=$?; test $code -eq 1
+test "$(wc -l < "$RUNNER_TEMP/mirror.err")" -eq 1
 set +e; owcfog validate --override room.grid_nx=true; test $? -eq 1

@@ -143,11 +143,11 @@ def _cmd_place(cfg: Dict, time_limit: Optional[float]) -> ResultBundle:
 def _cmd_sweep(cfg: Dict, time_limit: Optional[float]) -> ResultBundle:
     topology = topology_from_config(cfg)
     sweep_cfg = cfg["sweep"]
-    rows = run_sweep(sweep_cfg["drr"], sweep_cfg["workload_mips"],
-                     topology=topology, task_count=sweep_cfg["tasks"],
-                     time_limit_s=time_limit)
+    cells = run_sweep(sweep_cfg["drr"], sweep_cfg["workload_mips"],
+                      topology=topology, task_count=sweep_cfg["tasks"],
+                      time_limit_s=time_limit)
     return ResultBundle(
-        tables={"placement": placement_table(rows, topology)},
+        tables={"placement": placement_table(cells, topology)},
         manifest=build_manifest(cfg, stage="sweep", sweep=sweep_cfg),
     )
 

@@ -22,6 +22,10 @@ one eligibility row per source.  Each entry is ``PlacementProblem.cost``'s
 expression, and the sums over tasks still add one term per task in task
 order, so costs, bounds, tie tolerances and the oracle's comparisons are
 bitwise those of a per-task build, and the chosen assignment with them.
+
+The module returns solutions only: ``sweep`` gives each cell's
+``PlacementSolution`` or ``InfeasibleError``, and ``owcfog.scenarios``
+builds the placement and utilization tables from them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError, InfeasibleError, ResourceLimitError
 from .topology import (
@@ -262,7 +266,7 @@ def _rounding_slack(prep: _Prepared) -> float:
 
 
 # =====================================================================
-# solution + reports
+# solution
 # =====================================================================
 
 @dataclass
@@ -304,19 +308,6 @@ def _finish(problem: PlacementProblem, prep: _Prepared,
         mips[n_id] += t.workload_mips
         total += prep.cost[i][assignment_idx[i]]
     return PlacementSolution(problem, named, total, proc, net, mips, stats)
-
-
-def utilization_report(solution: PlacementSolution) -> List[Dict[str, object]]:
-    """Workload fraction used on each mobile unit."""
-    rows = []
-    for m in solution.problem.topology.mobiles():
-        rows.append({
-            "mobile_id": m.node_id,
-            "wavelength": m.wavelength,
-            "utilization": solution.workload_mips[m.node_id]
-            / m.capacity_mips,
-        })
-    return rows
 
 
 # =====================================================================
@@ -578,45 +569,31 @@ def solve_branch_and_bound(problem: PlacementProblem,
 # sweep
 # =====================================================================
 
-def solution_row(drr: float, workload_mips: float,
-                 solution: PlacementSolution) -> Dict[str, object]:
-    """Flatten one solved cell: totals plus per-node and per-mobile columns."""
-    row: Dict[str, object] = {
-        "drr": drr,
-        "workload_mips": workload_mips,
-        "status": "optimal",
-        "total_power_w": solution.objective_w,
-        "processing_power_w": solution.total_processing_w,
-        "networking_power_w": solution.total_networking_w,
-    }
-    for n_id in sorted(solution.workload_mips):
-        row[f"mips_{n_id}"] = solution.workload_mips[n_id]
-        row[f"proc_w_{n_id}"] = solution.processing_power_w[n_id]
-        row[f"net_w_{n_id}"] = solution.networking_power_w[n_id]
-    for u in utilization_report(solution):
-        row[f"util_{u['mobile_id']}"] = u["utilization"]
-    return row
+#: One solved sweep cell: ``(drr, workload_mips, result)``.
+SweepCell = Tuple[float, float, Union[PlacementSolution, InfeasibleError]]
 
 
 def sweep(drr_values: Sequence[float], workload_values: Sequence[float],
           topology: Optional[TopologyConfig] = None, task_count: int = 50,
-          time_limit_s: Optional[float] = None) -> List[Dict[str, object]]:
-    """One solved row per (drr, workload) cell; infeasible cells flagged."""
+          time_limit_s: Optional[float] = None) -> List[SweepCell]:
+    """Solve every (drr, workload) cell, DRR-major.
+
+    Each cell's ``result`` is its ``PlacementSolution`` or the
+    ``InfeasibleError`` whose report names the constraint that ended it;
+    ``owcfog.scenarios.placement_table`` builds the table from the cells.
+    """
     if topology is None:
         topology = build_reference_topology()
     sources = [m.node_id for m in topology.mobiles()]
-    rows: List[Dict[str, object]] = []
+    cells = []
     for drr in drr_values:
         for w in workload_values:
             tasks = demands_from_drr(w, drr, task_count, sources)
             try:
-                sol = solve_branch_and_bound(
+                result = solve_branch_and_bound(
                     PlacementProblem(topology, tasks),
                     time_limit_s=time_limit_s)
             except InfeasibleError as exc:
-                rows.append({"drr": drr, "workload_mips": w,
-                             "status": "infeasible",
-                             "detail": exc.report.get("constraint", "")})
-                continue
-            rows.append(solution_row(drr, w, sol))
-    return rows
+                result = exc
+            cells.append((drr, w, result))
+    return cells

@@ -19,6 +19,9 @@ from owcfog.errors import ConfigError
 #: Wavelength identifiers, in fixed canonical order.
 WAVELENGTHS = ("red", "yellow", "green", "blue")
 
+#: The surfaces a reflectivity map names.
+SURFACES = ("walls", "ceiling", "floor")
+
 
 @dataclass
 class AccessPoint:
@@ -32,7 +35,8 @@ class AccessPoint:
 
     Raises:
         ConfigError: for a non-finite position, a negative or non-finite
-            transmit power, or a semiangle outside (0, 90).
+            transmit power, a power for a wavelength outside
+            ``WAVELENGTHS``, or a semiangle outside (0, 90).
     """
 
     ap_id: int
@@ -48,6 +52,10 @@ class AccessPoint:
         if not all(0 <= po < math.inf for po in self.tx_power_w.values()):
             raise ConfigError(f"AP {self.ap_id} transmit power must be "
                               f"non-negative and finite")
+        for wl in self.tx_power_w:
+            if wl not in WAVELENGTHS:
+                raise ConfigError(f"AP {self.ap_id} transmit power names "
+                                  f"unknown wavelength {wl!r}")
         lambertian_order(self.half_power_semiangle_deg)
 
     @property
@@ -90,7 +98,8 @@ class RoomConfig:
 
     Reflectivity is a mapping ``wavelength -> {"walls": r, "ceiling": r,
     "floor": r}``; a flat ``{"walls": ..., ...}`` mapping is accepted and
-    applied to every wavelength. ``aps=None`` is the default 4 x 2 grid.
+    applied to every wavelength, and ``reflectivity_for`` refuses any other
+    key. ``aps=None`` is the default 4 x 2 grid.
     """
 
     length_m: float = 8.0
@@ -129,9 +138,19 @@ class RoomConfig:
             seen.add(ap.ap_id)
 
     def reflectivity_for(self, wavelength: str) -> Dict[str, float]:
-        """Per-surface reflectivity map for one wavelength."""
+        """Per-surface reflectivity map for one wavelength.
+
+        A key that is neither a surface nor a wavelength, a surface key
+        beside wavelength maps, and an unknown surface inside a wavelength's
+        map are refused: each would otherwise be ignored.
+        """
         table = self.reflectivity
-        if all(k in ("walls", "ceiling", "floor") for k in table):
+        for key in table:
+            if key not in SURFACES and key not in WAVELENGTHS:
+                raise ConfigError(
+                    f"unknown reflectivity key {key!r}: expected a surface "
+                    f"{SURFACES} or a wavelength {WAVELENGTHS}")
+        if all(k in SURFACES for k in table):
             out = dict(table)
         else:
             if wavelength not in table:
@@ -139,8 +158,13 @@ class RoomConfig:
             if not isinstance(table[wavelength], Mapping):
                 raise ConfigError(
                     f"reflectivity entry for {wavelength!r} must be a map")
+            for key in table:
+                if key in SURFACES:
+                    raise ConfigError(
+                        f"reflectivity key {key!r} sits beside wavelength "
+                        f"maps: give it inside each wavelength's map")
             out = dict(table[wavelength])
-        for key in ("walls", "ceiling", "floor"):
+        for key in SURFACES:
             if key not in out:
                 raise ConfigError(f"reflectivity map missing {key!r}")
             value = out[key]
@@ -149,6 +173,11 @@ class RoomConfig:
                 raise ConfigError(
                     f"reflectivity[{key}] must be a number in [0, 1), "
                     f"got {value!r}")
+        for key in out:
+            if key not in SURFACES:
+                raise ConfigError(
+                    f"unknown surface {key!r} in the reflectivity map for "
+                    f"{wavelength!r}: expected one of {SURFACES}")
         return out
 
 

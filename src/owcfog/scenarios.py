@@ -5,7 +5,8 @@ process or fixed coordinates) feed the channel tracer, solved allocations
 become downlink capacities in the fog topology, and every stage's output
 lands in a :class:`ResultBundle` — a directory of CSV tables plus a manifest
 that pins the config hash, seed and library versions so a run can be
-reproduced byte for byte.
+reproduced byte for byte.  The tracer and the solvers return records and
+solutions; this module builds every stage's table from them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .allocator import (AllocationProblem, AllocationSolution,
 from .channel import ChannelRecords, compute_channel_records, grid_positions
 from .config import config_digest, receiver_from_config, room_from_config
 from .errors import ConfigError, InfeasibleError
-from .placement import PlacementProblem, demands_from_drr, solution_row
+from .placement import PlacementProblem, SweepCell, demands_from_drr
 from .placement import solve_branch_and_bound as solve_placement
-from .placement import utilization_report
 from .room import (WAVELENGTHS, RoomConfig, Scenario, fixed_scenario,
                    ppp_mean_users)
 from .signal_model import ChannelTable
@@ -48,7 +48,6 @@ __all__ = [
     "placement_cell",
     "topology_from_config",
     "placement_table",
-    "placement_header",
     "placement_cell_tables",
 ]
 
@@ -281,21 +280,32 @@ PLACEMENT_BASE_HEADER = ["drr", "workload_mips", "total_power_w",
                          "status", "detail"]
 
 
-def placement_header(topology: TopologyConfig) -> List[str]:
-    node_ids = sorted(n.node_id for n in topology.nodes)
-    header = list(PLACEMENT_BASE_HEADER)
-    header += [f"mips_{n}" for n in node_ids]
-    header += [f"proc_w_{n}" for n in node_ids]
-    header += [f"net_w_{n}" for n in node_ids]
-    header += [f"util_{m.node_id}" for m in topology.mobiles()]
-    return header
-
-
-def placement_table(rows: Sequence[Dict[str, object]],
+def placement_table(cells: Sequence[SweepCell],
                     topology: TopologyConfig) -> Table:
-    """Sweep/solve row dicts → a rectangular table (missing cells empty)."""
-    header = placement_header(topology)
-    return (header, [[row.get(col) for col in header] for row in rows])
+    """``placement.sweep`` cells → one row each: the totals, then each
+    node's MIPS, processing and networking power in sorted id order, then
+    each mobile's utilization.  An infeasible cell names its constraint in
+    ``detail`` and leaves every figure empty."""
+    node_ids = sorted(n.node_id for n in topology.nodes)
+    mobiles = topology.mobiles()
+    header = PLACEMENT_BASE_HEADER + [
+        prefix + n for prefix in ("mips_", "proc_w_", "net_w_")
+        for n in node_ids] + ["util_" + m.node_id for m in mobiles]
+    empty = [None] * (len(header) - len(PLACEMENT_BASE_HEADER))
+    rows: List[List[object]] = []
+    for drr, workload, sol in cells:
+        if isinstance(sol, InfeasibleError):
+            rows.append([drr, workload, None, None, None, "infeasible",
+                         sol.report.get("constraint", ""), *empty])
+            continue
+        per_node = (sol.workload_mips, sol.processing_power_w,
+                    sol.networking_power_w)
+        rows.append([drr, workload, sol.objective_w, sol.total_processing_w,
+                     sol.total_networking_w, "optimal", None,
+                     *[values[n] for values in per_node for n in node_ids],
+                     *[sol.workload_mips[m.node_id] / m.capacity_mips
+                       for m in mobiles]])
+    return (header, rows)
 
 
 def channel_table(records: ChannelRecords) -> Table:
@@ -439,11 +449,11 @@ def placement_cell_tables(topology: TopologyConfig, drr: float,
     except InfeasibleError as exc:
         raise InfeasibleError(str(exc),
                               report={"stage": "place", **exc.report})
-    util_rows = [[u["mobile_id"], u["wavelength"], u["utilization"]]
-                 for u in utilization_report(sol)]
+    util_rows = [[m.node_id, m.wavelength,
+                  sol.workload_mips[m.node_id] / m.capacity_mips]
+                 for m in topology.mobiles()]
     return {
-        "placement": placement_table(
-            [solution_row(drr, workload_mips, sol)], topology),
+        "placement": placement_table([(drr, workload_mips, sol)], topology),
         "utilization": (list(UTILIZATION_HEADER), util_rows),
     }
 

@@ -25,6 +25,7 @@ from owcfog.config import load_config, room_from_config
 from owcfog.errors import InfeasibleError
 from owcfog.placement import (
     PlacementProblem,
+    PlacementSolution,
     demands_from_drr,
     solve_branch_and_bound as solve_placement,
     sweep,
@@ -188,20 +189,21 @@ def test_acceptance_3_sweep_envelope(capsys):
         rows = sweep(drrs, workloads, task_count=50)
         assert len(rows) == len(drrs) * len(workloads)
         # every cell either solves or carries an explicit infeasibility flag
-        assert all(r["status"] in ("optimal", "infeasible") for r in rows)
+        assert all(isinstance(r, (PlacementSolution, InfeasibleError))
+                   for _, _, r in rows)
 
-        by_cell = {(r["drr"], r["workload_mips"]): r for r in rows}
+        by_cell = {(d, w): r for d, w, r in rows}
         for w in workloads:
             series = [by_cell[(d, w)] for d in drrs]
-            powers = [r["total_power_w"] for r in series
-                      if r["status"] == "optimal"]
+            powers = [r.objective_w for r in series
+                      if isinstance(r, PlacementSolution)]
             assert all(a <= b + 1e-9 for a, b in zip(powers, powers[1:])), \
                 f"total power not nondecreasing in DRR at W={w}"
         for w in workloads:
             r = by_cell[(0.6, w)]
-            assert r["status"] == "optimal"
-            assert r["mips_ccloud"] == 0.0
-        solved = sum(r["status"] == "optimal" for r in rows)
+            assert isinstance(r, PlacementSolution)
+            assert r.workload_mips["ccloud"] == 0.0
+        solved = sum(isinstance(r, PlacementSolution) for _, _, r in rows)
         note["text"] = f"{solved}/{len(rows)} cells optimal"
 
 

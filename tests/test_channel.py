@@ -91,6 +91,12 @@ def test_access_point_rejects_bad_fields(field, bad, match):
         AccessPoint(**{**fields, field: bad})
 
 
+def test_access_point_refuses_power_for_unknown_wavelength():
+    # no trace reads a power outside WAVELENGTHS, so it would be ignored
+    with pytest.raises(ConfigError, match="unknown wavelength 'uv'"):
+        AccessPoint(0, (1.0, 1.0, 3.0), 60.0, {"red": 1.8, "uv": 1.8})
+
+
 @pytest.mark.parametrize("nx, ny, key", [(0, 2, "room.ap_grid_nx"),
                                          (4, 0, "room.ap_grid_ny"),
                                          (-1, 2, "room.ap_grid_nx")])

@@ -473,6 +473,22 @@ def test_readme_example_bundle_pinned(example, tmp_path, capsys):
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 
+def test_sweep_infeasible_row_pinned(tmp_path, capsys):
+    # one cell solves and one fits no node: the sweep flags the second with
+    # status and detail and empty figures, and still exits 0
+    argv = ["sweep", "--fig", "8", "--override", "drr=0.2",
+            "--override", "workload=[400.0,1e300]", "--out", str(tmp_path)]
+    assert _run(argv, capsys)[0] == 0
+    digests = {
+        "placement.csv":
+            "1d35d6f6f2eb3f28a1a24041bd86cbea14a19fef34af8920cdc9c767a2e329de",
+        "fig8.csv":
+            "863fbd2d2ff29c04b092f6cf80d0a71aec61181a858eded26c0a93dadff807d7"}
+    for name, digest in digests.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
 def test_seed_flag_changes_scenario(tmp_path, capsys):
     base = ["allocate", "--override", "scenario.intensity_per_m2=0.05"]
     _run(base + ["--out", str(tmp_path / "a"), "--seed", "19"], capsys)

@@ -297,6 +297,31 @@ def test_every_parent_rule_still_refuses(overrides, fragment, capsys):
     assert capsys.readouterr().out == ""
 
 
+_MAP = {"walls": 0.8, "ceiling": 0.8, "floor": 0.3}
+_FOUR_MAPS = {wl: dict(_MAP) for wl in ("red", "yellow", "green", "blue")}
+
+
+@pytest.mark.parametrize("reflectivity, fragment", [
+    ({**_FOUR_MAPS, "walls": 0.1, "uv": 7}, "unknown reflectivity key 'uv'"),
+    ({**_FOUR_MAPS, "red": {**_MAP, "mirror": 0.99}},
+     "unknown surface 'mirror' in the reflectivity map for 'red'"),
+    ({**_MAP, "wall": 0.1}, "unknown reflectivity key 'wall'"),
+    ({**_FOUR_MAPS, "walls": 0.1}, "reflectivity key 'walls' sits beside"),
+], ids=["extra-top-level-keys", "unknown-surface", "flat-map-typo",
+        "surface-beside-wavelengths"])
+def test_reflectivity_refuses_keys_it_would_ignore(reflectivity, fragment,
+                                                   capsys):
+    # each of these loaded, or failed naming a wavelength, while the key
+    # itself was ignored
+    override = "room.reflectivity=" + json.dumps(reflectivity)
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(None, [override])
+    assert main(["validate", "--override", override]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert fragment in json.loads(err)["message"]
+
+
 def test_a_load_builds_one_task_per_sweep_axis_entry(monkeypatch):
     # Each drr and workload entry is checked with one task and the count
     # rule alone, so the task count costs nothing to load: full task lists

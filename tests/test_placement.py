@@ -15,6 +15,7 @@ from owcfog.config import load_config
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.placement import (
     PlacementProblem,
+    PlacementSolution,
     TaskDemand,
     _cheapest_suffix,
     _fill_order,
@@ -27,7 +28,6 @@ from owcfog.placement import (
     demands_from_drr,
     solve_branch_and_bound,
     sweep,
-    utilization_report,
 )
 from owcfog.topology import (
     MOBILE_KIND,
@@ -183,9 +183,10 @@ def test_mobile_utilization_bins(topo, w, count, util):
     mtopo = _mobiles_only(topo)
     sol = solve_branch_and_bound(
         PlacementProblem(mtopo, demands_from_drr(w, 0.6, count)))
-    for row in utilization_report(sol):
-        assert row["utilization"] == pytest.approx(util, abs=1e-12)
-        assert row["wavelength"] in WL
+    for m in mtopo.mobiles():
+        utilization = sol.workload_mips[m.node_id] / m.capacity_mips
+        assert utilization == pytest.approx(util, abs=1e-12)
+        assert m.wavelength in WL
 
 
 def test_no_self_processing_respected(topo):
@@ -773,14 +774,16 @@ def test_fill_bound_holds_at_partial_states():
 def test_sweep_rows_and_monotonicity(topo):
     drrs = [0.002, 0.06, 0.6]
     workloads = [200.0, 800.0]
-    rows = sweep(drrs, workloads, topo, task_count=10)
-    assert len(rows) == 6
-    assert all(r["status"] == "optimal" for r in rows)
+    cells = sweep(drrs, workloads, topo, task_count=10)
+    assert [(d, w) for d, w, _ in cells] == \
+        [(d, w) for d in drrs for w in workloads]
+    assert all(isinstance(sol, PlacementSolution) for _, _, sol in cells)
     for w in workloads:
-        col = [r["total_power_w"] for r in rows if r["workload_mips"] == w]
+        col = [sol.objective_w for _, cw, sol in cells if cw == w]
         assert col == sorted(col)
     again = sweep(drrs, workloads, topo, task_count=10)
-    assert again == rows
+    assert [(sol.assignment, sol.objective_w) for _, _, sol in again] == \
+        [(sol.assignment, sol.objective_w) for _, _, sol in cells]
 
 
 def test_sweep_flags_infeasible_cells():
@@ -791,8 +794,11 @@ def test_sweep_flags_infeasible_cells():
                        wavelength="red"),
         ProcessingNode("roomfog", "RoomFog", 6200.0, 0.003, route),
     )
-    rows = sweep([0.1], [1400.0], TopologyConfig(nodes), task_count=10)
-    assert rows[0]["status"] == "infeasible"
+    [(drr, w, result)] = sweep([0.1], [1400.0], TopologyConfig(nodes),
+                               task_count=10)
+    assert (drr, w) == (0.1, 1400.0)
+    assert isinstance(result, InfeasibleError)
+    assert result.report["constraint"] == "total_capacity"
 
 
 def test_sweep_refuses_topology_without_mobiles(topo):
