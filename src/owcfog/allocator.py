@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -255,6 +255,14 @@ def solve_branch_and_bound(problem: AllocationProblem,
     the earlier leaf it mirrors, so it never would, and a bound cut drops
     only leaves below incumbent - tol. The result is the oracle's assignment.
 
+    The search is one loop over an explicit stack, with a frame per open
+    depth: the iterator over the slots left to try for that user, and the
+    load its chosen slot's AP carried before. A leaf or a cut node opens no
+    frame; the loop then steps to the next slot of the deepest frame, first
+    freeing the slot its last child took and restoring that AP's load, and
+    pops a frame whose slots are spent. On a timeout it pops every open
+    frame the same way, so each is undone as a returning call would be.
+
     Raises:
         InfeasibleError: the full search proves no assignment satisfies the
             floor and backhaul constraints (the report names the binding one).
@@ -304,68 +312,80 @@ def solve_branch_and_bound(problem: AllocationProblem,
     free = np.ones((n_aps, n_wl), dtype=bool)
     wl_busy = [0] * n_wl
     ap_load = [0.0] * n_aps
+    # the open depths: children[d] iterates the slots left to try for user
+    # d, and loads[d] is what its chosen slot's AP carried before it
+    children: List[Iterator[int]] = []
+    loads: List[float] = []
 
-    def descend(depth):
-        nonlocal nodes, leaves, floor_rejects, onu_rejects, bound_prunes
-        nonlocal best_obj, best_key, timed_out
+    depth = 0
+    while True:
+        # the node at depth; it opens a frame unless it is a leaf or cut
         nodes += 1
         if deadline is not None and nodes % 256 == 0 \
                 and time.monotonic() > deadline:
             timed_out = True
-            return
-        if depth == n_users:
+        elif depth == n_users:
             leaves += 1
             gammas = linearized_gammas(signal, shot, preamp,
                                        assignment).tolist()
             if min(gammas) < _FLOOR:
                 floor_rejects += 1
-                return
-            obj = _objective(gammas)
-            if best_obj is None or obj > best_obj + tol:
-                best_obj, best_key = obj, tuple(assignment)
-            return
-        bound = _slot_bounds(problem, free)
-        assigned = [bound[u, a, w] for u, (a, w) in enumerate(assignment)]
-        if assigned and min(assigned) < _FLOOR:
-            floor_rejects += 1
-            return
-        rest = bound[depth:]
-        best_free = np.where(free & (rest >= _FLOOR), rest, -1.0) \
-            .reshape(n_users - depth, -1).max(axis=1)
-        if best_free.min() < 0:
-            floor_rejects += 1
-            return
-        if best_obj is not None \
-                and sum(assigned) + best_free.sum() < best_obj - tol:
-            bound_prunes += 1
-            return
-        u = depth
-        open_slots = (free & (bound[u] >= _FLOOR)).ravel()
-        for s in np.flatnonzero(open_slots).tolist():
-            a, w = slots[s]
-            # open a wavelength only after the lower members of its class;
-            # members open in order, so the next-lower one stands for all
-            if not wl_busy[w] and previous[w] >= 0 \
-                    and not wl_busy[previous[w]]:
-                continue
-            load = ap_load[a]
-            new_load = load + rate[u][a]
-            if new_load > _ONU_CAP:
-                onu_rejects += 1
-                continue
-            assignment.append((a, w))
-            free[a, w] = False
-            wl_busy[w] += 1
-            ap_load[a] = new_load
-            descend(depth + 1)
-            ap_load[a] = load
-            wl_busy[w] -= 1
-            free[a, w] = True
-            assignment.pop()
-            if timed_out:
+            else:
+                obj = _objective(gammas)
+                if best_obj is None or obj > best_obj + tol:
+                    best_obj, best_key = obj, tuple(assignment)
+        else:
+            bound = _slot_bounds(problem, free)
+            assigned = [bound[u, a, w] for u, (a, w) in enumerate(assignment)]
+            if assigned and min(assigned) < _FLOOR:
+                floor_rejects += 1
+            else:
+                rest = bound[depth:]
+                best_free = np.where(free & (rest >= _FLOOR), rest, -1.0) \
+                    .reshape(n_users - depth, -1).max(axis=1)
+                if best_free.min() < 0:
+                    floor_rejects += 1
+                elif best_obj is not None \
+                        and sum(assigned) + best_free.sum() < best_obj - tol:
+                    bound_prunes += 1
+                else:
+                    open_slots = (free & (bound[depth] >= _FLOOR)).ravel()
+                    children.append(iter(np.flatnonzero(open_slots).tolist()))
+        # step to the next node in DFS order, undoing each closed child
+        while children:
+            u = len(children) - 1
+            if depth > u:  # back from the child at depth u + 1
+                a, w = assignment.pop()
+                ap_load[a] = loads.pop()
+                wl_busy[w] -= 1
+                free[a, w] = True
+                depth = u
+            if not timed_out:
+                for s in children[u]:
+                    a, w = slots[s]
+                    # open a wavelength only after the lower members of its
+                    # class; members open in order, so the next-lower one
+                    # stands for all
+                    if not wl_busy[w] and previous[w] >= 0 \
+                            and not wl_busy[previous[w]]:
+                        continue
+                    load = ap_load[a]
+                    new_load = load + rate[u][a]
+                    if new_load > _ONU_CAP:
+                        onu_rejects += 1
+                        continue
+                    assignment.append((a, w))
+                    free[a, w] = False
+                    wl_busy[w] += 1
+                    ap_load[a] = new_load
+                    loads.append(load)
+                    depth = u + 1
+                    break
+            if depth > u:  # entered that slot's child
                 break
-
-    descend(0)
+            children.pop()
+        else:
+            break
     elapsed = time.monotonic() - t0
 
     if best_key is None:

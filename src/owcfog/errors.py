@@ -5,8 +5,7 @@ Three failure families, mirrored by the CLI exit codes:
 - :class:`ConfigError`        bad inputs / unknown keys / unit mistakes  (exit 1)
 - :class:`InfeasibleError`    a solver proved there is no feasible point (exit 2)
 - :class:`ResourceLimitError` a cap (surface elements, time bins per
-                              trace, time limit budget, recursion depth)
-                              was exceeded                               (exit 1)
+                              trace, time limit budget) was exceeded     (exit 1)
 """
 
 

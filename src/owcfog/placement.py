@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import ConfigError, InfeasibleError, ResourceLimitError
 from .topology import (
@@ -412,13 +412,22 @@ def solve_branch_and_bound(problem: PlacementProblem,
     ``nodes``, ``leaves``, ``bound_prunes`` and ``relax_dead_ends`` count
     both passes; ``cutoff_nodes`` is the probe's share and
     ``cutoff_settled`` says whether it settled the solve.  A node that
-    finds the time limit expired returns at once and its parent stops
+    finds the time limit expired closes at once and its parent stops
     branching, so ``nodes`` counts only the nodes searched.  On a timeout
     the incumbent is the cheaper of the probe's band leaf and the second
     pass's incumbent, and ``gap`` is measured against ``LB - s``, which is
-    at most the optimum.  The search recurses once per task, so a problem
-    deeper than the interpreter's recursion limit (about 1,000 tasks) is
-    refused with ``ResourceLimitError``.
+    at most the optimum.
+
+    **Explicit stack.**  Each pass is one loop over a stack with a frame
+    per open depth: the iterator over the node indices left to try there
+    and the cost of the tasks placed above it.  A node that is a leaf, a
+    dead end or pruned opens no frame; the loop then steps to the next
+    child of the deepest frame, first giving back the capacity its last
+    child took, and pops a frame whose children are spent.  So the number
+    of tasks meets no recursion limit.  After ``stop`` or a timeout the
+    loop pops every open frame the same way, each giving its capacity
+    back, so the second pass starts with every capacity returned (to the
+    rounding of ``rem -= w; rem += w``).
     """
     t0 = time.monotonic()
     prep = _prepare(problem)
@@ -439,95 +448,109 @@ def solve_branch_and_bound(problem: PlacementProblem,
     nodes = leaves = bound_prunes = relax_dead_ends = 0
     deadline = None if time_limit_s is None else t0 + time_limit_s
     timed_out = stop = False
-    probing = True
     floor = math.floor
     root_bound: Optional[float] = None
+    # the open depths: children[d] iterates the node indices left to try
+    # at depth d, base[d] is the cost of the tasks placed above depth d
+    children: List[Iterator[int]] = []
+    base: List[float] = []
 
-    def descend(depth: int, cost_so_far: float) -> None:
-        nonlocal nodes, leaves, bound_prunes, relax_dead_ends, timed_out
-        nonlocal best_obj, best_asg, root_bound, stop
-        nodes += 1
-        if deadline is not None and nodes % 256 == 0 \
-                and time.monotonic() > deadline:
-            timed_out = stop = True
-            return
-        if depth == n:
-            leaves += 1
-            if best_obj is None or cost_so_far < best_obj - tol:
-                best_obj = cost_so_far
-                best_asg = list(assignment)
-                stop = probing
-            return
-        w, f = task_w[depth], task_f[depth]
-        tail = cheap[depth]
-        if uniform[depth]:
-            # fill the remaining n - depth tasks into nodes, cheapest first
-            need = n - depth
-            total = 0.0
-            for c, j in order:
-                if need == 0:
+    for probing in (True, False):
+        depth, cost_so_far = 0, 0.0
+        while True:
+            # the node at (depth, cost_so_far); it opens a frame unless it
+            # is a leaf, a dead end or pruned
+            nodes += 1
+            if deadline is not None and nodes % 256 == 0 \
+                    and time.monotonic() > deadline:
+                timed_out = stop = True
+            elif depth == n:
+                leaves += 1
+                if best_obj is None or cost_so_far < best_obj - tol:
+                    best_obj = cost_so_far
+                    best_asg = list(assignment)
+                    stop = probing
+            else:
+                w, f = task_w[depth], task_f[depth]
+                tail = cheap[depth]
+                need = 0  # tasks the fill bound cannot host
+                if uniform[depth]:
+                    # fill the remaining n - depth tasks into nodes,
+                    # cheapest first
+                    need = n - depth
+                    total = 0.0
+                    for c, j in order:
+                        if need == 0:
+                            break
+                        # take = min(need, max(0, slots)) without the
+                        # builtin calls
+                        take = floor(rem_mips[j] / w + 1e-9)
+                        if f > 0:
+                            by_flow = floor(rem_mbps[j] / f + 1e-9)
+                            if by_flow < take:
+                                take = by_flow
+                        if take < 0:
+                            take = 0
+                        elif take > need:
+                            take = need
+                        total += take * c
+                        need -= take
+                    if total >= tail:  # max(total, tail)
+                        tail = total
+                if need > 0:
+                    relax_dead_ends += 1
+                else:
+                    if depth == 0:
+                        root_bound = tail
+                        if probing:
+                            best_obj = tail + 3 * tol
+                    if best_obj is not None \
+                            and cost_so_far + tail >= best_obj - tol:
+                        bound_prunes += 1
+                    else:
+                        prev = group_prev[depth]
+                        start_j = assignment[prev] if prev is not None else 0
+                        children.append(iter(range(start_j, n_nodes)))
+                        base.append(cost_so_far)
+            # step to the next node in DFS order, undoing each closed child
+            while children:
+                d = len(children) - 1
+                w, f = task_w[d], task_f[d]
+                if depth > d:  # back from the child at depth d + 1
+                    j = assignment[d]
+                    rem_mips[j] += w
+                    rem_mbps[j] += f
+                    depth = d
+                if not stop:
+                    ok_row = eligible[d]
+                    for j in children[d]:
+                        if not ok_row[j]:
+                            continue
+                        if w > rem_mips[j] + 1e-9 or f > rem_mbps[j] + 1e-9:
+                            continue
+                        assignment[d] = j
+                        rem_mips[j] -= w
+                        rem_mbps[j] -= f
+                        depth, cost_so_far = d + 1, base[d] + cost[d][j]
+                        break
+                if depth > d:  # entered that child
                     break
-                # take = min(need, max(0, slots)) without the builtin calls
-                take = floor(rem_mips[j] / w + 1e-9)
-                if f > 0:
-                    by_flow = floor(rem_mbps[j] / f + 1e-9)
-                    if by_flow < take:
-                        take = by_flow
-                if take < 0:
-                    take = 0
-                elif take > need:
-                    take = need
-                total += take * c
-                need -= take
-            if need > 0:
-                relax_dead_ends += 1
-                return
-            if total >= tail:  # max(total, tail)
-                tail = total
-        if depth == 0:
-            root_bound = tail
-            if probing:
-                best_obj = tail + 3 * tol
-        if best_obj is not None and cost_so_far + tail >= best_obj - tol:
-            bound_prunes += 1
-            return
-        prev = group_prev[depth]
-        start_j = assignment[prev] if prev is not None else 0
-        ok_row, cost_row = eligible[depth], cost[depth]
-        for j in range(start_j, n_nodes):
-            if not ok_row[j]:
-                continue
-            if w > rem_mips[j] + 1e-9 or f > rem_mbps[j] + 1e-9:
-                continue
-            assignment[depth] = j
-            rem_mips[j] -= w
-            rem_mbps[j] -= f
-            descend(depth + 1, cost_so_far + cost_row[j])
-            rem_mips[j] += w
-            rem_mbps[j] += f
-            if stop:
+                children.pop()
+                base.pop()
+            else:
                 break
-
-    def search() -> None:
-        try:
-            descend(0, 0.0)
-        except RecursionError:
-            raise ResourceLimitError(
-                f"{n} tasks nest the placement search deeper than the "
-                f"interpreter's recursion limit") from None
-
-    search()
-    cutoff_nodes = nodes
-    settled = best_asg is not None \
-        and best_obj < root_bound + tol - 2 * slack
-    band_obj, band_asg = best_obj, best_asg
-    if not settled and not timed_out and root_bound is not None:
-        probing = stop = False
-        best_obj = best_asg = None
-        search()
-        if timed_out and band_asg is not None \
-                and (best_asg is None or band_obj < best_obj):
-            best_obj, best_asg = band_obj, band_asg
+        if probing:
+            cutoff_nodes = nodes
+            settled = best_asg is not None \
+                and best_obj < root_bound + tol - 2 * slack
+            band_obj, band_asg = best_obj, best_asg
+            if settled or timed_out or root_bound is None:
+                break
+            stop = False
+            best_obj = best_asg = None
+    if timed_out and band_asg is not None \
+            and (best_asg is None or band_obj < best_obj):
+        best_obj, best_asg = band_obj, band_asg
     elapsed = time.monotonic() - t0
 
     if best_asg is None:

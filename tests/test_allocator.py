@@ -5,6 +5,7 @@ and weak cross links, so most draws are feasible at the 14 dB floor; draws
 that turn out infeasible must be reported infeasible by *both* solvers.
 """
 
+import gc
 import itertools
 import math
 
@@ -481,6 +482,17 @@ def test_expired_time_limit_stops_at_first_check():
     assert full.objective >= sol.objective
     assert (full.objective - sol.objective) / full.objective \
         <= sol.stats["gap"]
+
+
+def test_solve_leaves_no_reference_cycle():
+    p = _random_problem(np.random.default_rng(1), 6, 6)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_branch_and_bound(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_node_bound_holds_at_partial_states():

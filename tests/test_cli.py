@@ -317,21 +317,22 @@ def test_more_users_than_slots_refused_before_tracing(command, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["place", "sweep", "chain"])
-def test_placement_deeper_than_the_recursion_limit_refused(command, tmp_path,
-                                                           capsys):
-    # the placement search recurses once per task, so 1,200 tasks cannot
-    # be searched; the stage ends in one resource-limit line
-    code, out, err = _run([command, "--out", str(tmp_path / "out"),
+def test_placement_of_1200_tasks_solves(command, tmp_path, capsys):
+    # the placement search keeps its open depths on a list, so a task
+    # count past the interpreter's recursion limit solves like any other
+    out_dir = tmp_path / "out"
+    code, out, err = _run([command, "--out", str(out_dir),
                            "--override", "tasks=1200",
                            "--override", "workload=[100]",
                            "--override", "drr=[0.002]"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    record = json.loads(err)
-    assert record["error"] == "resource_limit"
-    assert "1200 tasks" in record["message"]
-    assert not (tmp_path / "out").exists()
+    assert code == 0
+    assert err == ""
+    paths = [Path(line) for line in out.splitlines()]
+    assert out_dir / "placement.csv" in paths
+    assert all(path.parent == out_dir and path.is_file() for path in paths)
+    with open(out_dir / "placement.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["optimal"]
 
 
 @pytest.mark.parametrize("under", [False, True],

@@ -6,6 +6,7 @@ cost(task, node) = W * E_node + F * Psi_node, e.g. a 1000 MIPS task with a
 """
 
 import dataclasses
+import gc
 import math
 import random
 
@@ -407,22 +408,65 @@ def test_zero_budget_settles_tight_cell_before_first_check(topo):
     assert sol.assignment == solve_branch_and_bound(problem).assignment
 
 
-# search-tree size of three default sweep cells (50 tasks): a tighter bound
-# may shrink the tree below these ceilings, a slower search fails them
-@pytest.mark.parametrize("drr,workload,nodes,leaves,prunes", [
-    (0.002, 200.0, 32_728, 928, 23_056),
-    (0.2, 800.0, 289, 4, 235),
-    (0.6, 1500.0, 222, 2, 170),
-])
-def test_sweep_cell_search_tree_ceilings(topo, drr, workload, nodes, leaves,
-                                         prunes):
+def _classes(topo, *classes):
+    """Tasks of one ``(count, workload, drr)`` class after another, ids
+    consecutive; each class takes its sources round-robin from mobile_0."""
     sources = [m.node_id for m in topo.mobiles()]
-    tasks = demands_from_drr(workload, drr, 50, sources)
-    stats = solve_branch_and_bound(PlacementProblem(topo, tasks)).stats
+    tasks = []
+    for count, workload, drr in classes:
+        tasks += [dataclasses.replace(t, task_id=len(tasks) + t.task_id)
+                  for t in demands_from_drr(workload, drr, count, sources)]
+    return PlacementProblem(topo, tasks)
+
+
+# search-tree size of three default sweep cells (50 tasks), each settled by
+# the cutoff probe, and of the cheapest mixed instance found whose probe
+# does not settle it: a tighter bound may shrink the tree below these
+# ceilings, a slower search fails them
+@pytest.mark.parametrize("classes,nodes,leaves,prunes,probe_nodes,settled", [
+    pytest.param([(50, 200.0, 0.002)], 139, 1, 88, 139, True,
+                 id="drr0.002-w200"),
+    pytest.param([(50, 800.0, 0.2)], 51, 1, 0, 51, True, id="drr0.2-w800"),
+    pytest.param([(50, 1500.0, 0.6)], 51, 1, 0, 51, True,
+                 id="drr0.6-w1500"),
+    pytest.param([(6, 400.0, 0.02), (8, 800.0, 0.06)],
+                 123_252, 171, 112_805, 73, False, id="6x400-8x800"),
+])
+def test_search_tree_ceilings(topo, classes, nodes, leaves, prunes,
+                              probe_nodes, settled):
+    stats = solve_branch_and_bound(_classes(topo, *classes)).stats
     assert stats["complete"]
     assert stats["nodes"] <= nodes
     assert stats["leaves"] <= leaves
     assert stats["bound_prunes"] <= prunes
+    assert stats["cutoff_nodes"] <= probe_nodes
+    assert stats["cutoff_settled"] is settled
+
+
+def test_thousands_of_tasks_solve(topo):
+    # the search keeps one frame per task on a list, not on the
+    # interpreter's stack, so its depth has no recursion limit
+    problem = PlacementProblem(topo, demands_from_drr(100.0, 0.002, 3000))
+    sol = solve_branch_and_bound(problem)
+    assert sol.stats["complete"] and sol.stats["cutoff_settled"]
+    assert sol.stats["nodes"] < 3100
+    assert len(sol.assignment) == 3000
+    assert all(sol.assignment[task.task_id] != task.source
+               for task in problem.tasks)
+    for node in topo.nodes:
+        assert sol.workload_mips[node.node_id] <= node.capacity_mips
+    assert sol.stats["root_bound"] <= sol.objective_w * (1 + 1e-12)
+
+
+def test_solve_leaves_no_reference_cycle(topo):
+    problem = PlacementProblem(topo, demands_from_drr(400.0, 0.2, 50))
+    gc.collect()
+    gc.disable()
+    try:
+        solve_branch_and_bound(problem)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_root_fill_bound_is_admissible_on_tight_sweep_cells(topo):
