@@ -48,6 +48,11 @@ grep -q ',optimal,' "$RUNNER_TEMP/deep/placement.csv"
 # 1e-15 s bins would give one trace about 94 million bins: refused before any is allocated
 code=0; timeout 30 owcfog channel --out "$RUNNER_TEMP/bins" --override room.time_bin_s=1e-15 --override room.grid_nx=1 --override room.grid_ny=1 2> "$RUNNER_TEMP/bins.err" || code=$?; test $code -eq 1
 test "$(wc -l < "$RUNNER_TEMP/bins.err")" -eq 1
+# 10^10 APs, or 10^10 receiver grid points: each count is refused before anything is built
+code=0; timeout 30 owcfog validate --override room.ap_grid_nx=100000 --override room.ap_grid_ny=100000 2> "$RUNNER_TEMP/aps.err" || code=$?; test $code -eq 1
+test "$(wc -l < "$RUNNER_TEMP/aps.err")" -eq 1
+code=0; timeout 30 owcfog channel --out "$RUNNER_TEMP/grid" --override room.grid_nx=100000 --override room.grid_ny=100000 2> "$RUNNER_TEMP/grid.err" || code=$?; test $code -eq 1
+test "$(wc -l < "$RUNNER_TEMP/grid.err")" -eq 1
 # numpy cannot draw a Poisson count with a mean past about 9.2e18
 code=0; owcfog validate --override scenario.intensity_per_m2=1e300 || code=$?; test $code -eq 1
 code=0; owcfog place --out "$RUNNER_TEMP/huge" --override 'workload=[1e300]' 2> "$RUNNER_TEMP/huge.err" || code=$?; test $code -eq 2

@@ -10,6 +10,20 @@ over as one ``ChannelRecords``: a dense (user, AP, wavelength) array per
 metric, which the signal model and the bundle tables read directly. The
 room, its APs and the receiver it traces are described in :mod:`owcfog.room`.
 
+The surface mesh is the room's six faces, one run of elements each, in the
+order of the face table ``_FACES``: floor, ceiling, then the walls at
+y = 0, y = W, x = 0 and x = L. A face is cut into cells of at most
+``element_edge_m`` along its two axes, and the element centers are kept as
+three contiguous coordinate rows. Every inward normal is a signed unit
+axis, so a cosine against an element's normal is one coordinate of the ray
+times +-1, divided by the ray's length. The tracer defines that length as
+the square root of the squared coordinate differences added in a fixed
+order (``_distance``):
+    - (x^2 + y^2) + z^2 from an AP or the receiver to an element;
+    - (x^2 + z^2) + y^2 from one element to another.
+The order sets the last bits of every delay, and so of every response on a
+mesh whose coordinates are inexact, such as the 0.1 m mesh.
+
 The tracer does only work that can reach the receiver. The surface mesh
 depends on the room alone, so every link shares one. The second bounce is
 the element-pair sum of Barry et al. (JSAC 1993), and a pair adds to it only
@@ -21,7 +35,7 @@ by every wavelength that traced it.
 Work that does not depend on the whole link is shared between links through
 one cached ``_Mesh``, the mesh of the last room geometry traced, which lives
 until a room of another geometry or element cap is traced. All the arrays it
-hands out are read-only. Besides the element centers, normals and areas, it
+hands out are read-only. Besides the element centers and areas, it
 holds the power landing on each element and its delay for each AP traced,
 keyed on the AP's position, Lambertian order and power (no more views than
 the traced room has APs times wavelengths; past that they are all dropped),
@@ -75,6 +89,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -83,7 +98,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
-from owcfog.room import WAVELENGTHS, AccessPoint, ReceiverSpec, RoomConfig
+from owcfog.room import (WAVELENGTHS, AccessPoint, ReceiverSpec, RoomConfig,
+                         check_link_count)
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -176,29 +192,25 @@ def los_gain(ap: AccessPoint, receiver: ReceiverSpec,
 # Surface discretization
 # =====================================================================
 
-def _face_grid(e, u_len, v_len, make_point, normal):
-    """(centers, normals, areas) of one face meshed into <= e-sized cells."""
-    nu = max(1, math.ceil(u_len / e))
-    nv = max(1, math.ceil(v_len / e))
-    du, dv = u_len / nu, v_len / nv
-    us = (np.arange(nu) + 0.5) * du
-    vs = (np.arange(nv) + 0.5) * dv
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    pts = make_point(uu.ravel(), vv.ravel())
-    n = pts.shape[0]
-    normals = np.tile(np.asarray(normal, dtype=float), (n, 1))
-    areas = np.full(n, du * dv)
-    return pts, normals, areas
+# The six faces of the mesh, in element order: the surface each belongs to,
+# and the axis (0, 1, 2 for x, y, z) and sign of its inward unit normal. A
+# face lies where that coordinate is 0 (sign +1) or the room's extent (sign
+# -1), and is meshed along its other two axes, the lower one slowest.
+_FACES = (("floor", 2, 1.0), ("ceiling", 2, -1.0),
+          ("walls", 1, 1.0), ("walls", 1, -1.0),
+          ("walls", 0, 1.0), ("walls", 0, -1.0))
 
 
 def surface_elements(room: RoomConfig, wavelength: str):
     """Discretize the six room faces into Lambertian reflector elements.
 
     Rooms with equal geometry and element cap share one mesh, built on
-    first use; its centers, normals and areas are read-only.
+    first use.
 
     Returns:
-        (centers, normals, areas, rhos) numpy arrays of shape (N, 3)/(N,)/...
+        (centers, areas, rhos): the (N, 3) element centers, a read-only
+        view of the mesh's three coordinate rows; each element's area,
+        read-only; and each element's reflectivity at ``wavelength``.
 
     Raises:
         ResourceLimitError: when the mesh would exceed ``room.max_elements``.
@@ -206,51 +218,49 @@ def surface_elements(room: RoomConfig, wavelength: str):
     refl = room.reflectivity_for(wavelength)
     mesh = _mesh(room.length_m, room.width_m, room.height_m,
                  room.element_edge_m, room.max_elements)
-    return mesh.centers, mesh.normals, mesh.areas, mesh.rhos(refl)
+    return mesh.centers.T, mesh.areas, mesh.rhos(refl)
 
 
 @functools.lru_cache(maxsize=1)
 def _mesh(L, W, H, e, max_elements) -> _Mesh:
-    """The elements of the six faces (floor, ceiling, then the four walls)
-    of one room geometry, with the views traces of that room share."""
-    faces = [_face_grid(e, *face) for face in (
-        # Floor (z=0, normal up) and ceiling (z=H, normal down).
-        (L, W, lambda u, v: np.column_stack([u, v, np.zeros_like(u)]),
-         (0, 0, 1)),
-        (L, W, lambda u, v: np.column_stack([u, v, np.full_like(u, H)]),
-         (0, 0, -1)),
-        # Four walls.
-        (L, H, lambda u, v: np.column_stack([u, np.zeros_like(u), v]),
-         (0, 1, 0)),
-        (L, H, lambda u, v: np.column_stack([u, np.full_like(u, W), v]),
-         (0, -1, 0)),
-        (W, H, lambda u, v: np.column_stack([np.zeros_like(u), u, v]),
-         (1, 0, 0)),
-        (W, H, lambda u, v: np.column_stack([np.full_like(u, L), u, v]),
-         (-1, 0, 0)))]
-
-    centers = np.vstack([f[0] for f in faces])
-    if centers.shape[0] > max_elements:
+    """The elements of the six faces of one room geometry, face by face in
+    ``_FACES`` order, with the views traces of that room share. Each axis
+    is cut into the same <= e-sized cells on every face that meshes it, and
+    the element count is checked before any array is allocated."""
+    extent = (L, W, H)
+    cells = [max(1, math.ceil(x / e)) for x in extent]
+    step = [x / n for x, n in zip(extent, cells)]
+    planes = [[a for a in range(3) if a != axis] for _, axis, _ in _FACES]
+    bounds = list(itertools.accumulate(
+        (cells[u] * cells[v] for u, v in planes), initial=0))
+    if bounds[-1] > max_elements:
         raise ResourceLimitError(
-            f"{centers.shape[0]} surface elements exceed cap {max_elements}; "
-            f"raise max_elements or coarsen element_edge_m"
-        )
-    return _Mesh(centers, np.vstack([f[1] for f in faces]),
-                 np.concatenate([f[2] for f in faces]),
-                 tuple(f[2].size for f in faces))
+            f"{bounds[-1]} surface elements exceed cap {max_elements}; "
+            f"raise max_elements or coarsen element_edge_m")
+    mids = [(np.arange(n) + 0.5) * d for n, d in zip(cells, step)]
+    centers, areas = np.empty((3, bounds[-1])), np.empty(bounds[-1])
+    for (_, axis, sign), (u, v), a, b in zip(_FACES, planes, bounds,
+                                             bounds[1:]):
+        centers[axis, a:b] = 0.0 if sign > 0 else extent[axis]
+        centers[u, a:b] = np.repeat(mids[u], cells[v])
+        centers[v, a:b] = np.tile(mids[v], cells[u])
+        areas[a:b] = step[u] * step[v]
+    return _Mesh(centers, areas, bounds)
 
 
 class _Mesh:
     """Surface elements of one room geometry and the read-only views of
     them that traces share (see the module docstring). ``rhos`` turns a
-    reflectivity map into per-element values."""
+    reflectivity map into per-element values, and ``normal_dot`` takes
+    every cosine against an element's normal."""
 
-    def __init__(self, centers, normals, areas, counts):
-        self.centers, self.normals, self.areas = _frozen(centers, normals,
-                                                         areas)
-        self.counts = counts
+    def __init__(self, centers, areas, bounds):
+        #: (3, N) element coordinates, one contiguous row per axis
+        self.centers, self.areas = _frozen(centers, areas)
+        #: where each face's run of elements starts, then N
+        self.bounds = bounds
         #: source rows per chunk of the second-order pass
-        self.chunk_rows = max(1, _CHUNK_TARGET // centers.shape[0])
+        self.chunk_rows = max(1, _CHUNK_TARGET // areas.size)
         #: (AP position, Lambertian order, power) -> (p_elem, t_elem)
         self.ap_views: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         #: (receiver position, field of view, area), (g_rx, t_rx)
@@ -262,8 +272,22 @@ class _Mesh:
 
     def rhos(self, refl: Dict[str, float]) -> np.ndarray:
         """Each element's reflectivity under one map."""
-        face_rhos = (refl["floor"], refl["ceiling"]) + (refl["walls"],) * 4
-        return np.repeat(np.array(face_rhos, float), self.counts)
+        face_rhos = np.array([refl[face[0]] for face in _FACES], float)
+        return np.repeat(face_rhos, np.diff(self.bounds))
+
+    def normal_dot(self, v, scale, idx=None, cols=False):
+        """``scale`` times each element's inward normal dotted with ``v``,
+        three arrays of coordinates. The elements are all of them, in
+        order, or the ascending indices ``idx``; they run along the first
+        axis of each array, or along the second when ``cols``. A normal is
+        a signed unit axis, so each value is one coordinate of ``v`` times
+        +-``scale``, exactly."""
+        out = np.empty_like(v[0])
+        cut = self.bounds if idx is None else np.searchsorted(idx, self.bounds)
+        for (_, axis, sign), a, b in zip(_FACES, cut, cut[1:]):
+            part = np.s_[:, a:b] if cols else np.s_[a:b]
+            np.multiply(v[axis][part], sign * scale, out=out[part])
+        return out
 
     def ap(self, room, ap, po):
         """The ``_ap_transfer`` view of ``ap`` sending ``po`` watts. Past
@@ -318,9 +342,9 @@ class _Mesh:
                 and k <= trans.shape[1]:
             # both sets are in ascending element order, so the shared sinks
             # come in the same order in each
-            in_last = np.zeros(self.centers.shape[0], dtype=bool)
+            in_last = np.zeros(self.areas.size, dtype=bool)
             in_last[last_sinks] = True
-            in_new = np.zeros(self.centers.shape[0], dtype=bool)
+            in_new = np.zeros(self.areas.size, dtype=bool)
             in_new[sinks] = True
             shared, kept = in_last[sinks], in_new[last_sinks]
             for arr in (trans, delay):
@@ -348,11 +372,7 @@ def _frozen(*arrays):
 def _ap_transfer(mesh, ap_position_m, m, po):
     """AP -> element transfer: (p_elem, t_elem), the power landing on each
     element and its arrival time."""
-    v1 = mesh.centers - np.asarray(ap_position_m, float)
-    d1 = np.linalg.norm(v1, axis=1)
-    d1 = np.where(d1 <= 0, np.inf, d1)
-    cos_phi1 = -v1[:, 2] / d1  # AP normal is -z
-    cos_inc1 = -np.einsum("ij,ij->i", v1, mesh.normals) / d1
+    cos_inc1, cos_phi1, d1 = _rays(mesh, ap_position_m, -1.0)  # faces -z
     ok1 = (cos_phi1 > 0) & (cos_inc1 > 0)
     p_elem = np.zeros_like(d1)
     p_elem[ok1] = (po * (m + 1.0) / (2.0 * math.pi * d1[ok1] ** 2)
@@ -365,16 +385,35 @@ def _rx_transfer(mesh, rx_position_m, fov_deg, area_m2):
     of each element acting as an order-1 Lambertian emitter, with the FOV
     cut applied, and its delay."""
     cos_fov = math.cos(math.radians(fov_deg))
-    v2 = np.asarray(rx_position_m, float) - mesh.centers
-    d2 = np.linalg.norm(v2, axis=1)
-    d2 = np.where(d2 <= 0, np.inf, d2)
-    cos_emit2 = np.einsum("ij,ij->i", v2, mesh.normals) / d2
-    cos_inc2 = -v2[:, 2] / d2  # receiver normal is +z
+    cos_emit2, cos_inc2, d2 = _rays(mesh, rx_position_m, 1.0)  # faces +z
     ok2 = (cos_emit2 > 0) & (cos_inc2 >= cos_fov)
     g_rx = np.zeros_like(d2)
     g_rx[ok2] = (cos_emit2[ok2] * cos_inc2[ok2] * area_m2
                  / (math.pi * d2[ok2] ** 2))
     return g_rx, d2 / SPEED_OF_LIGHT_M_S
+
+
+def _rays(mesh, point, facing_z):
+    """(cos_elem, cos_point, d) of the ray from each element to ``point``,
+    which faces ``facing_z`` times +z (-1 for an AP, +1 for a receiver):
+    the ray's cosines against the element's normal and the point's, and
+    its length (inf where that is 0)."""
+    w = [p - c for c, p in zip(mesh.centers, point)]
+    cos_elem = mesh.normal_dot(w, 1.0)
+    cos_point = w[2] * -facing_z
+    d = _distance(w, (0, 1, 2))
+    d = np.where(d <= 0, np.inf, d)
+    return cos_elem / d, cos_point / d, d
+
+
+def _distance(v, order):
+    """The lengths of the vectors whose coordinates are the three arrays
+    ``v``: the square root of their squares added in ``order`` (see the
+    module docstring). The squares are taken in place, over ``v``."""
+    a, b, c = (np.square(v[k], out=v[k]) for k in order)
+    a += b
+    a += c
+    return np.sqrt(a, out=a)
 
 
 # =====================================================================
@@ -549,21 +588,20 @@ def _pair_chunks(mesh, src_idx, sinks):
     Each step works in place but is the same operation, on the same
     operands, as the plain expression, so the bits are those of the plain
     expression; the fewer temporaries keep the main heap smaller."""
-    centers, normals, areas = mesh.centers, mesh.normals, mesh.areas
-    sink_centers, sink_normals = centers[sinks], normals[sinks]
-    sink_areas = areas[sinks]
+    sink_centers = [c[sinks] for c in mesh.centers]
+    sink_areas = mesh.areas[sinks]
     chunk = mesh.chunk_rows
     for k0 in range(0, src_idx.size, chunk):
         rows = src_idx[k0:k0 + chunk]
-        vij = sink_centers[None, :, :] - centers[rows, None, :]  # (c, s, 3)
-        dij = np.einsum("csj,csj->cs", vij, vij)
-        np.sqrt(dij, out=dij)
-        np.maximum(dij, 1e-12, out=dij)
-        cos_emit = np.einsum("csj,cj->cs", vij, normals[rows])
-        cos_emit /= dij
-        cos_inc = np.einsum("csj,sj->cs", vij, sink_normals)
+        # sink minus source: one (c, s) array per coordinate
+        vij = [s[None, :] - c[rows, None]
+               for s, c in zip(sink_centers, mesh.centers)]
+        cos_emit = mesh.normal_dot(vij, 1.0, rows)
+        cos_inc = mesh.normal_dot(vij, -1.0, sinks, cols=True)
+        dij = _distance(vij, (0, 2, 1))
         del vij
-        np.negative(cos_inc, out=cos_inc)
+        np.maximum(dij, 1e-12, out=dij)
+        cos_emit /= dij
         cos_inc /= dij
         # both ends must face each other; masking the product alone would
         # wrongly admit back-to-back pairs
@@ -770,6 +808,10 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     The tabulated ``rate_bps`` is the raw channel-supported rate
     (``channel_rate``); FEC de-rating happens later once an assignment fixes
     each user's SINR.
+
+    Raises:
+        ResourceLimitError: for more than ``owcfog.room.MAX_LINKS`` traces
+            (positions x APs x distinct maps), before any is taken.
     """
     for u, (x, y) in enumerate(positions):
         if not (0 <= x <= room.length_m and 0 <= y <= room.width_m):
@@ -789,8 +831,10 @@ def compute_channel_records(room: RoomConfig, receiver: ReceiverSpec,
     z = room.receiver_plane_m
     links = (((x, y, z), wl, unit_ap) for x, y in positions
              for unit_ap in unit_aps for wl in traced_at.values())
+    n_traces = len(positions) * len(room.aps) * len(traced_at)
+    check_link_count(n_traces, "positions x APs x reflectivity maps")
     # (h, delay spread, 3-dB bandwidth) of each trace, in trace order
-    traces = np.empty((3, len(positions) * len(room.aps) * len(traced_at)))
+    traces = np.empty((3, n_traces))
     # imported here, as the stages that never trace (place, sweep,
     # validate) would otherwise carry it in memory
     import queue

@@ -12,9 +12,11 @@ Subcommands::
 Exit codes are the process contract: 0 success, 2 a solver proved the model
 infeasible (a machine-readable report goes to stderr), 1 usage or config
 errors, an output directory that cannot be written, or a resource cap
-(``"error": "resource_limit"``): more surface elements than
-``room.max_elements``, more time bins per trace than the tracer allows, or a
-time limit that expires before any feasible point is found.  Every exit 1 or 2 writes
+(``"error": "resource_limit"``): an AP grid of more than
+``owcfog.room.MAX_APS`` APs, more links than ``owcfog.room.MAX_LINKS``,
+more surface elements than ``room.max_elements``, more time bins per trace
+than the tracer allows, or a time limit that expires before any feasible
+point is found.  Every exit 1 or 2 writes
 one JSON line to stderr.  Identical invocations write identical artifacts.
 """
 

@@ -14,13 +14,25 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from owcfog.errors import ConfigError
+from owcfog.errors import ConfigError, ResourceLimitError
 
 #: Wavelength identifiers, in fixed canonical order.
 WAVELENGTHS = ("red", "yellow", "green", "blue")
 
 #: The surfaces a reflectivity map names.
 SURFACES = ("walls", "ceiling", "floor")
+
+#: The most APs ``default_ap_grid`` builds: a 64 x 64 grid, 512 times the
+#: default 4 x 2. Each AP costs under 1 KB at load (a 300 x 300 grid took
+#: 77 MB in ``validate``) and adds a trace per user position and map.
+MAX_APS = 4096
+
+#: The most links a room's receiver grid may have (points x APs), and the
+#: most traces ``owcfog.channel.compute_channel_records`` takes (positions x
+#: APs x reflectivity maps): 1,024 times the 1,024 of the default grid. The
+#: records of that many links hold at most 168 MB, and at about 0.6 ms a
+#: trace on the default 0.5 m mesh they take about ten minutes.
+MAX_LINKS = 1 << 20
 
 
 @dataclass
@@ -99,7 +111,9 @@ class RoomConfig:
     Reflectivity is a mapping ``wavelength -> {"walls": r, "ceiling": r,
     "floor": r}``; a flat ``{"walls": ..., ...}`` mapping is accepted and
     applied to every wavelength, and ``reflectivity_for`` refuses any other
-    key. ``aps=None`` is the default 4 x 2 grid.
+    key. ``aps=None`` is the default 4 x 2 grid. A receiver grid with more
+    than :data:`MAX_LINKS` links (grid points x APs) is refused with
+    ``ResourceLimitError``.
     """
 
     length_m: float = 8.0
@@ -136,6 +150,8 @@ class RoomConfig:
             if ap.ap_id in seen:
                 raise ConfigError(f"duplicate ap_id {ap.ap_id}")
             seen.add(ap.ap_id)
+        check_link_count(self.grid_nx * self.grid_ny * len(self.aps),
+                         f"room.grid_nx x grid_ny x {len(self.aps)} APs")
 
     def reflectivity_for(self, wavelength: str) -> Dict[str, float]:
         """Per-surface reflectivity map for one wavelength.
@@ -186,10 +202,20 @@ def default_ap_grid(length_m: float = 8.0, width_m: float = 4.0,
                     tx_power_w: Optional[Dict[str, float]] = None,
                     half_power_semiangle_deg: float = 60.0
                     ) -> List[AccessPoint]:
-    """Evenly spaced ceiling AP grid (nx along the length, ny along the width)."""
+    """Evenly spaced ceiling AP grid (nx along the length, ny along the width).
+
+    Raises:
+        ConfigError: for an empty grid.
+        ResourceLimitError: for more than :data:`MAX_APS` APs, before any
+            is built.
+    """
     for key, n in (("room.ap_grid_nx", nx), ("room.ap_grid_ny", ny)):
         if not n >= 1:
             raise ConfigError(f"{key} must be a positive integer, got {n!r}")
+    if nx * ny > MAX_APS:
+        raise ResourceLimitError(
+            f"room.ap_grid_nx x ap_grid_ny gives {nx * ny} APs, above the "
+            f"cap of {MAX_APS}")
     aps = []
     ap_id = 0
     for j in range(ny):
@@ -204,6 +230,14 @@ def default_ap_grid(length_m: float = 8.0, width_m: float = 4.0,
             ))
             ap_id += 1
     return aps
+
+
+def check_link_count(links, counted: str) -> None:
+    """Refuse more than :data:`MAX_LINKS` links; ``counted`` names what
+    was multiplied to count them."""
+    if links > MAX_LINKS:
+        raise ResourceLimitError(
+            f"{counted} give {links} links, above the cap of {MAX_LINKS}")
 
 
 def lambertian_order(half_power_semiangle_deg: float) -> float:

@@ -34,6 +34,8 @@ from owcfog.channel import (
 from owcfog.config import load_config, receiver_from_config, room_from_config
 from owcfog.errors import ConfigError, InfeasibleError, ResourceLimitError
 from owcfog.room import (
+    MAX_APS,
+    MAX_LINKS,
     WAVELENGTHS,
     AccessPoint,
     ReceiverSpec,
@@ -104,6 +106,45 @@ def test_ap_grid_refuses_an_empty_grid(nx, ny, key):
     # an empty list would make RoomConfig fall back to the default 4 x 2 grid
     with pytest.raises(ConfigError, match=key):
         default_ap_grid(nx=nx, ny=ny)
+
+
+def test_ap_grid_refuses_more_aps_than_the_cap():
+    # the count is refused before any AP is built, so 10^10 APs are
+    # refused at once
+    assert len(default_ap_grid(nx=64, ny=64)) == MAX_APS
+    for nx, ny in ((65, 64), (10**5, 10**5)):
+        with pytest.raises(ResourceLimitError, match="APs, above the cap"):
+            default_ap_grid(nx=nx, ny=ny)
+
+
+def test_room_refuses_more_grid_links_than_the_cap():
+    # with the default 8 APs, a 128 x 1,024 receiver grid has 2^20 links
+    room = RoomConfig(grid_nx=128, grid_ny=1024)
+    assert room.grid_nx * room.grid_ny * len(room.aps) == MAX_LINKS
+    for nx, ny in ((129, 1024), (10**5, 10**5)):
+        with pytest.raises(ResourceLimitError, match="links, above the cap"):
+            RoomConfig(grid_nx=nx, grid_ny=ny)
+
+
+def test_records_refuse_more_links_than_the_cap(monkeypatch):
+    # four maps and eight APs trace 32 links per position: 2^15 positions
+    # are traced, and one more is refused before any trace
+    maps = {wl: {"walls": 0.8 - 0.1 * i, "ceiling": 0.8, "floor": 0.3}
+            for i, wl in enumerate(WAVELENGTHS)}
+    room = RoomConfig(element_edge_m=0.5, reflectivity=maps)
+
+    class Traced(Exception):
+        pass
+
+    def trace(*args):
+        raise Traced
+    monkeypatch.setattr(channel_mod, "trace_impulse_response", trace)
+    positions = [(1.0, 1.0)] * (MAX_LINKS // 32)
+    with pytest.raises(Traced):
+        compute_channel_records(room, ReceiverSpec(), positions)
+    with pytest.raises(ResourceLimitError, match="links, above the cap"):
+        compute_channel_records(room, ReceiverSpec(),
+                                positions + [(1.0, 1.0)])
 
 
 def test_ap_grid_rejects_negative_power():
@@ -465,7 +506,7 @@ def test_shared_views_are_read_only():
     _clear_tracer_caches()
     trace_impulse_response(room, room.aps[0], rec, rxp, "red", 2)
     mesh = _room_mesh(room)
-    arrays = [mesh.centers, mesh.normals, mesh.areas, *mesh.rx_view[1]]
+    arrays = [mesh.centers, *mesh.centers, mesh.areas, *mesh.rx_view[1]]
     arrays += [arr for view in mesh.ap_views.values() for arr in view]
     # the sinks, transfer and delay of the kept pair set
     arrays += [*mesh.pairs[1:]]
@@ -584,6 +625,74 @@ def test_fine_mesh_trace_pinned():
                                 (1.0, 1.0, 1.0), "red", 2)
     assert hashlib.sha256(ir.powers_w.tobytes()).hexdigest() == FINE_TRACE_SHA256
     assert ir.order_powers_w == FINE_TRACE_ORDER_POWERS
+
+
+#: Every AP of the 0.1 m room traced in turn to the receiver at (1, 1, 1),
+#: red: sha256 of each response's binned powers and its per-order powers.
+#: The first is the trace pinned above.
+FINE_POSITION_TRACES = [
+    ("c35afeba9f4dbbc3236d5cb7d29dcf902f6c937ef91f86503667d86e8128a863",
+     {0: 1.4323944878270581e-05, 1: 7.771085717083031e-07,
+      2: 9.740243439669658e-07}),
+    ("41137bcbba23289fa1d8ca585aedb6a37c54a548b021b516ead5974430597a99",
+     {0: 0.0, 1: 6.33654745411505e-08, 2: 3.9329369691624487e-07}),
+    ("265255b517c6c814cdbe7a706edee117cb556baa172056fcadc7beeb42093f5b",
+     {0: 0.0, 1: 8.898079820287561e-09, 2: 1.4636543561639015e-07}),
+    ("94f405310bc9c5359cd36e852be567348d099c91664dcb681a17ba738b72e0ac",
+     {0: 0.0, 1: 2.814776023723183e-09, 2: 7.372504007476164e-08}),
+    ("224a9d0d648c447c7d0a7f7ca0966987a35acda2b54dddb0c3647966b33fb4e7",
+     {0: 0.0, 1: 6.336547454115051e-08, 2: 4.738446521410551e-07}),
+    ("bc24acc94054a1392a9515a22328c01ee8e6189f5eeb7430d2b766ad9349a154",
+     {0: 0.0, 1: 2.71056508447446e-08, 2: 3.033402207363213e-07}),
+    ("fedbd42625e38f536faa5a69d446de49ea5ec41d9b56fdb472d6323d2f76c0f0",
+     {0: 0.0, 1: 8.349226517590026e-09, 2: 1.4804194408612137e-07}),
+    ("13d9b1af2645f15ab3bc844e3c7f338dd08d19460fa7db862276048475de54b4",
+     {0: 0.0, 1: 3.0898240277542542e-09, 2: 7.720532714610973e-08}),
+]
+
+
+@pytest.mark.slow
+def test_fine_mesh_position_pinned():
+    room = RoomConfig(element_edge_m=0.1)
+    got = []
+    for ap in room.aps:
+        ir = trace_impulse_response(room, ap, ReceiverSpec(),
+                                    (1.0, 1.0, 1.0), "red", 2)
+        got.append((hashlib.sha256(ir.powers_w.tobytes()).hexdigest(),
+                    ir.order_powers_w))
+    assert got == FINE_POSITION_TRACES
+
+
+def test_fine_mesh_distances_follow_their_definition():
+    # The tracer's distances are square roots of the squared coordinate
+    # differences added in a fixed order: (x^2 + y^2) + z^2 from an AP or a
+    # receiver to each element, (x^2 + z^2) + y^2 between two elements. At
+    # 0.1 m the coordinates are inexact, so the other order gives other
+    # bits somewhere in each array.
+    room = RoomConfig(element_edge_m=0.1)
+    ap, rec, rxp = room.aps[0], ReceiverSpec(), (1.0, 1.0, 1.0)
+    mesh = _room_mesh(room)
+    x, y, z = channel_mod.surface_elements(room, "red")[0].T
+    rhos = channel_mod.surface_elements(room, "red")[2]
+    p_elem, t_elem = channel_mod._ap_transfer(mesh, ap.position_m,
+                                              ap.lambertian_order, 1.0)
+    g_rx, t_rx = channel_mod._rx_transfer(mesh, rxp, rec.fov_deg,
+                                          rec.area_m2)
+    for (px, py, pz), delay in ((ap.position_m, t_elem), (rxp, t_rx)):
+        dx, dy, dz = x - px, y - py, z - pz
+        assert np.array_equal(np.sqrt((dx * dx + dy * dy) + dz * dz) / C,
+                              delay)
+        assert not np.array_equal(np.sqrt((dx * dx + dz * dz) + dy * dy) / C,
+                                  delay)
+    sources = np.nonzero(rhos * p_elem > 0)[0]
+    sinks = np.nonzero(rhos * g_rx > 0)[0]
+    rows, _, delay = next(channel_mod._pair_chunks(mesh, sources, sinks))
+    assert 0 < rows.size < sources.size
+    dx, dy, dz = (c[sinks][None, :] - c[rows][:, None] for c in (x, y, z))
+    for dij2, same in (((dx * dx + dz * dz) + dy * dy, True),
+                       ((dx * dx + dy * dy) + dz * dz, False)):
+        got = np.maximum(np.sqrt(dij2), 1e-12) / C
+        assert np.array_equal(got, delay) == same
 
 
 # =====================================================================

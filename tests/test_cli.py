@@ -155,6 +155,24 @@ def test_config_a_stage_rejects_fails_at_load(command, override, tmp_path,
     assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.parametrize("command,overrides", [
+    # 10^10 APs, refused before any is built
+    ("validate", ["room.ap_grid_nx=100000", "room.ap_grid_ny=100000"]),
+    ("chain", ["room.ap_grid_nx=100000", "room.ap_grid_ny=100000"]),
+    # 10^10 receiver grid points with 8 APs each, refused before any point
+    ("validate", ["room.grid_nx=100000", "room.grid_ny=100000"]),
+    ("channel", ["room.grid_nx=100000", "room.grid_ny=100000"]),
+])
+def test_unbounded_counts_refused_at_load(command, overrides, tmp_path,
+                                          capsys):
+    code, out, err = _run([command, "--out", str(tmp_path / "out")]
+                          + [a for o in overrides for a in ("--override", o)],
+                          capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "resource_limit"
+
+
 @pytest.mark.parametrize("command", ["channel", "allocate", "place", "sweep",
                                      "chain", "validate"])
 def test_rates_must_match_wavelengths_at_load(command, tmp_path, capsys):
